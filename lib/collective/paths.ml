@@ -4,12 +4,11 @@ type t = {
   fabric : Fabric.t;
   ecmp : bool;
   cache : (int * int, int list) Hashtbl.t;
-  dist_cache : (int, int array) Hashtbl.t;
-      (* Per-source BFS distance arrays.  A tree-shaped broadcast asks
-         for thousands of distinct (src, dst) pairs but only tens of
-         distinct sources; without this cache every path-cache miss
-         re-runs a full-fabric BFS, which dominates the simulator's
-         allocation and wall time at scale. *)
+  search : Graph.bfs;
+      (* One destination-bounded search, resumed while consecutive misses
+         share a source.  Collective schedules keep most hops a few
+         switches from their source, so a miss labels a small
+         neighbourhood, not the whole fabric. *)
 }
 
 let create ?(ecmp = true) fabric =
@@ -17,16 +16,8 @@ let create ?(ecmp = true) fabric =
     fabric;
     ecmp;
     cache = Hashtbl.create 4096;
-    dist_cache = Hashtbl.create 64;
+    search = Graph.bfs_create (Fabric.graph fabric);
   }
-
-let dist_from t g src =
-  match Hashtbl.find_opt t.dist_cache src with
-  | Some d -> d
-  | None ->
-      let d = Graph.bfs_dist g src in
-      Hashtbl.replace t.dist_cache src d;
-      d
 
 let same_server fabric a b =
   let g = Fabric.graph fabric in
@@ -44,7 +35,7 @@ let compute t a b =
     else begin
       (* Hash-diverse equal-cost path, as flow-level ECMP would pick;
          without ECMP every flow funnels onto the lowest-id path. *)
-      let dist = dist_from t g a in
+      let dist = Graph.bfs_reach t.search ~src:a ~dst:b in
       let path =
         if t.ecmp then Graph.shortest_path_ecmp_from_dist g ~dist a b ~salt:0
         else Graph.shortest_path_from_dist g ~dist a b
@@ -68,4 +59,4 @@ let links t a b =
 
 let invalidate t =
   Hashtbl.reset t.cache;
-  Hashtbl.reset t.dist_cache
+  Graph.bfs_reset t.search

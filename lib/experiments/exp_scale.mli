@@ -18,7 +18,9 @@ val rows_json : Common.mode -> Peel_util.Json.t
 
 val speedup_json : Common.mode -> Peel_util.Json.t
 (** Measured wall-clock at jobs=1 vs jobs=4 on the largest fabric of
-    the mode (the BENCH.json ["scale_speedup"] section, not guarded). *)
+    the mode (the BENCH.json ["scale_speedup"] section, not guarded).
+    ["speedup"] is [null] on a host with fewer than 4 cores, where the
+    ratio would measure barrier overhead rather than a speedup. *)
 
 val run : Common.mode -> unit
 (** Print the sweep table and the measured-speedup note. *)

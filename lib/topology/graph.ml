@@ -124,29 +124,83 @@ let duplex_ids t =
 
 let unreachable = max_int
 
-let bfs_generic t src ~allow =
+(* The one BFS kernel.  [queue.(0 .. tail-1)] is the FIFO and also the
+   list of every node labelled so far, so a restart clears exactly the
+   labels it wrote.  [queue.(head)] is the node being expanded. *)
+type bfs = {
+  graph : t;
+  dist : int array;
+  queue : int array;
+  mutable src : int;  (* -1 when no search is live *)
+  mutable head : int;
+  mutable tail : int;
+}
+
+let bfs_create t =
   let n = num_nodes t in
-  if src < 0 || src >= n then invalid_arg "Graph.bfs: bad source";
-  let dist = Array.make n unreachable in
-  dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.push src q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    let dv = dist.(v) in
-    Array.iter
-      (fun (w, lid) ->
-        if t.links.(lid).up && dist.(w) = unreachable && allow t.nodes.(w) then begin
-          dist.(w) <- dv + 1;
-          Queue.push w q
-        end)
-      t.adj.(v)
+  {
+    graph = t;
+    dist = Array.make n unreachable;
+    queue = Array.make n 0;
+    src = -1;
+    head = 0;
+    tail = 0;
+  }
+
+let bfs_reset b =
+  for i = 0 to b.tail - 1 do
+    b.dist.(b.queue.(i)) <- unreachable
   done;
-  dist
+  b.src <- -1;
+  b.head <- 0;
+  b.tail <- 0
 
-let bfs_dist t src = bfs_generic t src ~allow:(fun _ -> true)
+let bfs_start b src =
+  if src < 0 || src >= num_nodes b.graph then invalid_arg "Graph.bfs: bad source";
+  bfs_reset b;
+  b.dist.(src) <- 0;
+  b.queue.(0) <- src;
+  b.src <- src;
+  b.tail <- 1
 
-let bfs_dist_filtered t src ~allow = bfs_generic t src ~allow:(fun n -> allow n)
+(* Expand queued nodes in FIFO and adjacency order until [dst] carries
+   a label or the queue runs dry ([dst] = -1 never stops early).  A stop
+   leaves [head] on the node whose expansion labelled [dst]; resuming
+   re-scans that node's adjacency, skipping the neighbours it already
+   labelled. *)
+let bfs_run b dst =
+  let { graph = g; dist; queue; _ } = b in
+  let found = ref (dst >= 0 && dist.(dst) <> unreachable) in
+  while (not !found) && b.head < b.tail do
+    let v = queue.(b.head) in
+    let dw = dist.(v) + 1 in
+    let edges = g.adj.(v) in
+    let i = ref 0 in
+    while (not !found) && !i < Array.length edges do
+      let w, lid = edges.(!i) in
+      if dist.(w) = unreachable && g.links.(lid).up then begin
+        dist.(w) <- dw;
+        queue.(b.tail) <- w;
+        b.tail <- b.tail + 1;
+        if w = dst then found := true
+      end;
+      incr i
+    done;
+    if not !found then b.head <- b.head + 1
+  done
+
+let bfs_reach b ~src ~dst =
+  if dst < 0 || dst >= num_nodes b.graph then invalid_arg "Graph.bfs_reach: bad destination";
+  (* [bfs_start] rejects a bad source; -1 must not match an idle scratch. *)
+  if src < 0 || src <> b.src then bfs_start b src;
+  bfs_run b dst;
+  b.dist
+
+let bfs_dist t src =
+  let b = bfs_create t in
+  bfs_start b src;
+  bfs_run b (-1);
+  b.dist
 
 let hop_layers t src =
   let dist = bfs_dist t src in

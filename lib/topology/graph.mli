@@ -108,11 +108,33 @@ val unreachable : int
 (** Distance marker for unreachable nodes. *)
 
 val bfs_dist : t -> int -> int array
-(** Hop distance from a source over up links. *)
+(** Hop distance from a source over up links: the search of [bfs_reach]
+    run until its queue is empty, in a fresh array. *)
 
-val bfs_dist_filtered : t -> int -> allow:(node -> bool) -> int array
-(** BFS restricted to nodes satisfying [allow] (the source is always
-    allowed). *)
+type bfs
+(** A reusable search scratch: a distance array and a FIFO, each of
+    [num_nodes] ints, allocated once by [bfs_create]. *)
+
+val bfs_create : t -> bfs
+
+val bfs_reach : bfs -> src:int -> dst:int -> int array
+(** [bfs_reach b ~src ~dst] runs a BFS from [src] over up links and
+    stops as soon as [dst] is labelled (or the queue runs dry, leaving
+    [dst] at [unreachable]).  When [src] is the source of the previous
+    call the search resumes where it stopped, so a run of destinations
+    sharing a source costs one search in all; a new source first clears
+    the labels the last search wrote, at O(touched) cost.
+
+    The returned array is the scratch's own, valid until the next call
+    on [b].  Every label present is an exact hop distance, and every
+    node closer to [src] than [dst] is labelled; farther nodes may read
+    [unreachable].  That is all the [*_from_dist] walks below query, so
+    they pick the same path from it as from [bfs_dist].  The labels
+    describe the link state of the search that wrote them: call
+    [bfs_reset] after failing or restoring links. *)
+
+val bfs_reset : bfs -> unit
+(** Forget the live search; the next [bfs_reach] starts afresh. *)
 
 val hop_layers : t -> int -> int list array
 (** [hop_layers t s].(d) lists node ids at distance [d] from [s],
@@ -129,15 +151,19 @@ val shortest_path_ecmp : t -> int -> int -> salt:int -> int list option
     (src, dst, salt). *)
 
 val shortest_path_from_dist : t -> dist:int array -> int -> int -> int list option
-(** [shortest_path] given a precomputed [bfs_dist t src] array, letting
-    callers amortise the BFS over every destination sharing a source.
-    The array must come from [bfs_dist] on the current link state —
-    stale distances give wrong (or crashing) walks. *)
+(** [shortest_path t src dst] given precomputed distances from [src],
+    letting callers amortise the BFS over every destination sharing a
+    source.  [dist] may be a [bfs_dist t src] array or a [bfs_reach]
+    result for this [dst]: the back-walk only queries labels below
+    [dist.(dst)], and both carry every one of those exactly.  The
+    distances must describe the current link state — stale distances
+    give wrong (or crashing) walks. *)
 
 val shortest_path_ecmp_from_dist :
   t -> dist:int array -> int -> int -> salt:int -> int list option
-(** [shortest_path_ecmp] given a precomputed [bfs_dist t src] array;
-    same contract (and same path picks) as the BFS-per-call form. *)
+(** [shortest_path_ecmp] given precomputed distances from [src]; same
+    contract as [shortest_path_from_dist] and the same path picks as the
+    BFS-per-call form. *)
 
 val connected : t -> int list -> bool
 (** Whether all listed nodes are mutually reachable over up links. *)

@@ -220,6 +220,107 @@ let test_loss_never_speeds_things_up () =
   Alcotest.(check bool) "repairs happened" true
     (loss.Peel_sim.Transfer.retransmissions > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Paths: destination-bounded search vs a full BFS per query          *)
+(* ------------------------------------------------------------------ *)
+
+let paths_fabrics =
+  [|
+    (fun () -> Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:4 ());
+    (fun () -> Fabric.fat_tree ~k:8 ~hosts_per_tor:2 ~gpus_per_host:2 ());
+    (fun () -> Fabric.leaf_spine ~gpus_per_host:2 ~spines:4 ~leaves:6 ~hosts_per_leaf:2 ());
+    (fun () -> Fabric.rail ~rails:4 ~groups:2 ~servers_per_group:3 ~spines:2 ());
+    (fun () -> Fabric.of_zoo (Zoo.jellyfish ~hosts_per_tor:2 ~switches:12 ~net_degree:3 ~seed:5 ()));
+  |]
+
+(* What [Paths.links] must return: NVLink through the NVSwitch for
+   sibling GPUs, else the full-BFS shortest path ([None] when
+   disconnected, or when a sibling's NVLink is down). *)
+let reference_links fabric ~ecmp a b =
+  let g = Fabric.graph fabric in
+  let gpu v = (Graph.node g v).Graph.kind = Graph.Gpu in
+  let nodes =
+    if a = b then Some [ a ]
+    else if gpu a && gpu b && Fabric.host_of_gpu fabric a = Fabric.host_of_gpu fabric b then
+      Some [ a; Fabric.host_of_gpu fabric a; b ]
+    else if ecmp then Graph.shortest_path_ecmp g a b ~salt:0
+    else Graph.shortest_path g a b
+  in
+  match Option.map (Peel_sim.Transfer.path_links g) nodes with
+  | links -> links
+  | exception Invalid_argument _ -> None
+
+let paths_links_opt paths a b =
+  match Paths.links paths a b with
+  | l -> Some l
+  | exception Invalid_argument _ -> None
+
+(* Queries are (keep the previous source?, source, destination) draws
+   over the endpoints, so runs of one source (the search resumes)
+   interleave with switches (it restarts).  Halfway through, one more
+   link fails and the cache is invalidated; the rest of the sequence is
+   checked against the new link state. *)
+let prop_paths_match_full_bfs =
+  QCheck.Test.make ~name:"Paths.links = full-BFS shortest path" ~count:120
+    QCheck.(
+      make
+        ~print:(fun (fi, seed, pct, ecmp, qs) ->
+          Printf.sprintf "fabric %d seed %d fail %d%% ecmp %b, %d queries" fi seed pct ecmp
+            (List.length qs))
+        Gen.(
+          tup5
+            (int_bound (Array.length paths_fabrics - 1))
+            (int_bound 10_000) (int_bound 10) bool
+            (list_size (int_range 1 60) (triple bool (int_bound 100_000) (int_bound 100_000)))))
+    (fun (fi, seed, pct, ecmp, queries) ->
+      let fabric = paths_fabrics.(fi) () in
+      let g = Fabric.graph fabric in
+      let rng = Rng.create seed in
+      ignore
+        (Fabric.fail_random fabric ~rng ~tier:`All ~fraction:(float_of_int pct /. 100.0) ());
+      let eps = Fabric.endpoints fabric in
+      let n = Array.length eps in
+      let paths = Paths.create ~ecmp fabric in
+      let half = List.length queries / 2 in
+      let src = ref eps.(0) in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i (keep, s, d) ->
+             if i = half then begin
+               let up = List.filter (Graph.link_up g) (Array.to_list (Graph.duplex_ids g)) in
+               Graph.fail_link g (List.nth up (Rng.int rng (List.length up)));
+               Paths.invalidate paths
+             end;
+             if not keep then src := eps.(s mod n);
+             let dst = eps.(d mod n) in
+             paths_links_opt paths !src dst = reference_links fabric ~ecmp !src dst)
+           queries))
+
+let test_paths_disconnected () =
+  let f = Fabric.leaf_spine ~spines:2 ~leaves:3 ~hosts_per_leaf:2 () in
+  let g = Fabric.graph f in
+  let hosts = Fabric.hosts f in
+  let a = hosts.(0) and near = hosts.(1) and far = hosts.(5) in
+  let leaf = Fabric.attach_tor f a in
+  let paths = Paths.create f in
+  Alcotest.(check bool) "connected before" true (Paths.links paths a far <> []);
+  (* Cut the first leaf off the spines: its hosts still reach each other. *)
+  Array.iter
+    (fun (w, lid) ->
+      if (Graph.node g w).Graph.kind = Graph.Spine then Graph.fail_link g lid)
+    (Graph.out_links g leaf);
+  Paths.invalidate paths;
+  Alcotest.check_raises "disconnected pair" (Invalid_argument "Paths.links: endpoints disconnected")
+    (fun () -> ignore (Paths.links paths a far));
+  (* The exhausted search still answers the same source's nearby pair. *)
+  Alcotest.(check (option (list int)))
+    "same source, reachable" (reference_links f ~ecmp:true a near) (Some (Paths.links paths a near));
+  Graph.restore_all g;
+  Paths.invalidate paths;
+  Alcotest.(check (option (list int)))
+    "reconnected after invalidate" (reference_links f ~ecmp:true a far)
+    (Some (Paths.links paths a far))
+
 let () =
   Alcotest.run "peel_collective"
     [
@@ -272,5 +373,10 @@ let () =
         [
           Alcotest.test_case "guard timer improves" `Slow test_guard_timer_improves_cct;
           Alcotest.test_case "cc noop when idle" `Quick test_cc_noop_when_uncongested;
+        ] );
+      ( "paths",
+        [
+          QCheck_alcotest.to_alcotest prop_paths_match_full_bfs;
+          Alcotest.test_case "disconnected pair raises" `Quick test_paths_disconnected;
         ] );
     ]

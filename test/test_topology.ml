@@ -419,6 +419,65 @@ let prop_fail_random_keeps_hosts_connected =
       in
       Graph.connected (Fabric.graph ls) (Array.to_list (Fabric.hosts ls)))
 
+(* bfs_reach is exact where the path walks look: at [dst] and on every
+   node closer than it, whether the search started afresh, resumed the
+   same source or restarted from a new one.  Labels it wrote beyond
+   that are exact too. *)
+let prop_bfs_reach_matches_bfs_dist =
+  QCheck.Test.make ~name:"bfs_reach labels = bfs_dist below dst" ~count:60
+    QCheck.(
+      triple (int_range 0 10000) (int_range 0 10)
+        (list_of_size Gen.(int_range 1 40) (triple bool (int_range 0 100000) (int_range 0 100000))))
+    (fun (seed, pct, queries) ->
+      let f = Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 () in
+      let g = Fabric.graph f in
+      ignore
+        (Fabric.fail_random f ~rng:(Rng.create seed) ~tier:`All
+           ~fraction:(float_of_int pct /. 100.0) ());
+      let n = Graph.num_nodes g in
+      let b = Graph.bfs_create g in
+      let src = ref 0 in
+      List.for_all
+        (fun (keep, s, d) ->
+          if not keep then src := s mod n;
+          let dst = d mod n in
+          let full = Graph.bfs_dist g !src in
+          let reach = Graph.bfs_reach b ~src:!src ~dst in
+          let ok = ref (reach.(dst) = full.(dst)) in
+          Array.iteri
+            (fun v dv ->
+              if dv < full.(dst) || reach.(v) <> Graph.unreachable then
+                ok := !ok && reach.(v) = dv)
+            full;
+          !ok)
+        queries)
+
+let test_bfs_reach_stops_early () =
+  (* On a k=8 fat-tree a ToR-local pair is settled long before the
+     search reaches the other pods. *)
+  let f = Fat_tree.create ~k:8 () in
+  let g = f.Fat_tree.graph in
+  let h0 = f.Fat_tree.hosts.(0) in
+  let near = f.Fat_tree.hosts_of_tor.(0).(1) in
+  let far = f.Fat_tree.hosts.(Array.length f.Fat_tree.hosts - 1) in
+  let b = Graph.bfs_create g in
+  let d = Graph.bfs_reach b ~src:h0 ~dst:near in
+  Alcotest.(check int) "dst labelled" 2 d.(near);
+  Alcotest.(check int) "far pod untouched" Graph.unreachable d.(far);
+  (* Resuming the same source reaches further without losing labels. *)
+  let d = Graph.bfs_reach b ~src:h0 ~dst:far in
+  Alcotest.(check int) "far pod reached" 6 d.(far);
+  Alcotest.(check int) "near label kept" 2 d.(near);
+  (* A new source clears the old labels. *)
+  let d = Graph.bfs_reach b ~src:near ~dst:h0 in
+  Alcotest.(check int) "restarted" 0 d.(near);
+  Alcotest.(check int) "old labels cleared" Graph.unreachable d.(far);
+  Alcotest.check_raises "bad destination" (Invalid_argument "Graph.bfs_reach: bad destination")
+    (fun () -> ignore (Graph.bfs_reach b ~src:0 ~dst:(Graph.num_nodes g)));
+  Graph.bfs_reset b;
+  Alcotest.check_raises "bad source on an idle scratch" (Invalid_argument "Graph.bfs: bad source")
+    (fun () -> ignore (Graph.bfs_reach b ~src:(-1) ~dst:0))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "peel_topology"
@@ -433,6 +492,8 @@ let () =
           Alcotest.test_case "hop layers" `Quick test_hop_layers;
           Alcotest.test_case "link_between" `Quick test_link_between;
           Alcotest.test_case "self loop rejected" `Quick test_self_loop_rejected;
+          Alcotest.test_case "bfs_reach stops early" `Quick test_bfs_reach_stops_early;
+          qt prop_bfs_reach_matches_bfs_dist;
         ] );
       ( "fat_tree",
         [
