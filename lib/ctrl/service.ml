@@ -105,24 +105,28 @@ type outcome = {
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-type digest = { mutable h : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh [Int64] on every folded character. *)
+type digest = Bytes.t
 
-let digest_create () = { h = fnv_offset }
+let digest_create () =
+  let d = Bytes.create 8 in
+  Bytes.set_int64_ne d 0 fnv_offset;
+  d
 
-let digest_string d s =
-  String.iter
-    (fun c ->
-      d.h <- Int64.mul (Int64.logxor d.h (Int64.of_int (Char.code c))) fnv_prime)
-    s
+let digest_char d c =
+  Bytes.set_int64_ne d 0
+    (Int64.mul
+       (Int64.logxor (Bytes.get_int64_ne d 0) (Int64.of_int (Char.code c)))
+       fnv_prime)
 
-let digest_hex d = Printf.sprintf "%016Lx" d.h
+let digest_string d s = String.iter (digest_char d) s
+let digest_hex d = Printf.sprintf "%016Lx" (Bytes.get_int64_ne d 0)
 
 (* Allocation-free digest helpers: fold exactly the bytes the
    reference implementation's [Printf.sprintf]-built strings contain,
    without materializing them — the hot path runs one of these per
    event, and the fingerprint must stay byte-identical. *)
-let digest_char d c =
-  d.h <- Int64.mul (Int64.logxor d.h (Int64.of_int (Char.code c))) fnv_prime
 
 let rec digest_int d n =
   if n < 0 then begin

@@ -40,6 +40,12 @@ type slo_row = {
   s_ref_fingerprint_matches : bool;
 }
 
+val seed : int
+val fabric : unit -> Peel_topology.Fabric.t
+
+val tenants : unit -> Peel_workload.Stream.tenant list
+(** The E22 stream: its seed, fabric and long-hold tenant mix. *)
+
 val rows : Common.mode -> row list
 val slo_rows : Common.mode -> slo_row list
 val rows_json : Common.mode -> Peel_util.Json.t

@@ -74,14 +74,17 @@ module Bitset = struct
   (* FNV-1a over the backing bytes: the memoization cache's bucket
      hash.  Collisions are survivable (callers compare with [equal]);
      the width folds in so same-pattern different-width sets split. *)
+  let[@inline] fnv h c =
+    Int64.mul (Int64.logxor h (Int64.of_int c)) 0x100000001b3L
+
   let hash t =
-    let h = ref 0xcbf29ce484222325L in
-    let mix c =
-      h := Int64.mul (Int64.logxor !h (Int64.of_int c)) 0x100000001b3L
-    in
-    mix (t.width land 0xff);
-    mix ((t.width lsr 8) land 0xff);
-    Bytes.iter (fun c -> mix (Char.code c)) t.bits;
+    (* The state stays in a local ref the loop never lets escape, so it
+       is an unboxed register; a closure over it would box per byte. *)
+    let h = fnv 0xcbf29ce484222325L (t.width land 0xff) in
+    let h = ref (fnv h ((t.width lsr 8) land 0xff)) in
+    for i = 0 to Bytes.length t.bits - 1 do
+      h := fnv !h (Char.code (Bytes.unsafe_get t.bits i))
+    done;
     Int64.to_int !h land max_int
 
   let cardinal t =

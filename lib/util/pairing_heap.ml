@@ -1,14 +1,23 @@
-(* A flat binary heap in structure-of-arrays layout.  Each entry
-   carries a monotonically increasing sequence number so that equal
-   priorities pop in insertion order, keeping simulations deterministic
-   across runs.
+(* A flat binary heap in structure-of-arrays layout (the module name is
+   historical: this has never been a pairing heap).  Each entry carries
+   a monotonically increasing sequence number so that equal priorities
+   pop in insertion order, keeping simulations deterministic across
+   runs.
 
    The simulator's event queue reaches thousands of pending events on
-   tree-shaped workloads, where sift-down walks ~log n levels per pop.
-   Keeping priorities in an unboxed [float array] (with sequence
-   numbers and payloads in parallel arrays) makes every comparison two
-   adjacent array loads instead of two pointer chases through boxed
-   entry records — the comparisons never touch the payload array. *)
+   tree-shaped workloads, and the service's workload generator keeps
+   one timer per live group — hundreds of thousands of entries, ~20
+   levels deep.  Keeping priorities in an unboxed [float array] (with
+   sequence numbers and payloads in parallel arrays) makes every
+   comparison two adjacent array loads instead of two pointer chases
+   through boxed entry records — the comparisons never touch the
+   payload array.
+
+   Sifts are hole-based: the entry being placed is held in locals while
+   the entries it passes move one level into the hole, and it is
+   written once, at its final slot.  A swap-based sift would rewrite all
+   three columns twice per level, each payload write paying the GC
+   write barrier. *)
 
 type 'a t = {
   mutable prio : float array;
@@ -20,21 +29,6 @@ type 'a t = {
 
 let create () =
   { prio = [||]; seq = [||]; value = [||]; size = 0; next_seq = 0 }
-
-(* [lt t i j]: does slot [i] order strictly before slot [j]? *)
-let lt t i j =
-  t.prio.(i) < t.prio.(j) || (t.prio.(i) = t.prio.(j) && t.seq.(i) < t.seq.(j))
-
-let swap t i j =
-  let p = t.prio.(i) in
-  t.prio.(i) <- t.prio.(j);
-  t.prio.(j) <- p;
-  let s = t.seq.(i) in
-  t.seq.(i) <- t.seq.(j);
-  t.seq.(j) <- s;
-  let v = t.value.(i) in
-  t.value.(i) <- t.value.(j);
-  t.value.(j) <- v
 
 (* Grow the backing arrays, filling fresh payload slots with [seed];
    slots beyond [size] are never read. *)
@@ -51,51 +45,77 @@ let grow t seed =
   t.seq <- seq;
   t.value <- value
 
-let push t prio value =
-  if t.size >= Array.length t.prio then grow t value;
+(* Move the entry in slot [src] into the hole at [dst]. *)
+let[@inline] move t ~src ~dst =
+  Array.unsafe_set t.prio dst (Array.unsafe_get t.prio src);
+  Array.unsafe_set t.seq dst (Array.unsafe_get t.seq src);
+  Array.unsafe_set t.value dst (Array.unsafe_get t.value src)
+
+let[@inline] place t i p s v =
+  Array.unsafe_set t.prio i p;
+  Array.unsafe_set t.seq i s;
+  Array.unsafe_set t.value i v
+
+let push t p v =
+  if t.size >= Array.length t.prio then grow t v;
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
   let i = ref t.size in
-  t.prio.(!i) <- prio;
-  t.seq.(!i) <- t.next_seq;
-  t.value.(!i) <- value;
-  t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  (* Sift up. *)
+  (* Sift up.  The newcomer's sequence number exceeds every stored
+     one, so it orders before its parent exactly when its priority is
+     strictly smaller. *)
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if lt t !i parent then begin
-      swap t !i parent;
+    let parent = (!i - 1) lsr 1 in
+    if p < Array.unsafe_get t.prio parent then begin
+      move t ~src:parent ~dst:!i;
       i := parent
     end
     else continue := false
-  done
+  done;
+  place t !i p s v
 
-let sift_down t =
+(* [before t j p s]: does slot [j] order strictly before the entry
+   [(p, s)]? *)
+let[@inline] before t j p s =
+  let pj = Array.unsafe_get t.prio j in
+  pj < p || (pj = p && Array.unsafe_get t.seq j < s)
+
+(* Sift the entry [(p, s, v)] down from the hole at the root, with the
+   same comparisons a swap-based sift makes: the left child against
+   the entry, then the right child against the smaller of the two. *)
+let[@inline] sift_down t p s v =
+  let n = t.size in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size && lt t l !smallest then smallest := l;
-    if r < t.size && lt t r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap t !smallest !i;
-      i := !smallest
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let c = if l < n && before t l p s then l else -1 in
+    let c =
+      if r >= n then c
+      else if c < 0 then if before t r p s then r else -1
+      else if before t r (Array.unsafe_get t.prio l) (Array.unsafe_get t.seq l)
+      then r
+      else l
+    in
+    if c >= 0 then begin
+      move t ~src:c ~dst:!i;
+      i := c
     end
     else continue := false
-  done
+  done;
+  place t !i p s v
 
 let pop t =
   if t.size = 0 then None
   else begin
     let prio = t.prio.(0) and value = t.value.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.prio.(0) <- t.prio.(t.size);
-      t.seq.(0) <- t.seq.(t.size);
-      t.value.(0) <- t.value.(t.size);
-      sift_down t
-    end;
+    let last = t.size - 1 in
+    t.size <- last;
+    if last > 0 then
+      sift_down t t.prio.(last) t.seq.(last) t.value.(last);
     Some (prio, value)
   end
 

@@ -32,29 +32,29 @@ let kind_to_string = function
   | Send { gid; _ } -> Printf.sprintf "send[g%d]" gid
   | Depart { gid } -> Printf.sprintf "depart[g%d]" gid
 
-(* Pending timers.  Arrival timers are per tenant; the rest are per
-   live group.  A timer whose group departed in the meantime is
-   discarded on pop (this can only happen on exact time ties, where
-   the earlier-scheduled departure drains first). *)
-type timer =
-  | T_arrival of int  (* tenant index *)
-  | T_churn of int    (* gid *)
-  | T_send of int     (* gid *)
-  | T_depart of int   (* gid *)
+(* Pending timers are ints, [id lsl 2 lor kind]: the id is the
+   tenant index for an arrival and the gid for the rest.  An unboxed
+   payload costs no allocation per timer and keeps the timer queue
+   out of the GC's remembered set. *)
+let k_arrival = 0
+let k_churn = 1
+let k_send = 2
+let k_depart = 3
+let timer id kind = (id lsl 2) lor kind
 
-type live = {
-  l_tenant : int;
-  l_source : int;
-  mutable l_members : int list;  (* ascending, always contains l_source *)
-  l_departure : float;
-}
-
+(* Live-group state, in columns indexed by gid.  Gids are issued
+   densely from 0, so the columns grow with gids issued (geometrically,
+   from empty); a departed gid keeps its slot with [tenant = -1]. *)
 type t = {
   s_fabric : Fabric.t;
   s_rng : Rng.t;
   s_tenants : tenant array;
-  s_timers : timer Heap.t;
-  s_live : (int, live) Hashtbl.t;
+  s_timers : int Heap.t;
+  mutable s_tenant : int array;  (* owning tenant; -1 once departed *)
+  mutable s_source : int array;
+  mutable s_departure : float array;
+  mutable s_members : int list array;  (* ascending, always contains the source *)
+  mutable s_live : int;
   mutable s_next_gid : int;
   mutable s_next_seq : int;
 }
@@ -88,7 +88,11 @@ let create fabric rng ~tenants () =
       s_rng = rng;
       s_tenants = Array.of_list tenants;
       s_timers = Heap.create ();
-      s_live = Hashtbl.create 64;
+      s_tenant = [||];
+      s_source = [||];
+      s_departure = [||];
+      s_members = [||];
+      s_live = 0;
       s_next_gid = 0;
       s_next_seq = 0;
     }
@@ -100,33 +104,53 @@ let create fabric rng ~tenants () =
       if t.rate > 0.0 then
         Heap.push s.s_timers
           (Rng.exponential s.s_rng ~mean:(1.0 /. t.rate))
-          (T_arrival i))
+          (timer i k_arrival))
     s.s_tenants;
   s
 
-let live_groups s =
-  Hashtbl.fold (fun gid _ acc -> gid :: acc) s.s_live [] |> List.sort compare
+let is_live s gid = gid >= 0 && gid < s.s_next_gid && s.s_tenant.(gid) >= 0
 
-let live_count s = Hashtbl.length s.s_live
+let live_groups s =
+  let rec collect gid acc =
+    if gid < 0 then acc
+    else collect (gid - 1) (if s.s_tenant.(gid) >= 0 then gid :: acc else acc)
+  in
+  collect (s.s_next_gid - 1) []
+
+let live_count s = s.s_live
 
 let live_members s ~gid =
-  match Hashtbl.find_opt s.s_live gid with
-  | None -> None
-  | Some l -> Some l.l_members
+  if is_live s gid then Some s.s_members.(gid) else None
 
 (* Schedule a per-group Poisson follow-up, unless it would land after
    the group's departure (the departure timer then retires the group
    before the follow-up could fire). *)
-let reschedule s ~now ~(l : live) ~mean timer =
+let[@inline] reschedule s ~now ~gid ~mean kind =
   if mean > 0.0 then begin
     let at = now +. Rng.exponential s.s_rng ~mean in
-    if at < l.l_departure then Heap.push s.s_timers at timer
+    if at < s.s_departure.(gid) then Heap.push s.s_timers at (timer gid kind)
   end
 
 let emit s ~time kind =
   let seq = s.s_next_seq in
   s.s_next_seq <- seq + 1;
   { ev_time = time; ev_seq = seq; ev_kind = kind }
+
+(* Room for gid [gid] in every live-state column. *)
+let ensure_gid s gid =
+  let cap = Array.length s.s_tenant in
+  if gid >= cap then begin
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let extend a fill =
+      let b = Array.make ncap fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    s.s_tenant <- extend s.s_tenant (-1);
+    s.s_source <- extend s.s_source 0;
+    s.s_departure <- extend s.s_departure 0.0;
+    s.s_members <- extend s.s_members []
+  end
 
 let do_create s ~now ti =
   let t = s.s_tenants.(ti) in
@@ -135,7 +159,7 @@ let do_create s ~now ti =
      membership draws below. *)
   Heap.push s.s_timers
     (now +. Rng.exponential s.s_rng ~mean:(1.0 /. t.rate))
-    (T_arrival ti);
+    (timer ti k_arrival);
   let members =
     Spec.place s.s_fabric s.s_rng ~scale:t.scale
       ~fragmentation:t.fragmentation ()
@@ -144,22 +168,26 @@ let do_create s ~now ti =
   let source = marr.(Rng.int s.s_rng (Array.length marr)) in
   let life = max 1e-9 (Rng.exponential s.s_rng ~mean:t.hold) in
   let gid = s.s_next_gid in
+  let departure = now +. life in
+  ensure_gid s gid;
   s.s_next_gid <- gid + 1;
-  let l =
-    { l_tenant = ti; l_source = source; l_members = members;
-      l_departure = now +. life }
-  in
-  Hashtbl.replace s.s_live gid l;
-  Heap.push s.s_timers l.l_departure (T_depart gid);
-  reschedule s ~now ~l ~mean:(if t.churn > 0.0 then 1.0 /. t.churn else 0.0)
-    (T_churn gid);
-  reschedule s ~now ~l ~mean:(if t.sends > 0.0 then 1.0 /. t.sends else 0.0)
-    (T_send gid);
+  s.s_tenant.(gid) <- ti;
+  s.s_source.(gid) <- source;
+  s.s_departure.(gid) <- departure;
+  s.s_members.(gid) <- members;
+  s.s_live <- s.s_live + 1;
+  Heap.push s.s_timers departure (timer gid k_depart);
+  reschedule s ~now ~gid
+    ~mean:(if t.churn > 0.0 then 1.0 /. t.churn else 0.0)
+    k_churn;
+  reschedule s ~now ~gid
+    ~mean:(if t.sends > 0.0 then 1.0 /. t.sends else 0.0)
+    k_send;
   let group =
     {
       Spec.g_id = gid;
       g_arrival = now;
-      g_departure = l.l_departure;
+      g_departure = departure;
       g_source = source;
       g_dests = List.filter (fun m -> m <> source) members;
       g_members = members;
@@ -172,10 +200,11 @@ let do_create s ~now ti =
    Groups at the minimum size (2) always join; a join that cannot find
    a free endpoint (the group spans the whole fabric) degrades to a
    leave.  All draws come from the shared stream in a fixed order. *)
-let do_churn s ~now gid (l : live) =
-  let t = s.s_tenants.(l.l_tenant) in
-  reschedule s ~now ~l ~mean:(1.0 /. t.churn) (T_churn gid);
-  let size = List.length l.l_members in
+let do_churn s ~now gid =
+  let t = s.s_tenants.(s.s_tenant.(gid)) in
+  reschedule s ~now ~gid ~mean:(1.0 /. t.churn) k_churn;
+  let members = s.s_members.(gid) in
+  let size = List.length members in
   let eps = Fabric.endpoints s.s_fabric in
   let n = Array.length eps in
   let want_join =
@@ -188,46 +217,48 @@ let do_churn s ~now gid (l : live) =
       if tries = 0 then None
       else
         let e = eps.(Rng.int s.s_rng n) in
-        if List.mem e l.l_members then find (tries - 1) else Some e
+        if List.mem e members then find (tries - 1) else Some e
     in
     find 64
   in
   let do_leave () =
-    let dests = List.filter (fun m -> m <> l.l_source) l.l_members in
+    let source = s.s_source.(gid) in
+    let dests = List.filter (fun m -> m <> source) members in
     let victim = List.nth dests (Rng.int s.s_rng (List.length dests)) in
-    l.l_members <- List.filter (fun m -> m <> victim) l.l_members;
+    s.s_members.(gid) <- List.filter (fun m -> m <> victim) members;
     Some (emit s ~time:now (Leave { gid; endpoint = victim }))
   in
   if want_join then
     match try_join () with
     | Some e ->
-        l.l_members <- List.sort compare (e :: l.l_members);
+        s.s_members.(gid) <- List.sort compare (e :: members);
         Some (emit s ~time:now (Join { gid; endpoint = e }))
     | None -> if size > 2 then do_leave () else None
   else do_leave ()
 
+(* Follow-up timers are pushed only strictly before their group's
+   departure ([reschedule]), so they always pop before its departure
+   timer: a churn or send timer never finds its group departed.  The
+   liveness checks below are defensive. *)
 let rec next s =
   match Heap.pop s.s_timers with
   | None -> invalid_arg "Stream.next: stream exhausted (no live timers)"
-  | Some (now, timer) -> (
-      match timer with
-      | T_arrival ti -> do_create s ~now ti
-      | T_depart gid ->
-          Hashtbl.remove s.s_live gid;
-          emit s ~time:now (Depart { gid })
-      | T_churn gid -> (
-          match Hashtbl.find_opt s.s_live gid with
-          | None -> next s
-          | Some l -> (
-              match do_churn s ~now gid l with
-              | Some ev -> ev
-              | None -> next s))
-      | T_send gid -> (
-          match Hashtbl.find_opt s.s_live gid with
-          | None -> next s
-          | Some l ->
-              let t = s.s_tenants.(l.l_tenant) in
-              reschedule s ~now ~l ~mean:(1.0 /. t.sends) (T_send gid);
-              emit s ~time:now (Send { gid; bytes = t.bytes })))
+  | Some (now, code) ->
+      let id = code lsr 2 and kind = code land 3 in
+      if kind = k_arrival then do_create s ~now id
+      else if kind = k_depart then begin
+        s.s_tenant.(id) <- -1;
+        s.s_members.(id) <- [];
+        s.s_live <- s.s_live - 1;
+        emit s ~time:now (Depart { gid = id })
+      end
+      else if not (is_live s id) then next s
+      else if kind = k_churn then
+        match do_churn s ~now id with Some ev -> ev | None -> next s
+      else begin
+        let t = s.s_tenants.(s.s_tenant.(id)) in
+        reschedule s ~now ~gid:id ~mean:(1.0 /. t.sends) k_send;
+        emit s ~time:now (Send { gid = id; bytes = t.bytes })
+      end
 
 let take s n = List.init n (fun _ -> next s)

@@ -57,7 +57,8 @@ val kind_to_string : kind -> string
 
 type t
 (** Mutable generator state: pending timers, live-group memberships,
-    the shared RNG. *)
+    the shared RNG.  Live state is kept per issued gid, so it grows
+    with gids issued, not with live groups. *)
 
 val create : Fabric.t -> Peel_util.Rng.t -> tenants:tenant list -> unit -> t
 (** Raises [Invalid_argument] if the tenant list is empty, every rate
@@ -77,8 +78,9 @@ val take : t -> int -> event list
 (** The next [n] events. *)
 
 val live_groups : t -> int list
-(** Currently registered group ids, ascending — O(live log live); use
-    {!live_count} when only the population size is needed. *)
+(** Currently registered group ids, ascending — O(gids issued), since
+    live state is indexed by gid; use {!live_count} when only the
+    population size is needed. *)
 
 val live_count : t -> int
 (** Number of currently live groups — O(1), safe to poll every event

@@ -270,6 +270,39 @@ let prop_heap_sorts =
       let drained = drain [] in
       drained = List.sort compare xs)
 
+(* Random interleaved pushes and pops over three priorities (so ties
+   are the common case) against a reference list ordered by
+   (priority, push index): every pop, peek and length must agree. *)
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"heap interleaved ops match (prio, push index) order"
+    ~count:300
+    QCheck.(list (option (int_range 0 2)))
+    (fun ops ->
+      let h = Pairing_heap.create () in
+      let reference = ref [] and pushed = ref 0 in
+      let entry = function
+        | [] -> None
+        | e :: _ -> Some (float_of_int (fst e), snd e)
+      in
+      List.for_all
+        (fun op ->
+          let pop_ok =
+            match op with
+            | Some p ->
+                Pairing_heap.push h (float_of_int p) !pushed;
+                reference := List.merge compare !reference [ (p, !pushed) ];
+                incr pushed;
+                true
+            | None ->
+                let expect = entry !reference in
+                reference := (match !reference with [] -> [] | _ :: r -> r);
+                Pairing_heap.pop h = expect
+          in
+          pop_ok
+          && Pairing_heap.peek h = entry !reference
+          && Pairing_heap.length h = List.length !reference)
+        ops)
+
 let test_heap_tiebreak_at_scale () =
   (* 1e5 equal-priority entries must drain in exact insertion order:
      the tiebreak is what keeps big simulations deterministic, and this
@@ -549,6 +582,7 @@ let () =
           Alcotest.test_case "tiebreak at 1e5" `Quick test_heap_tiebreak_at_scale;
           Alcotest.test_case "grow boundary" `Quick test_heap_grow_boundary;
           qt prop_heap_sorts;
+          qt prop_heap_interleaved;
         ] );
       ( "pool",
         [

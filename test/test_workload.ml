@@ -268,6 +268,94 @@ let test_stream_membership_consistent () =
   Alcotest.(check (list int)) "live view agrees" (Stream.live_groups s)
     (List.sort compare (Hashtbl.fold (fun gid _ acc -> gid :: acc) mine []))
 
+(* Bit-for-bit pins of the event stream: FNV-1a digests of
+   (ev_seq, ev_time "%h", kind_to_string) over 20k events, plus the
+   live population ([live_count] and [live_groups]) every 5k events.
+   Any change to the timer queue, the live-group bookkeeping or the
+   RNG draw order shows up here. *)
+let pin_mixes =
+  let e2x () = Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:4 () in
+  [
+    (* E22's long-hold ramp: no departures, a ~20k-entry timer queue. *)
+    ( "e22 ramp",
+      e2x,
+      [
+        Stream.tenant ~rate:4000.0 ~scale:3 ~bytes:1e6 ~hold:1e6 ~churn:5e-4
+          ~sends:5e-4 ();
+        Stream.tenant ~rate:100.0 ~scale:8 ~bytes:4e6 ~hold:1e6 ~churn:5e-4
+          ~sends:1e-3 ~fragmentation:0.25 ();
+      ] );
+    (* E20's churn mix: departures, joins, leaves and sends interleave. *)
+    ( "e20 churn",
+      e2x,
+      [
+        Stream.tenant ~rate:400.0 ~scale:6 ~bytes:1e6 ~hold:0.5 ~churn:80.0
+          ~sends:40.0 ();
+        Stream.tenant ~rate:150.0 ~scale:12 ~bytes:4e6 ~hold:0.3 ~churn:30.0
+          ~sends:20.0 ~fragmentation:0.5 ();
+      ] );
+    (* Groups spanning the whole fabric: the always-leave path, and
+       joins near full size that exhaust their tries. *)
+    ( "full fabric",
+      stream_fabric,
+      [
+        Stream.tenant ~rate:50.0 ~scale:24 ~bytes:1e6 ~hold:0.4 ~churn:40.0
+          ~sends:5.0 ();
+      ] );
+    (* Create/depart only. *)
+    ( "no churn no sends",
+      stream_fabric,
+      [ Stream.tenant ~rate:200.0 ~scale:4 ~bytes:1e6 ~hold:0.1 () ] );
+  ]
+
+let stream_pin (_, fabric, tenants) seed =
+  let fnv h s =
+    String.fold_left
+      (fun h c ->
+        Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      h s
+  in
+  let s = Stream.create (fabric ()) (Rng.create seed) ~tenants () in
+  let ev = ref 0xcbf29ce484222325L and live = ref 0xcbf29ce484222325L in
+  for i = 1 to 20_000 do
+    let e = Stream.next s in
+    ev :=
+      fnv !ev
+        (Printf.sprintf "%d %h %s;" e.Stream.ev_seq e.Stream.ev_time
+           (Stream.kind_to_string e.Stream.ev_kind));
+    if i mod 5_000 = 0 then begin
+      let groups = Stream.live_groups s in
+      Alcotest.(check int) "live_count = |live_groups|" (List.length groups)
+        (Stream.live_count s);
+      live :=
+        fnv !live
+          (Printf.sprintf "%d:%s;" (Stream.live_count s)
+             (String.concat "," (List.map string_of_int groups)))
+    end
+  done;
+  Printf.sprintf "%016Lx/%016Lx" !ev !live
+
+let stream_pins =
+  [
+    ("e22 ramp", 1, "dbc256cdf1dac3e6/447d56cb48931712");
+    ("e22 ramp", 4200, "a43e9b51ca916246/3429f0aafc9a4325");
+    ("e20 churn", 1, "239afa645e8af51b/9d6ce1c306780e11");
+    ("e20 churn", 2000, "121a8bea5f0ba677/a3ad6cce3b671f36");
+    ("full fabric", 1, "f388cc5dc9644298/56972ff8e525837f");
+    ("full fabric", 7, "d4aede07d22b98c0/1d867409957be930");
+    ("no churn no sends", 1, "8c729719de6f5880/8ff39acc9c67ab42");
+    ("no churn no sends", 9, "2987f7fb9976f371/afe9f076284ec7d5");
+  ]
+
+let test_stream_pinned () =
+  List.iter
+    (fun (name, seed, expect) ->
+      let mix = List.find (fun (n, _, _) -> n = name) pin_mixes in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d" name seed)
+        expect (stream_pin mix seed))
+    stream_pins
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "peel_workload"
@@ -297,5 +385,6 @@ let () =
           Alcotest.test_case "event order" `Quick test_stream_event_order;
           Alcotest.test_case "membership consistent" `Quick
             test_stream_membership_consistent;
+          Alcotest.test_case "pinned digests" `Quick test_stream_pinned;
         ] );
     ]
