@@ -77,36 +77,30 @@ let engine_churn ~traced () =
   Array.iter (fun p -> Peel_sim.Engine.schedule engine p ignore) prios;
   Peel_sim.Engine.run engine
 
-(* A queue held at [pending] entries: each run pops the minimum and
-   pushes a successor 1000 times, the steady state of an event loop
-   at that depth — where [Engine]'s [`Auto] policy picks between the
-   two queues. *)
-let hold_rows ~pending =
+(* A heap held at [pending] entries: each run pops the minimum and
+   pushes a successor 1000 times, the steady state of an event loop at
+   that depth.  The 2^20 row is about the depth [Stream]'s timer heap
+   reaches after 300k events of E22's ramp (~870k timers). *)
+let heap_hold_row ~pending =
+  let module H = Peel_util.Pairing_heap in
   let incs =
     let rng = Rng.create 17 in
     Array.init 1000 (fun _ -> Rng.float rng 1.0)
   in
-  let row name ~push ~pop q =
-    let rng = Rng.create 13 in
-    for _ = 1 to pending do
-      push q (Rng.float rng 1.0)
-    done;
-    Bechamel.Test.make
-      ~name:(Printf.sprintf "%s_push_pop_%dk_pending" name (pending / 1024))
-      (Bechamel.Staged.stage (fun () ->
-           Array.iter
-             (fun inc ->
-               match pop q with
-               | Some (p, ()) -> push q (p +. inc)
-               | None -> assert false)
-             incs))
-  in
-  let module H = Peel_util.Pairing_heap in
-  let module C = Peel_util.Calendar_queue in
-  [
-    row "heap" ~push:(fun q p -> H.push q p ()) ~pop:H.pop (H.create ());
-    row "calqueue" ~push:(fun q p -> C.push q p ()) ~pop:C.pop (C.create ());
-  ]
+  let h = H.create () in
+  let rng = Rng.create 13 in
+  for _ = 1 to pending do
+    H.push h (Rng.float rng 1.0) ()
+  done;
+  Bechamel.Test.make
+    ~name:(Printf.sprintf "heap_push_pop_%dk_pending" (pending / 1024))
+    (Bechamel.Staged.stage (fun () ->
+         Array.iter
+           (fun inc ->
+             match H.pop h with
+             | Some (p, ()) -> H.push h (p +. inc) ()
+             | None -> assert false)
+           incs))
 
 let micro_tests () =
   let open Bechamel in
@@ -155,14 +149,6 @@ let micro_tests () =
            while Peel_util.Pairing_heap.pop h <> None do
              ()
            done));
-    Test.make ~name:"calqueue_push_pop_10k"
-      (Staged.stage (fun () ->
-           let c = Peel_util.Calendar_queue.create () in
-           let prios = Lazy.force heap_priorities in
-           Array.iter (fun p -> Peel_util.Calendar_queue.push c p ()) prios;
-           while Peel_util.Calendar_queue.pop c <> None do
-             ()
-           done));
     (* 10k events of E22's long-hold ramp from a fresh stream: group
        creates dominate, and the timer queue grows to ~30k entries. *)
     (let fabric = Exp_serve_scale.fabric () in
@@ -191,8 +177,7 @@ let micro_tests () =
        (Staged.stage (fun () ->
             ignore (Peel_collective.Par.run ~jobs:4 k32 Peel_collective.Scheme.Peel cs))));
   ]
-  @ hold_rows ~pending:(1 lsl 15)
-  @ hold_rows ~pending:(1 lsl 18)
+  @ List.map (fun e -> heap_hold_row ~pending:(1 lsl e)) [ 15; 18; 20 ]
 
 (* Total extraction: every declared test element yields one row, even
    when Bechamel's analysis comes back empty for it — we look names up

@@ -267,7 +267,7 @@ let simulate_cmd =
              partitioned by pod, $(b,--jobs) worker domains) instead of the \
              sequential engine.  Schemes the sharded engine cannot express \
              (orca, peel+cores, multitree) fall back to the sequential path, \
-             marked in the table.  Also enabled by \\$(b,PEEL_PAR_SIM)=1.")
+             marked in the table.")
   in
   let par_verify =
     Arg.(
@@ -282,12 +282,7 @@ let simulate_cmd =
   in
   let run fabric seed scale schemes size_mb load n jobs par_sim par_verify =
     apply_jobs jobs;
-    let par_sim =
-      par_sim || par_verify
-      || (match Sys.getenv_opt "PEEL_PAR_SIM" with
-         | Some ("1" | "true" | "on") -> true
-         | _ -> false)
-    in
+    let par_sim = par_sim || par_verify in
     Printf.printf "fabric: %s; %d collectives of %d GPUs x %.0f MB at %.0f%% load%s\n\n"
       (Fabric.describe fabric) n scale size_mb (load *. 100.0)
       (if par_sim then
@@ -1003,11 +998,8 @@ let serve_cmd =
   let batch =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "batch" ]
-          ~doc:
-            "Pending installs per compile flush (default: \\$(b,PEEL_SERVE_BATCH) \
-             or 8).")
+      & opt int Service.default_config.Service.batch
+      & info [ "batch" ] ~doc:"Pending installs per compile flush.")
   in
   let budget =
     Arg.(
@@ -1041,7 +1033,7 @@ let serve_cmd =
         Service.capacity;
         policy;
         admission;
-        batch = Option.value batch ~default:Service.default_config.Service.batch;
+        batch;
         budget = (if budget <= 0 then None else Some budget);
         use_cache = not no_cache;
       }
@@ -1739,8 +1731,12 @@ let () =
       ~doc:"Scalable datacenter multicast for AI collectives (PEEL)."
   in
   (* Map cmdliner's evaluation outcome onto the documented convention:
-     usage errors exit 2 rather than cmdliner's default 124.  Checker
-     diagnostics exit 1 from within the subcommand itself. *)
+     usage errors exit 2 rather than cmdliner's default 124.  The
+     library rejects an out-of-range flag value (a scale beyond the
+     fabric, a zero budget) with [Invalid_argument], which is a usage
+     error too; the runtime's bounds-check failure stays an internal
+     error.  Checker diagnostics exit 1 from within the subcommand
+     itself. *)
   let cmd =
     Cmd.group info
       [
@@ -1750,7 +1746,15 @@ let () =
       ]
   in
   exit
-    (match Cmd.eval_value cmd with
+    (match Cmd.eval_value ~catch:false cmd with
     | Ok (`Ok ()) | Ok `Help | Ok `Version -> 0
     | Error (`Parse | `Term) -> 2
-    | Error `Exn -> 125)
+    | Error `Exn -> 125
+    | exception Invalid_argument msg when msg <> "index out of bounds" ->
+        prerr_endline ("peel-cli: " ^ msg);
+        2
+    | exception e ->
+        let bt = Printexc.get_backtrace () in
+        Printf.eprintf "peel-cli: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) bt;
+        125)

@@ -79,8 +79,7 @@ type config = {
 }
 
 val default_config : config
-(** 1024 entries, LRU, [Evict], batch 8 (overridable via the
-    [PEEL_SERVE_BATCH] environment variable), 2 ms install delay,
+(** 1024 entries, LRU, [Evict], batch 8, 2 ms install delay,
     budget-1 prefix plans, caching on with 65536 entries per cache,
     GC untouched. *)
 

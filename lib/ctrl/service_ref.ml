@@ -24,18 +24,12 @@ type config = {
   salt : int option;
 }
 
-let env_batch () =
-  match Sys.getenv_opt "PEEL_SERVE_BATCH" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None)
-  | None -> None
-
 let default_config =
   {
     capacity = 1024;
     policy = Tcam.Lru;
     admission = Evict;
-    batch = Option.value (env_batch ()) ~default:8;
+    batch = 8;
     install_delay = 2e-3;
     budget = Some 1;
     salt = None;

@@ -8,7 +8,7 @@
     The counter rows — including the jobs=1, jobs=4 and cache-off
     replay fingerprints — are deterministic for the fixed seed and
     guarded in BENCH.json; the wall-clock rows (events/sec for both
-    implementations, speedup, peak heap) are reported but unguarded.
+    implementations, speedup, live heap) are reported but unguarded.
     The reference runs only for the SLO rows, never under the bench
     guard. *)
 
@@ -32,7 +32,8 @@ type slo_row = {
   s_events : int;
   s_events_per_sec : float;
   s_wall_s : float;
-  s_peak_heap_mwords : float;  (** [Gc] top-of-heap after the cached run *)
+  s_live_heap_mwords : float;  (** live words after a full major GC,
+                                   with the cached run's state held *)
   s_cache_hit_rate : float;
   s_ref_events_per_sec : float;
   s_ref_wall_s : float;

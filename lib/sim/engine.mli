@@ -5,33 +5,17 @@
     — together with the deterministic PRNG — makes every simulation
     bit-reproducible.
 
-    Two event-queue backends share that ordering contract: the SoA
-    binary heap ({!Peel_util.Pairing_heap}, lowest constants at the
-    thousands-of-pending-events scale) and the calendar queue
-    ({!Peel_util.Calendar_queue}, O(1) amortized push/pop for the
-    10⁷+-event large-fabric runs).  Because both implement the exact
-    same total order, backend choice never changes a simulation
-    result — only its wall-clock time. *)
+    The queue is the flat binary heap {!Peel_util.Pairing_heap}: its
+    ties break by insertion order, which is exactly the FIFO contract
+    above. *)
 
 type t
 (** One event loop: a clock and a time-ordered queue of thunks. *)
 
-val create : ?trace:Trace.t -> ?queue:[ `Heap | `Calendar | `Auto ] -> unit -> t
+val create : ?trace:Trace.t -> unit -> t
 (** With a [trace] (default {!Trace.null}), the engine maintains the
     trace's [engine_events] count and [engine_max_pending] queue-depth
-    high-water mark; an [Off] trace costs nothing.
-
-    [queue] selects the event-queue backend: [`Heap] and [`Calendar]
-    force one, [`Auto] starts on the heap and migrates to a calendar
-    queue the first time the pending population exceeds 2¹⁵ events
-    (order-preserving drain, so results are unchanged).  When [queue]
-    is omitted, the [PEEL_CALQUEUE] environment variable picks the
-    default: [1]/[cal]/[calendar]/[on] force the calendar,
-    [0]/[heap]/[off] force the heap, anything else (or unset) means
-    [`Auto]. *)
-
-val queue_kind : t -> [ `Heap | `Calendar ]
-(** Backend currently in use (reflects any [`Auto] migration). *)
+    high-water mark; an [Off] trace costs nothing. *)
 
 val now : t -> float
 (** Current simulation time in seconds; 0.0 before the first event. *)

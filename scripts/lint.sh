@@ -20,10 +20,27 @@
 # suite carries the parallel-sweep determinism gate: it re-runs the
 # fig5 sweep under 1 and 4 worker domains and fails unless the rows
 # are bit-identical. The documentation gate lives in scripts/docs.sh
-# (its own ci.sh stage).
+# (its own ci.sh stage). A grep step first checks that the code reads
+# no ambient configuration.
 # Exits non-zero on the first violated invariant.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Flags and config records are the only way to configure a run.  Two
+# environment reads are allowed in lib/ and bin/: the host's worker
+# count (PEEL_JOBS, lib/util/pool.ml) and the debug-assertion switch
+# (PEEL_CHECK, Peel_check.env_var in lib/check/peel_check.ml).
+env_reads=$(grep -rn --include='*.ml' 'Sys\.getenv' lib bin \
+  | grep -v '^lib/util/pool\.ml:[0-9]*: *match Sys\.getenv_opt "PEEL_JOBS" with$' \
+  | grep -v '^lib/check/peel_check\.ml:[0-9]*: *match Sys\.getenv_opt env_var with$' \
+  || true)
+if [ -n "$env_reads" ] \
+  || ! grep -q '^let env_var = "PEEL_CHECK"$' lib/check/peel_check.ml; then
+  echo "lint.sh: environment reads other than PEEL_JOBS/PEEL_CHECK:" >&2
+  echo "$env_reads" >&2
+  exit 1
+fi
+
 dune build @check-lint
 dune build @trace-smoke
 dune build @par-smoke

@@ -323,7 +323,13 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "usage error exits 2" 2
       (code [ "compile"; "--corrupt"; "bogus" ]);
     Alcotest.(check int) "unknown option exits 2" 2
-      (code [ "check"; "--no-such-flag" ])
+      (code [ "check"; "--no-such-flag" ]);
+    (* Values the library rejects with [Invalid_argument] are usage
+       errors too, not cmdliner's 125 "internal error". *)
+    Alcotest.(check int) "zero prefix budget exits 2" 2
+      (code [ "check"; "--budget"; "0" ]);
+    Alcotest.(check int) "odd fat-tree degree exits 2" 2
+      (code [ "plan"; "-k"; "7" ])
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

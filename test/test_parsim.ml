@@ -1,5 +1,5 @@
-(* Tests for the conservative parallel DES path: calendar-queue vs
-   binary-heap ordering, queue grow-boundary FIFO regressions, the
+(* Tests for the conservative parallel DES path: heap grow-boundary
+   FIFO regressions, the sequential engine's order contract, the
    Par/Shard flattened engine against the sequential Runner, and
    jobs-1 vs jobs-n bit-identity. *)
 
@@ -7,15 +7,10 @@ open Peel_topology
 open Peel_workload
 module Rng = Peel_util.Rng
 module Heap = Peel_util.Pairing_heap
-module Cal = Peel_util.Calendar_queue
 module Scheme = Peel_collective.Scheme
 module Runner = Peel_collective.Runner
 module Par = Peel_collective.Par
 module Shard = Peel_sim.Shard
-
-(* ------------------------------------------------------------------ *)
-(* Calendar queue vs pairing heap                                      *)
-(* ------------------------------------------------------------------ *)
 
 let drain_heap h =
   let rec go acc = match Heap.pop h with
@@ -23,89 +18,6 @@ let drain_heap h =
     | Some (p, v) -> go ((p, v) :: acc)
   in
   go []
-
-let drain_cal c =
-  let rec go acc = match Cal.pop c with
-    | None -> List.rev acc
-    | Some (p, v) -> go ((p, v) :: acc)
-  in
-  go []
-
-let test_calqueue_basic () =
-  let c = Cal.create () in
-  Alcotest.(check bool) "empty" true (Cal.is_empty c);
-  Cal.push c 3.0 "c";
-  Cal.push c 1.0 "a";
-  Cal.push c 2.0 "b";
-  Alcotest.(check int) "length" 3 (Cal.length c);
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "a")) (Cal.peek c);
-  Alcotest.(check (list (pair (float 0.0) string)))
-    "sorted" [ (1.0, "a"); (2.0, "b"); (3.0, "c") ] (drain_cal c)
-
-let test_calqueue_fifo_ties () =
-  let c = Cal.create () in
-  for i = 0 to 99 do
-    Cal.push c (float_of_int (i mod 3)) i
-  done;
-  let out = drain_cal c in
-  let expected =
-    List.init 100 (fun i -> i)
-    |> List.stable_sort (fun a b -> compare (a mod 3) (b mod 3))
-    |> List.map (fun i -> (float_of_int (i mod 3), i))
-  in
-  Alcotest.(check (list (pair (float 0.0) int))) "FIFO among equal" expected out
-
-let test_calqueue_reinsert_below_min () =
-  let c = Cal.create () in
-  Cal.push c 10.0 1;
-  Alcotest.(check (option (pair (float 0.0) int))) "peek 10" (Some (10.0, 1)) (Cal.peek c);
-  (* Push below the scan cursor after peek advanced it. *)
-  Cal.push c 1.0 2;
-  Alcotest.(check (option (pair (float 0.0) int))) "peek 1" (Some (1.0, 2)) (Cal.peek c);
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "order" [ (1.0, 2); (10.0, 1) ] (drain_cal c)
-
-let test_calqueue_clear () =
-  let c = Cal.create () in
-  for i = 0 to 999 do Cal.push c (float_of_int i) i done;
-  Cal.clear c;
-  Alcotest.(check bool) "cleared" true (Cal.is_empty c);
-  Cal.push c 5.0 42;
-  Alcotest.(check (list (pair (float 0.0) int))) "usable after clear" [ (5.0, 42) ] (drain_cal c)
-
-(* Interleaved push/pop must agree with the heap even as the calendar
-   resizes and the cursor wraps. *)
-let qcheck_cal_vs_heap =
-  QCheck.Test.make ~count:200 ~name:"calendar queue == pairing heap order"
-    QCheck.(
-      pair (int_range 0 1000)
-        (small_list (pair (int_range 0 2) (int_range 0 100))))
-    (fun (seed, ops_tail) ->
-      let rng = Rng.create seed in
-      let nops = 300 + List.length ops_tail in
-      let h = Heap.create () and c = Cal.create () in
-      let ok = ref true in
-      for i = 0 to nops - 1 do
-        let op = Rng.int rng 3 in
-        if op < 2 then begin
-          (* Mixed magnitudes force resizes and bucket wraps. *)
-          let p =
-            match Rng.int rng 4 with
-            | 0 -> float_of_int (Rng.int rng 10)
-            | 1 -> Rng.float rng 1.0
-            | 2 -> Rng.float rng 1e-6
-            | _ -> 1e3 +. Rng.float rng 1e3
-          in
-          Heap.push h p i;
-          Cal.push c p i
-        end
-        else begin
-          let a = Heap.pop h and b = Cal.pop c in
-          if a <> b then ok := false
-        end
-      done;
-      let rest_h = drain_heap h and rest_c = drain_cal c in
-      !ok && rest_h = rest_c)
 
 (* ------------------------------------------------------------------ *)
 (* Grow-path boundary: capacity doublings with equal priorities.       *)
@@ -125,71 +37,63 @@ let test_heap_grow_boundary_fifo () =
         expected out)
     [ 15; 16; 17; 31; 32; 33; 63; 64; 65; 1024 ]
 
-let test_calqueue_grow_boundary_fifo () =
-  (* The calendar resizes at 2x bucket count (4, 8, 16…): equal
-     priorities must stay FIFO through every rebuild. *)
-  List.iter
-    (fun n ->
-      let c = Cal.create () in
-      for i = 0 to n - 1 do Cal.push c 1.0 i done;
-      let out = drain_cal c in
-      let expected = List.init n (fun i -> (1.0, i)) in
-      Alcotest.(check (list (pair (float 0.0) int)))
-        (Printf.sprintf "calendar FIFO across resize at %d" n)
-        expected out)
-    [ 3; 4; 5; 8; 9; 16; 17; 1024 ]
-
 let test_heap_grow_boundary_mixed () =
   (* Exactly at the doubling boundary, interleave two priority classes
      and verify the merged order; a grow-path swap bug shows up as a
      FIFO inversion inside a class. *)
   List.iter
     (fun n ->
-      let h = Heap.create () and c = Cal.create () in
+      let h = Heap.create () in
       for i = 0 to n - 1 do
-        let p = if i land 1 = 0 then 2.0 else 1.0 in
-        Heap.push h p i;
-        Cal.push c p i
+        Heap.push h (if i land 1 = 0 then 2.0 else 1.0) i
       done;
-      let expected =
+      let cls p parity =
         List.init n (fun i -> i)
-        |> List.filter (fun i -> i land 1 = 1)
-        |> List.map (fun i -> (1.0, i))
+        |> List.filter (fun i -> i land 1 = parity)
+        |> List.map (fun i -> (p, i))
       in
-      let expected2 =
-        List.init n (fun i -> i)
-        |> List.filter (fun i -> i land 1 = 0)
-        |> List.map (fun i -> (2.0, i))
-      in
-      let want = expected @ expected2 in
       Alcotest.(check (list (pair (float 0.0) int)))
-        (Printf.sprintf "heap mixed classes at %d" n) want (drain_heap h);
-      Alcotest.(check (list (pair (float 0.0) int)))
-        (Printf.sprintf "calendar mixed classes at %d" n) want (drain_cal c))
+        (Printf.sprintf "heap mixed classes at %d" n)
+        (cls 1.0 1 @ cls 2.0 0) (drain_heap h))
     [ 16; 32; 64 ]
 
 (* ------------------------------------------------------------------ *)
-(* Engine backend equivalence                                          *)
+(* Engine order contract                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_engine_calendar_matches_heap () =
-  let run queue =
-    let e = Peel_sim.Engine.create ~queue () in
-    let log = ref [] in
-    let rng = Rng.create 7 in
-    for i = 0 to 499 do
-      let at = Rng.float rng 1.0 in
-      Peel_sim.Engine.schedule e at (fun () ->
-          log := (at, i) :: !log;
-          if i land 3 = 0 then
-            Peel_sim.Engine.schedule_in e 0.01 (fun () -> log := (-1.0, i) :: !log))
-    done;
-    Peel_sim.Engine.run e;
-    List.rev !log
+(* engine.mli's contract: events run in time order, and events at the
+   same instant in scheduling order.  Every [schedule] call takes the
+   next stamp, so the execution log must be sorted by (time, stamp),
+   events scheduled from inside a callback included.  Times sit on a
+   coarse grid and some callbacks schedule at [now], so ties are the
+   common case. *)
+let test_engine_time_then_stamp_order () =
+  let module E = Peel_sim.Engine in
+  let e = E.create () in
+  let rng = Rng.create 7 in
+  let stamps = ref 0 and log = ref [] in
+  let schedule at f =
+    let stamp = !stamps in
+    incr stamps;
+    E.schedule e at (fun () ->
+        log := (E.now e, stamp) :: !log;
+        f ())
   in
-  let a = run `Heap and b = run `Calendar in
-  Alcotest.(check int) "same event count" (List.length a) (List.length b);
-  Alcotest.(check bool) "same order" true (a = b)
+  for i = 0 to 499 do
+    let at = float_of_int (Rng.int rng 40) *. 0.025 in
+    schedule at (fun () ->
+        if i land 3 = 0 then
+          schedule (E.now e +. float_of_int (Rng.int rng 3) *. 0.025) ignore)
+  done;
+  E.run e;
+  let got = List.rev !log in
+  let ties =
+    List.length got - List.length (List.sort_uniq compare (List.map fst got))
+  in
+  Alcotest.(check int) "every event ran" !stamps (List.length got);
+  Alcotest.(check bool) "ties are common" true (ties > 100);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "sorted by (time, stamp)" (List.sort compare got) got
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine vs sequential Runner                                 *)
@@ -467,22 +371,16 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "parsim"
     [
-      ( "calendar_queue",
-        [
-          Alcotest.test_case "basic order" `Quick test_calqueue_basic;
-          Alcotest.test_case "fifo ties" `Quick test_calqueue_fifo_ties;
-          Alcotest.test_case "reinsert below min" `Quick test_calqueue_reinsert_below_min;
-          Alcotest.test_case "clear" `Quick test_calqueue_clear;
-          qt qcheck_cal_vs_heap;
-        ] );
       ( "grow_boundary",
         [
           Alcotest.test_case "heap equal-prio FIFO" `Quick test_heap_grow_boundary_fifo;
-          Alcotest.test_case "calendar equal-prio FIFO" `Quick test_calqueue_grow_boundary_fifo;
           Alcotest.test_case "mixed classes at boundary" `Quick test_heap_grow_boundary_mixed;
         ] );
-      ( "engine_backend",
-        [ Alcotest.test_case "calendar == heap" `Quick test_engine_calendar_matches_heap ] );
+      ( "engine_order",
+        [
+          Alcotest.test_case "(time, stamp) order" `Quick
+            test_engine_time_then_stamp_order;
+        ] );
       ( "sharded",
         [
           Alcotest.test_case "par == sequential (fixed)" `Quick test_par_matches_sequential;
