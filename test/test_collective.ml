@@ -221,6 +221,228 @@ let test_loss_never_speeds_things_up () =
     (loss.Peel_sim.Transfer.retransmissions > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned broadcast corpus                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every scheme under every congestion-control and loss setting on two
+   fabrics, eight 16-GPU 64 MB broadcasts at load 0.7 per run.  Each
+   run is reduced to one digest over its event count, makespan, every
+   CCT bit for bit, the loss repairs and every trace counter, so any
+   drift in event order, float arithmetic or RNG use fails with the
+   combination's name.  The digests were recorded before the schemes
+   moved onto Par's forwarding DAGs. *)
+let pin_fabrics =
+  [
+    ("ft-k4", Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 ());
+    ("ls-4x8", Fabric.leaf_spine ~gpus_per_host:2 ~spines:4 ~leaves:8 ~hosts_per_leaf:2 ());
+  ]
+
+let pin_schemes =
+  Scheme.
+    [ Ring; Btree; Dbtree; Optimal; Orca; Peel; Peel_prog_cores; Peel_multitree 3 ]
+
+let pin_ccs =
+  [
+    ("nocc", Broadcast.No_cc);
+    ("dcqcn", Broadcast.Dcqcn { guard = Some Peel_sim.Dcqcn.default_guard; ecn_delay = 10e-6 });
+    ("dcqcn-noguard", Broadcast.Dcqcn { guard = None; ecn_delay = 10e-6 });
+  ]
+
+let pin_digest (o : Runner.outcome) ~retransmissions =
+  let b = Buffer.create 512 in
+  let c = Peel_sim.Trace.counters o.Runner.trace in
+  Printf.bprintf b "%d %h" o.Runner.events o.Runner.makespan;
+  List.iter (Printf.bprintf b " %h") o.Runner.ccts;
+  Printf.bprintf b " r%d | %d %h %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d"
+    retransmissions c.reservations c.bytes_reserved c.ecn_marks c.deliveries c.releases
+    c.cnps c.rate_cuts c.guard_holds c.drops c.retransmits c.link_fails c.link_recovers
+    c.replans c.rule_installs c.refines c.evictions c.plan_cache_hits c.plan_cache_misses
+    c.engine_events c.engine_max_pending;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
+
+(* (name, digest) for the whole corpus, in a fixed order. *)
+let pin_corpus () =
+  List.concat_map
+    (fun (fname, fabric) ->
+      let specs =
+        Spec.poisson_broadcasts fabric (Rng.create 18) ~n:8 ~scale:16 ~bytes:64e6 ~load:0.7 ()
+      in
+      List.concat_map
+        (fun scheme ->
+          let controllers =
+            match scheme with
+            | Scheme.Orca | Scheme.Peel_prog_cores -> [ true; false ]
+            | _ -> [ true ]
+          in
+          List.concat_map
+            (fun controller ->
+              List.concat_map
+                (fun (ccname, cc) ->
+                  List.map
+                    (fun lossy ->
+                      let loss =
+                        if lossy then Some (Peel_sim.Transfer.loss_model ~seed:5 ~prob:0.02 ())
+                        else None
+                      in
+                      let trace = Peel_sim.Trace.create ~level:Peel_sim.Trace.Counters () in
+                      let o = Runner.run ~cc ~controller ?loss ~trace fabric scheme specs in
+                      let retransmissions =
+                        match loss with
+                        | Some l -> l.Peel_sim.Transfer.retransmissions
+                        | None -> 0
+                      in
+                      ( String.concat "/"
+                          [
+                            fname; Scheme.to_string scheme; ccname;
+                            (if lossy then "loss" else "clean");
+                            (if controller then "ctl" else "noctl");
+                          ],
+                        pin_digest o ~retransmissions ))
+                    [ false; true ])
+                pin_ccs)
+            controllers)
+        pin_schemes)
+    pin_fabrics
+
+let pinned_digests =
+  [
+    ("ft-k4/ring/nocc/clean/ctl", "da8c7fedd7e1bc99");
+    ("ft-k4/ring/nocc/loss/ctl", "504e8e0b8526eb1b");
+    ("ft-k4/ring/dcqcn/clean/ctl", "2dd3855baae61b91");
+    ("ft-k4/ring/dcqcn/loss/ctl", "a0d1a2a320c8242b");
+    ("ft-k4/ring/dcqcn-noguard/clean/ctl", "37510e610c0c088e");
+    ("ft-k4/ring/dcqcn-noguard/loss/ctl", "e593fc1e11de5fba");
+    ("ft-k4/tree/nocc/clean/ctl", "331cee2f9aabd517");
+    ("ft-k4/tree/nocc/loss/ctl", "4f077e3172bdcc10");
+    ("ft-k4/tree/dcqcn/clean/ctl", "b42fd39a02848ee4");
+    ("ft-k4/tree/dcqcn/loss/ctl", "e9cfdd1eb6c47d9f");
+    ("ft-k4/tree/dcqcn-noguard/clean/ctl", "9e506750e4cce297");
+    ("ft-k4/tree/dcqcn-noguard/loss/ctl", "ee097ccb8ed4abde");
+    ("ft-k4/dbtree/nocc/clean/ctl", "88210b0f3c3d8b26");
+    ("ft-k4/dbtree/nocc/loss/ctl", "6c39fab0cc5b5cd3");
+    ("ft-k4/dbtree/dcqcn/clean/ctl", "e4f52ac8b49edac7");
+    ("ft-k4/dbtree/dcqcn/loss/ctl", "792a18df3c32fbce");
+    ("ft-k4/dbtree/dcqcn-noguard/clean/ctl", "63bcf2e91b223508");
+    ("ft-k4/dbtree/dcqcn-noguard/loss/ctl", "08fc787002ae24f7");
+    ("ft-k4/optimal/nocc/clean/ctl", "91adcb8d2de8c1dd");
+    ("ft-k4/optimal/nocc/loss/ctl", "c2023d0b156f05ef");
+    ("ft-k4/optimal/dcqcn/clean/ctl", "a9c307bfdc66bda1");
+    ("ft-k4/optimal/dcqcn/loss/ctl", "0d7d24e1a0bf9e39");
+    ("ft-k4/optimal/dcqcn-noguard/clean/ctl", "b85a8dcc63643ac9");
+    ("ft-k4/optimal/dcqcn-noguard/loss/ctl", "22b8533888fa4953");
+    ("ft-k4/orca/nocc/clean/ctl", "a3d523efaec60892");
+    ("ft-k4/orca/nocc/loss/ctl", "35f4cfcd3db3fae0");
+    ("ft-k4/orca/dcqcn/clean/ctl", "4fb194c68e9e844e");
+    ("ft-k4/orca/dcqcn/loss/ctl", "f9c35375ac3ee040");
+    ("ft-k4/orca/dcqcn-noguard/clean/ctl", "3108a94327b7739c");
+    ("ft-k4/orca/dcqcn-noguard/loss/ctl", "10fc37f47cd3fd17");
+    ("ft-k4/orca/nocc/clean/noctl", "03bb52e1031b0859");
+    ("ft-k4/orca/nocc/loss/noctl", "09ca67ec7804e312");
+    ("ft-k4/orca/dcqcn/clean/noctl", "73f6b77e5c766cef");
+    ("ft-k4/orca/dcqcn/loss/noctl", "29bce8b5789841fa");
+    ("ft-k4/orca/dcqcn-noguard/clean/noctl", "c61ff70e913348c9");
+    ("ft-k4/orca/dcqcn-noguard/loss/noctl", "a8c72bd1c55681ba");
+    ("ft-k4/peel/nocc/clean/ctl", "922936338e6bcecb");
+    ("ft-k4/peel/nocc/loss/ctl", "78ec2cf40a6c009f");
+    ("ft-k4/peel/dcqcn/clean/ctl", "67b4dd32034da4f3");
+    ("ft-k4/peel/dcqcn/loss/ctl", "5ff8a6e91b836f7e");
+    ("ft-k4/peel/dcqcn-noguard/clean/ctl", "df03b4614c923222");
+    ("ft-k4/peel/dcqcn-noguard/loss/ctl", "85c0d5e11d68ed3e");
+    ("ft-k4/peel+cores/nocc/clean/ctl", "d4c76dda0fd22a0f");
+    ("ft-k4/peel+cores/nocc/loss/ctl", "8d52ea1a47cab56e");
+    ("ft-k4/peel+cores/dcqcn/clean/ctl", "4ad500269d1d972e");
+    ("ft-k4/peel+cores/dcqcn/loss/ctl", "967cf3ed1aa27a5b");
+    ("ft-k4/peel+cores/dcqcn-noguard/clean/ctl", "7f38d0cb3f76f7a0");
+    ("ft-k4/peel+cores/dcqcn-noguard/loss/ctl", "4061ea573d12d78b");
+    ("ft-k4/peel+cores/nocc/clean/noctl", "d4c76dda0fd22a0f");
+    ("ft-k4/peel+cores/nocc/loss/noctl", "8d52ea1a47cab56e");
+    ("ft-k4/peel+cores/dcqcn/clean/noctl", "4ad500269d1d972e");
+    ("ft-k4/peel+cores/dcqcn/loss/noctl", "967cf3ed1aa27a5b");
+    ("ft-k4/peel+cores/dcqcn-noguard/clean/noctl", "7f38d0cb3f76f7a0");
+    ("ft-k4/peel+cores/dcqcn-noguard/loss/noctl", "4061ea573d12d78b");
+    ("ft-k4/peel-mt3/nocc/clean/ctl", "b7537547807180f8");
+    ("ft-k4/peel-mt3/nocc/loss/ctl", "d3d62c9044ea23ba");
+    ("ft-k4/peel-mt3/dcqcn/clean/ctl", "b3b8f11edb5d14e4");
+    ("ft-k4/peel-mt3/dcqcn/loss/ctl", "8f982126bc763a81");
+    ("ft-k4/peel-mt3/dcqcn-noguard/clean/ctl", "223711501d066bc0");
+    ("ft-k4/peel-mt3/dcqcn-noguard/loss/ctl", "87d8c8ec28bffbcd");
+    ("ls-4x8/ring/nocc/clean/ctl", "78fbdbd131dcc564");
+    ("ls-4x8/ring/nocc/loss/ctl", "6d03d76d2c3d719c");
+    ("ls-4x8/ring/dcqcn/clean/ctl", "85e4adb28eb15906");
+    ("ls-4x8/ring/dcqcn/loss/ctl", "f470fc4fda326d29");
+    ("ls-4x8/ring/dcqcn-noguard/clean/ctl", "39e86259d504a0ef");
+    ("ls-4x8/ring/dcqcn-noguard/loss/ctl", "bf86ee9288fc482f");
+    ("ls-4x8/tree/nocc/clean/ctl", "64b7068260797fcb");
+    ("ls-4x8/tree/nocc/loss/ctl", "c5ddb45524361848");
+    ("ls-4x8/tree/dcqcn/clean/ctl", "1815cc3e50e928ac");
+    ("ls-4x8/tree/dcqcn/loss/ctl", "2d5bccfe5a54e5ea");
+    ("ls-4x8/tree/dcqcn-noguard/clean/ctl", "c20936c440c69183");
+    ("ls-4x8/tree/dcqcn-noguard/loss/ctl", "503d320e567b7cac");
+    ("ls-4x8/dbtree/nocc/clean/ctl", "067687e4b451d3ea");
+    ("ls-4x8/dbtree/nocc/loss/ctl", "7dc87810e5b510c9");
+    ("ls-4x8/dbtree/dcqcn/clean/ctl", "e1b4180ed12193f4");
+    ("ls-4x8/dbtree/dcqcn/loss/ctl", "4897d2cbabc858a5");
+    ("ls-4x8/dbtree/dcqcn-noguard/clean/ctl", "a8621172ac3ef551");
+    ("ls-4x8/dbtree/dcqcn-noguard/loss/ctl", "20a75897d24e0cff");
+    ("ls-4x8/optimal/nocc/clean/ctl", "7f62a67fc874b927");
+    ("ls-4x8/optimal/nocc/loss/ctl", "4b81c0381246dbf5");
+    ("ls-4x8/optimal/dcqcn/clean/ctl", "7cdd471c32a1a09d");
+    ("ls-4x8/optimal/dcqcn/loss/ctl", "f41f34bdd1297012");
+    ("ls-4x8/optimal/dcqcn-noguard/clean/ctl", "ddda358f166ceebc");
+    ("ls-4x8/optimal/dcqcn-noguard/loss/ctl", "02b7b50ed47ab813");
+    ("ls-4x8/orca/nocc/clean/ctl", "e3f471391a735b72");
+    ("ls-4x8/orca/nocc/loss/ctl", "b5220cc89f140297");
+    ("ls-4x8/orca/dcqcn/clean/ctl", "5ac2fd14aa55b512");
+    ("ls-4x8/orca/dcqcn/loss/ctl", "34164867fcf0989c");
+    ("ls-4x8/orca/dcqcn-noguard/clean/ctl", "1f266913e5d3d92d");
+    ("ls-4x8/orca/dcqcn-noguard/loss/ctl", "8d4bb63ee7362e78");
+    ("ls-4x8/orca/nocc/clean/noctl", "5a763cc2f332862e");
+    ("ls-4x8/orca/nocc/loss/noctl", "267c311cef549e96");
+    ("ls-4x8/orca/dcqcn/clean/noctl", "704eecf0c3c2af0d");
+    ("ls-4x8/orca/dcqcn/loss/noctl", "6db356bc05da7159");
+    ("ls-4x8/orca/dcqcn-noguard/clean/noctl", "3c52778fc4018140");
+    ("ls-4x8/orca/dcqcn-noguard/loss/noctl", "b20cc41fe8a68401");
+    ("ls-4x8/peel/nocc/clean/ctl", "17d2a8346650e72d");
+    ("ls-4x8/peel/nocc/loss/ctl", "2e2482c6cd4315d1");
+    ("ls-4x8/peel/dcqcn/clean/ctl", "5890d05fcdf45a8a");
+    ("ls-4x8/peel/dcqcn/loss/ctl", "6a5551155d7599bf");
+    ("ls-4x8/peel/dcqcn-noguard/clean/ctl", "927cf27460216567");
+    ("ls-4x8/peel/dcqcn-noguard/loss/ctl", "568fb5e375b908b8");
+    ("ls-4x8/peel+cores/nocc/clean/ctl", "fe6f3e958cbf199a");
+    ("ls-4x8/peel+cores/nocc/loss/ctl", "4ff2c16562110b91");
+    ("ls-4x8/peel+cores/dcqcn/clean/ctl", "0c2ee054db65a063");
+    ("ls-4x8/peel+cores/dcqcn/loss/ctl", "7c8e2a7cde7eed5e");
+    ("ls-4x8/peel+cores/dcqcn-noguard/clean/ctl", "eb595171bccc8d05");
+    ("ls-4x8/peel+cores/dcqcn-noguard/loss/ctl", "8b1da189feaec22e");
+    ("ls-4x8/peel+cores/nocc/clean/noctl", "fe6f3e958cbf199a");
+    ("ls-4x8/peel+cores/nocc/loss/noctl", "4ff2c16562110b91");
+    ("ls-4x8/peel+cores/dcqcn/clean/noctl", "0c2ee054db65a063");
+    ("ls-4x8/peel+cores/dcqcn/loss/noctl", "7c8e2a7cde7eed5e");
+    ("ls-4x8/peel+cores/dcqcn-noguard/clean/noctl", "eb595171bccc8d05");
+    ("ls-4x8/peel+cores/dcqcn-noguard/loss/noctl", "8b1da189feaec22e");
+    ("ls-4x8/peel-mt3/nocc/clean/ctl", "1c50dfdbf705f6b3");
+    ("ls-4x8/peel-mt3/nocc/loss/ctl", "80464986228f28b8");
+    ("ls-4x8/peel-mt3/dcqcn/clean/ctl", "4ff722fd2eef7ae9");
+    ("ls-4x8/peel-mt3/dcqcn/loss/ctl", "4e096c1b890596fd");
+    ("ls-4x8/peel-mt3/dcqcn-noguard/clean/ctl", "80f551ec7333df4b");
+    ("ls-4x8/peel-mt3/dcqcn-noguard/loss/ctl", "ce7476ce4f2207ff");
+  ]
+
+let test_broadcast_pinned () =
+  let got = pin_corpus () in
+  let drifted =
+    List.filter_map
+      (fun (name, d) ->
+        match List.assoc_opt name pinned_digests with
+        | Some want when want = d -> None
+        | Some want -> Some (Printf.sprintf "%s: %s, pinned %s" name d want)
+        | None -> Some (name ^ ": not pinned"))
+      got
+  in
+  if drifted <> [] then Alcotest.failf "drifted runs:\n%s" (String.concat "\n" drifted);
+  Alcotest.(check int) "corpus size" (List.length pinned_digests) (List.length got)
+
+(* ------------------------------------------------------------------ *)
 (* Paths: destination-bounded search vs a full BFS per query          *)
 (* ------------------------------------------------------------------ *)
 
@@ -374,6 +596,7 @@ let () =
           Alcotest.test_case "guard timer improves" `Slow test_guard_timer_improves_cct;
           Alcotest.test_case "cc noop when idle" `Quick test_cc_noop_when_uncongested;
         ] );
+      ("pinned", [ Alcotest.test_case "broadcast corpus digests" `Quick test_broadcast_pinned ]);
       ( "paths",
         [
           QCheck_alcotest.to_alcotest prop_paths_match_full_bfs;
