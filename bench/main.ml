@@ -338,11 +338,23 @@ let write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
    change drifts far beyond this. *)
 let guard_tol = 1e-9
 
+let json_kind = function
+  | Json.Null -> "null"
+  | Json.Bool _ -> "a boolean"
+  | Json.Num _ -> "a number"
+  | Json.Str _ -> "a string"
+  | Json.Arr _ -> "an array"
+  | Json.Obj _ -> "an object"
+
 let rec json_drift path a b =
   match (a, b) with
   | Json.Null, Json.Null -> []
-  | Json.Bool x, Json.Bool y when x = y -> []
-  | Json.Str x, Json.Str y when x = y -> []
+  | Json.Bool x, Json.Bool y ->
+      if x = y then []
+      else [ Printf.sprintf "%s: committed %b, recomputed %b" path x y ]
+  | Json.Str x, Json.Str y ->
+      if x = y then []
+      else [ Printf.sprintf "%s: committed %S, recomputed %S" path x y ]
   | Json.Num x, Json.Num y ->
       let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
       if Float.abs (x -. y) <= guard_tol *. scale then []
@@ -366,7 +378,11 @@ let rec json_drift path a b =
           (List.map2
              (fun (k, x) (_, y) -> json_drift (path ^ "." ^ k) x y)
              xs ys)
-  | _ -> [ Printf.sprintf "%s: JSON kinds differ" path ]
+  | _ ->
+      [
+        Printf.sprintf "%s: JSON kinds differ: committed %s, recomputed %s" path
+          (json_kind a) (json_kind b);
+      ]
 
 let guard_section name committed recomputed =
   match committed with

@@ -235,19 +235,25 @@ let check_cmd =
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every name [Scheme.of_string] accepts, for the man pages. *)
+let scheme_names =
+  "ring, tree, dbtree, optimal, orca, peel, peel+cores or peel-mtN (N salted \
+   greedy trees, chunks striped across them)"
+
+let scheme_conv =
+  let parse s =
+    match Scheme.of_string s with
+    | Some x -> Ok x
+    | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
+  in
+  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Scheme.to_string s))
+
 let simulate_cmd =
   let scheme =
-    let parse s =
-      match Scheme.of_string s with
-      | Some x -> Ok x
-      | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-    in
-    let print fmt s = Format.pp_print_string fmt (Scheme.to_string s) in
     Arg.(
       value
-      & opt (list (conv (parse, print))) Scheme.all
-      & info [ "schemes" ] ~docv:"S1,S2"
-          ~doc:"Schemes: ring, tree, optimal, orca, peel, peel+cores.")
+      & opt (list scheme_conv) Scheme.all
+      & info [ "schemes" ] ~docv:"S1,S2" ~doc:("Schemes: " ^ scheme_names ^ "."))
   in
   let size_mb =
     Arg.(value & opt float 64.0 & info [ "size" ] ~doc:"Message size in MB.")
@@ -363,17 +369,10 @@ let trace_cmd =
   let module Trace = Peel_sim.Trace in
   let module Json = Peel_util.Json in
   let scheme =
-    let parse s =
-      match Scheme.of_string s with
-      | Some x -> Ok x
-      | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-    in
-    let print fmt s = Format.pp_print_string fmt (Scheme.to_string s) in
     Arg.(
       value
-      & opt (conv (parse, print)) Scheme.Peel
-      & info [ "scheme" ] ~docv:"SCHEME"
-          ~doc:"Scheme to trace: ring, tree, optimal, orca, peel, peel+cores.")
+      & opt scheme_conv Scheme.Peel
+      & info [ "scheme" ] ~docv:"SCHEME" ~doc:("Scheme to trace: " ^ scheme_names ^ "."))
   in
   let size_mb =
     Arg.(value & opt float 64.0 & info [ "size" ] ~doc:"Message size in MB.")

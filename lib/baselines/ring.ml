@@ -18,4 +18,3 @@ let schedule fabric ~source ~members =
   let hops = List.init (n - 1) (fun i -> (order.(i), order.(i + 1))) in
   { order; hops }
 
-let logical_hops t = t.hops

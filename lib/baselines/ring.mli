@@ -20,4 +20,3 @@ val schedule : Fabric.t -> source:int -> members:int list -> t
 (** [members] must include the source. Raises [Invalid_argument]
     otherwise or on groups smaller than 2. *)
 
-val logical_hops : t -> (int * int) list

@@ -14,7 +14,6 @@ let make severity ~code ~loc fmt =
 
 let errorf ~code ~loc fmt = make Error ~code ~loc fmt
 let warningf ~code ~loc fmt = make Warning ~code ~loc fmt
-let infof ~code ~loc fmt = make Info ~code ~loc fmt
 
 let severity_to_string = function
   | Error -> "error"

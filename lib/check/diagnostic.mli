@@ -19,7 +19,6 @@ type t = {
 
 val errorf : code:string -> loc:string -> ('a, unit, string, t) format4 -> 'a
 val warningf : code:string -> loc:string -> ('a, unit, string, t) format4 -> 'a
-val infof : code:string -> loc:string -> ('a, unit, string, t) format4 -> 'a
 
 val severity_to_string : severity -> string
 

@@ -1,6 +1,7 @@
 open Peel_topology
 open Peel_sim
 open Peel_workload
+module Tree = Peel_steiner.Tree
 
 let supported = function
   | Scheme.Ring | Scheme.Btree | Scheme.Dbtree | Scheme.Optimal | Scheme.Peel ->
@@ -10,6 +11,11 @@ let supported = function
 (* ------------------------------------------------------------------ *)
 (* DAG builder: growable edge store, frozen to the CSR form Soa wants. *)
 (* ------------------------------------------------------------------ *)
+
+(* Multimaps as [(key, value list) Hashtbl.t]: [push] prepends, so a
+   bucket lists its values newest first. *)
+let bucket tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[]
+let push tbl k v = Hashtbl.replace tbl k (v :: bucket tbl k)
 
 type builder = {
   mutable b_links : int list;     (* reversed: head is newest edge *)
@@ -29,11 +35,15 @@ let add_edge b ~link ~deliver =
   b.b_n <- e + 1;
   e
 
-let add_succ b ~from ~next =
-  Hashtbl.replace b.b_succs from
-    (next :: Option.value (Hashtbl.find_opt b.b_succs from) ~default:[])
+let add_succ b ~from ~next = push b.b_succs from next
 
 let add_root b e = b.b_roots <- e :: b.b_roots
+
+(* Hang edge [e] under [incoming], or release it at the source. *)
+let attach b ~incoming e =
+  match incoming with
+  | None -> add_root b e
+  | Some pe -> add_succ b ~from:pe ~next:e
 
 let freeze b : Soa.dag =
   let n = b.b_n in
@@ -69,32 +79,26 @@ let freeze b : Soa.dag =
 (* A unicast logical hop: the chain of links [path], entered after
    [incoming] arrives (or at flow release when [None]); the final link
    delivers at [deliver] (or -1).  Returns the chain's last edge. *)
-let chain b ~incoming ~deliver path =
-  match path with
+let rec chain b ~incoming ~deliver = function
   | [] -> invalid_arg "Par.chain: empty path"
-  | first :: rest ->
-      let e0 = add_edge b ~link:first ~deliver:(if rest = [] then deliver else -1) in
-      (match incoming with
-      | None -> add_root b e0
-      | Some e -> add_succ b ~from:e ~next:e0);
-      let rec go prev = function
-        | [] -> prev
-        | lid :: rest ->
-            let e = add_edge b ~link:lid ~deliver:(if rest = [] then deliver else -1) in
-            add_succ b ~from:prev ~next:e;
-            go e rest
-      in
-      go e0 rest
+  | lid :: rest ->
+      let e = add_edge b ~link:lid ~deliver:(if rest = [] then deliver else -1) in
+      attach b ~incoming e;
+      if rest = [] then e else chain b ~incoming:(Some e) ~deliver rest
 
 (* ------------------------------------------------------------------ *)
-(* Scheme flatteners.  Edge enumeration is preorder (chains in sibling
+(* Scheme routes.  Edge enumeration is preorder (chains in sibling
    order, then their subtrees), which preserves the sequential FIFO
    order of same-instant reservations on shared links.                 *)
 (* ------------------------------------------------------------------ *)
 
+type route = { dag : Soa.dag; trees : int array }
+
 let mem_dest dest_set node = if Hashtbl.mem dest_set node then node else -1
 
-let flatten_ring fabric paths dest_set (spec : Spec.collective) =
+let of_chains b = { dag = freeze b; trees = [||] }
+
+let ring fabric paths dest_set (spec : Spec.collective) =
   let b = b_create () in
   let r =
     Peel_baselines.Ring.schedule fabric ~source:spec.source ~members:spec.members
@@ -109,9 +113,9 @@ let flatten_ring fabric paths dest_set (spec : Spec.collective) =
     in
     prev := Some last
   done;
-  [| freeze b |]
+  of_chains b
 
-let flatten_btree fabric paths dest_set (spec : Spec.collective) =
+let btree fabric paths dest_set (spec : Spec.collective) =
   let b = b_create () in
   let bt =
     Peel_baselines.Binary_tree.schedule fabric ~source:spec.source
@@ -132,44 +136,39 @@ let flatten_btree fabric paths dest_set (spec : Spec.collective) =
       [ (2 * pos) + 1; (2 * pos) + 2 ]
   in
   emit 0 ~incoming:None;
-  [| freeze b |]
+  of_chains b
 
-let flatten_dbtree fabric paths dest_set (spec : Spec.collective) =
+let dbtree fabric paths dest_set (spec : Spec.collective) =
   let dt =
     Peel_baselines.Double_binary_tree.schedule fabric ~source:spec.source
       ~members:spec.members
   in
-  let children_map edges =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (p, c) ->
-        Hashtbl.replace tbl p
-          (c :: Option.value (Hashtbl.find_opt tbl p) ~default:[]))
-      edges;
-    tbl
-  in
   let one edges =
     let b = b_create () in
-    let tbl = children_map edges in
+    let tbl = Hashtbl.create 64 in
+    List.iter (fun (p, c) -> push tbl p c) edges;
     let rec emit node ~incoming =
       List.iter
         (fun child ->
           let path = Paths.links paths node child in
           let last = chain b ~incoming ~deliver:(mem_dest dest_set child) path in
           emit child ~incoming:(Some last))
-        (List.rev (Option.value (Hashtbl.find_opt tbl node) ~default:[]))
+        (List.rev (bucket tbl node))
     in
     emit spec.source ~incoming:None;
-    freeze b
+    of_chains b
   in
-  (* Even chunks ride tree A, odd chunks tree B (Shard indexes DAGs by
-     [chunk mod 2]), mirroring the sequential parity split. *)
+  (* Even chunks ride tree A, odd chunks tree B: each rank is interior
+     in at most one tree, so per-rank send load stays ~1 message. *)
   [|
     one dt.Peel_baselines.Double_binary_tree.edges_a;
     one dt.Peel_baselines.Double_binary_tree.edges_b;
   |]
 
-let flatten_trees dest_set trees =
+(* Multicast trees, each released from its root as one unit.  [hang b
+   node e] adds edges that forward from [node] once tree edge [e] has
+   delivered there, ahead of the tree edges below [node]. *)
+let multicast ?(hang = fun _ _ _ -> ()) dest_set trees =
   let b = b_create () in
   List.iter
     (fun tree ->
@@ -177,20 +176,83 @@ let flatten_trees dest_set trees =
         List.iter
           (fun (child, lid) ->
             let e = add_edge b ~link:lid ~deliver:(mem_dest dest_set child) in
-            (match incoming with
-            | None -> add_root b e
-            | Some pe -> add_succ b ~from:pe ~next:e);
+            attach b ~incoming e;
+            hang b child e;
             descend child ~incoming:(Some e))
-          (Peel_steiner.Tree.children tree v)
+          (Tree.children tree v)
       in
-      descend (Peel_steiner.Tree.root tree) ~incoming:None)
+      descend (Tree.root tree) ~incoming:None)
     trees;
-  [| freeze b |]
+  {
+    dag = freeze b;
+    trees =
+      Array.of_list
+        (List.map (fun t -> List.length (Tree.children t (Tree.root t))) trees);
+  }
+
+let dest_set_of (spec : Spec.collective) =
+  let dest_set = Hashtbl.create (2 * List.length spec.dests) in
+  List.iter (fun d -> Hashtbl.replace dest_set d ()) spec.dests;
+  dest_set
+
+let routes fabric paths scheme (spec : Spec.collective) =
+  let dest_set = dest_set_of spec in
+  let peel_trees () =
+    match Peel.Plan.packet_trees fabric ~source:spec.source ~dests:spec.dests with
+    | [] -> failwith "Par: empty PEEL plan"
+    | trees -> trees
+  in
+  match scheme with
+  | Scheme.Ring -> [| ring fabric paths dest_set spec |]
+  | Scheme.Btree -> [| btree fabric paths dest_set spec |]
+  | Scheme.Dbtree -> dbtree fabric paths dest_set spec
+  | Scheme.Optimal -> (
+      match Peel.multicast_tree fabric ~source:spec.source ~dests:spec.dests with
+      | None -> failwith "Par: destinations unreachable (optimal)"
+      | Some tree -> [| multicast dest_set [ tree ] |])
+  | Scheme.Peel -> [| multicast dest_set (peel_trees ()) |]
+  | Scheme.Peel_prog_cores ->
+      let peel = peel_trees () in
+      let refined =
+        match Peel.multicast_tree fabric ~source:spec.source ~dests:spec.dests with
+        | Some t -> [ t ]
+        | None -> peel
+      in
+      [| multicast dest_set peel; multicast dest_set refined |]
+  | Scheme.Peel_multitree n -> (
+      (* Edge-diverse greedy trees, one per salt: the §2.3
+         multicast-vs-multipath experiment. *)
+      let g = Fabric.graph fabric in
+      let salted =
+        List.filter_map
+          (fun salt ->
+            Peel_steiner.Layer_peel.build ~salt g ~source:spec.source
+              ~dests:spec.dests)
+          (List.init (max 1 n) Fun.id)
+      in
+      match salted with
+      | [] -> failwith "Par: destinations unreachable (multitree)"
+      | trees -> Array.of_list (List.map (fun t -> multicast dest_set [ t ]) trees))
+  | Scheme.Orca -> invalid_arg "Par.routes: Orca forwards over its plan (Par.orca)"
+
+let orca paths (spec : Spec.collective) (plan : Peel_baselines.Orca.plan) =
+  (* Each agent relays to its server siblings in descending member
+     order, ahead of its own tree children. *)
+  let relays_of = Hashtbl.create 16 in
+  List.iter (fun (agent, m) -> push relays_of agent m) plan.Peel_baselines.Orca.relays;
+  let dest_set = dest_set_of spec in
+  let hang b agent e =
+    List.iter
+      (fun m ->
+        ignore
+          (chain b ~incoming:(Some e) ~deliver:(mem_dest dest_set m)
+             (Paths.links paths agent m)))
+      (bucket relays_of agent)
+  in
+  multicast ~hang dest_set [ plan.Peel_baselines.Orca.tree ]
 
 let flatten_spec fabric paths scheme (spec : Spec.collective) ~chunks : Soa.flow =
   let chunk_bytes = spec.bytes /. float_of_int chunks in
-  let dest_set = Hashtbl.create (2 * List.length spec.dests) in
-  List.iter (fun d -> Hashtbl.replace dest_set d ()) spec.dests;
   let dags =
     if spec.dests = [] then
       (* Destination-less collectives complete instantly (the
@@ -204,27 +266,11 @@ let flatten_spec fabric paths scheme (spec : Spec.collective) ~chunks : Soa.flow
           d_roots = [||];
         };
       |]
-    else
-      match scheme with
-      | Scheme.Ring -> flatten_ring fabric paths dest_set spec
-      | Scheme.Btree -> flatten_btree fabric paths dest_set spec
-      | Scheme.Dbtree -> flatten_dbtree fabric paths dest_set spec
-      | Scheme.Optimal -> (
-          match
-            Peel.multicast_tree fabric ~source:spec.source ~dests:spec.dests
-          with
-          | None -> failwith "Par: destinations unreachable (optimal)"
-          | Some tree -> flatten_trees dest_set [ tree ])
-      | Scheme.Peel -> (
-          match
-            Peel.Plan.packet_trees fabric ~source:spec.source ~dests:spec.dests
-          with
-          | [] -> failwith "Par: empty PEEL plan"
-          | trees -> flatten_trees dest_set trees)
-      | (Scheme.Orca | Scheme.Peel_prog_cores | Scheme.Peel_multitree _) as s ->
-          invalid_arg
-            (Printf.sprintf "Par.flatten: scheme %s is not shardable"
-               (Scheme.to_string s))
+    else if not (supported scheme) then
+      invalid_arg
+        (Printf.sprintf "Par.flatten: scheme %s is not shardable"
+           (Scheme.to_string scheme))
+    else Array.map (fun r -> r.dag) (routes fabric paths scheme spec)
   in
   {
     Soa.f_id = spec.id;

@@ -1,29 +1,63 @@
-(** Flattening collectives into {!Peel_sim.Shard} plans.
+(** Every scheme's forwarding, as static {!Peel_sim.Soa} DAGs.
 
-    The sequential schemes in {!Broadcast} drive the engine with
-    closures; this module precomputes the same forwarding structure —
-    ring hop chains, binary/double-binary tree unicast chains, PEEL and
-    optimal multicast trees — as static {!Peel_sim.Soa} DAGs, which is
-    what lets the conservative sharded engine execute one large
-    collective across domains.
+    This module is the only code that turns a scheme and a collective
+    into links: ring hop chains, binary and double-binary tree unicast
+    chains, optimal and PEEL multicast trees, Orca's tree with its
+    relay chains, peel+cores's prefix and refined trees, and
+    peel-multitree's salted trees.  Both engines run what it builds:
+    {!Broadcast} walks each chunk over a {!route} on the sequential
+    engine ({!Peel_sim.Transfer.dag}), and {!flatten} hands the same
+    DAGs to the conservative sharded engine ({!Peel_sim.Shard}).
 
     Edge enumeration is preorder-consistent with the sequential
     engine's FIFO tie order (chunk-major, then tree-major, then
     ascending child order), so same-instant reservations on a shared
     link serialize identically in both modes.
 
-    Scope: the static schemes only — {!Scheme.Ring}, {!Scheme.Btree},
-    {!Scheme.Dbtree}, {!Scheme.Optimal}, {!Scheme.Peel} — with
-    congestion control off, no loss model and no fault schedule.
-    Orca and the progressive/multitree PEEL variants depend on
-    controller RNG draws interleaved with simulation time and stay on
-    the sequential path. *)
+    Scope of {!flatten}: {!Scheme.Ring}, {!Scheme.Btree},
+    {!Scheme.Dbtree}, {!Scheme.Optimal} and {!Scheme.Peel}, with
+    congestion control off, no loss model and no fault schedule.  The
+    other three stay on the sequential engine:
+    - Orca releases its chunks only after the controller's flow-setup
+      delay, while a {!Peel_sim.Soa.flow} has one [f_arrival] that is
+      both the release time and the CCT origin; the delay is also an
+      RNG draw, and [flatten] takes no RNG.
+    - peel+cores picks each chunk's trees by comparing the chunk's
+      estimated send time with the controller's sampled setup delay,
+      not by [chunk mod] the number of DAGs as a flow does.
+    - peel-multitree has no such constraint: its DAGs are chunk-indexed
+      like the double binary tree's.  It stays off {!supported} until a
+      parity test pins it against the sequential engine. *)
 
 open Peel_topology
 open Peel_workload
 
 val supported : Scheme.t -> bool
 (** Whether {!flatten} can express the scheme. *)
+
+type route = {
+  dag : Peel_sim.Soa.dag;
+  trees : int array;
+      (** how the source releases [dag.d_roots]: empty when each root
+          starts a unicast chain, otherwise the number of roots each
+          multicast tree owns, in order (the PEEL prefix packets) *)
+}
+
+val routes : Fabric.t -> Paths.t -> Scheme.t -> Spec.collective -> route array
+(** The scheme's routes for a collective with at least one
+    destination.  Chunk [c] forwards over [routes.(c mod n)] — two
+    routes for the double binary tree's parity split, one per salted
+    tree for peel-multitree — except under peel+cores, whose two
+    routes are PEEL's prefix trees and the refined single tree (the
+    prefix trees again when no refined tree exists) and which the
+    caller picks between by time.  Uses the given path cache.  Raises
+    [Invalid_argument] for {!Scheme.Orca} (see {!orca}); [Failure] when
+    a destination is unreachable. *)
+
+val orca : Paths.t -> Spec.collective -> Peel_baselines.Orca.plan -> route
+(** Orca's route for a drawn controller plan: the plan's tree, with
+    each agent's relay chains hung on the agent's arrival edge ahead
+    of its tree children. *)
 
 val flatten :
   Fabric.t ->

@@ -95,10 +95,11 @@ val run_custom :
     [faults] installs a deterministic link fail/recover schedule before
     any collective launches (same-instant ties resolve failure-first),
     and each applied transition invalidates the path cache and then
-    fires [on_fault] — the controller's notification hook.  Launchers
-    that do not reroute around dead links (plain {!Broadcast.launch})
-    will stall forever on a permanent failure; use {!Failover.run} for
-    fault runs. *)
+    fires [on_fault] — the controller's notification hook.  Plain
+    {!Broadcast.launch} fixes every scheme's routes at launch and stalls
+    a chunk on a dead hop until the pair recovers, so it rides out a
+    transient outage but never completes across a permanent failure on
+    its routes; use {!Failover.run} to reroute. *)
 
 val summarize : outcome -> Peel_util.Stats.summary
 (** Mean/p99 CCT summary of an outcome. *)

@@ -61,9 +61,10 @@ val shard : Fabric.t -> jobs:int -> min_bytes:float -> sharding
 
     A flow is one collective flattened to a forwarding DAG whose edges
     are directed link traversals: executing an edge reserves its link
-    and schedules the edge's successors at the arrival time.  This is
-    the static-schedule equivalent of what {!Transfer.unicast} /
-    {!Transfer.multicast} do with closures, with identical arithmetic. *)
+    and schedules the edge's successors at the arrival time.  Both
+    engines run the same DAGs: the sequential engine walks them chunk
+    by chunk ({!Transfer.dag}), the sharded engine ({!Shard}) keys every
+    (flow, chunk, edge) statically, with the same per-hop arithmetic. *)
 
 type dag = {
   d_link : int array;      (** per edge: the directed link it crosses *)

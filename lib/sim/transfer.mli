@@ -1,16 +1,18 @@
-(** Chunk transfer primitives: store-and-forward unicast along a path
-    and replication down a multicast tree.
+(** Chunk transfer primitives: store-and-forward unicast along a path,
+    replication down a multicast tree, and a walk over a precomputed
+    forwarding DAG ({!Soa.dag}).
 
-    Both primitives reserve each link *at the moment the chunk is ready
-    to cross it* (event time), so concurrent collectives interleave in
-    true FIFO order on shared links.  The optional [on_reserve] hook
-    observes every reservation (link id and queueing delay) — the
-    attachment point for ECN marking and telemetry.
+    All three share one per-hop step.  It reserves each link {e at the
+    moment the chunk is ready to cross it} (event time), so concurrent
+    collectives interleave in true FIFO order on shared links.  A random
+    loss is repaired on the hop where it happened, and a link that is
+    down, or fails under the chunk, loses it there.  What happens next
+    is the route shape's business: see each primitive.
 
-    When the link state carries a {!Trace}, both primitives emit [Drop]
-    events for chunks the loss model discards, and unicast's hop-local
-    repairs emit (unattributed) [Retransmit] events; per-link [Reserve]
-    events come from {!Link_state.reserve} itself. *)
+    When the link state carries a {!Trace}, every primitive emits [Drop]
+    events for lost chunks and (unattributed) [Retransmit] events for
+    hop-local repairs; per-link [Reserve] events come from
+    {!Link_state.reserve} itself. *)
 
 open Peel_topology
 
@@ -38,7 +40,6 @@ val unicast :
   links:int list ->
   bytes:float ->
   start:float ->
-  ?on_reserve:(link:int -> queue_delay:float -> unit) ->
   ?loss:loss ->
   ?on_lost:(time:float -> unit) ->
   on_delivered:(float -> unit) ->
@@ -63,7 +64,6 @@ val multicast :
   tree:Peel_steiner.Tree.t ->
   bytes:float ->
   start:float ->
-  ?on_reserve:(link:int -> queue_delay:float -> unit) ->
   ?loss:loss ->
   ?on_lost:(node:int -> time:float -> unit) ->
   on_delivered:(node:int -> time:float -> unit) ->
@@ -83,3 +83,33 @@ val multicast :
     and [on_lost] fires for every subtree member at the drop time —
     recovery is end-to-end, the caller unicasts the chunk to the
     receivers that NACK (paper §1: RDMA selective retransmissions). *)
+
+val dag :
+  Engine.t ->
+  Link_state.t ->
+  Soa.dag ->
+  trees:int array ->
+  bytes:float ->
+  start:float ->
+  ?loss:loss ->
+  on_reserve:(link:int -> Link_state.reservation -> unit) ->
+  on_delivered:(node:int -> time:float -> unit) ->
+  unit ->
+  unit
+(** Forward one chunk over a DAG: crossing an edge reserves its link,
+    and at the edge's arrival the edge's delivery (if any) is credited
+    through [on_delivered], then its successors are sent, in DAG order.
+    [on_reserve] sees every reservation — the attachment point for ECN
+    marking.
+
+    [trees] says how the source releases the roots.  Empty: each root
+    starts a unicast chain and its first hop is scheduled at [start]
+    directly.  Otherwise, multicast tree [i] owns the next [trees.(i)]
+    roots and, like {!multicast}, gets one release event at [start]
+    that sends them.  The event structure therefore matches {!unicast}
+    and {!multicast} exactly, tie order included.
+
+    With [loss], a dropped hop is resent by its sender after [rto].  A
+    link that is down at reservation, or fails under the chunk, traces
+    a [Drop] and that edge is retried after the RTO ([rto] of [loss],
+    else 100 us) until the pair recovers — the routes never change. *)

@@ -226,10 +226,6 @@ let port_set_rules g trees =
 
 type delta = Add of int | Remove of int
 
-let delta_to_string = function
-  | Add d -> Printf.sprintf "+%d" d
-  | Remove d -> Printf.sprintf "-%d" d
-
 (* Bindings of [prev] as an association list, plus a membership test. *)
 let bindings_of prev =
   let bs = ref [] in

@@ -81,9 +81,6 @@ type delta = Add of int | Remove of int
     (** One membership change: a subscriber endpoint joining or
         leaving the group. *)
 
-val delta_to_string : delta -> string
-(** ["+17"] / ["-17"]. *)
-
 val splice :
   ?salt:int ->
   ?dist:int array ->

@@ -5,10 +5,9 @@
 
    Determinism contract: a cache hit must return a value observationally
    identical to recomputing it, so hits never change behaviour — only
-   time.  Two mechanisms keep that true under mutation of the fabric:
-   [bump_epoch] empties the cache (fault / reconfiguration epochs), and
-   the capacity bound drops *insertions* rather than evicting — the set
-   of cached keys is a deterministic function of the insertion sequence,
+   time.  The service never mutates the fabric it plans on, and the
+   capacity bound drops *insertions* rather than evicting — the set of
+   cached keys is a deterministic function of the insertion sequence,
    never of hash-order or timing. *)
 
 type ('k, 'v) t = {
@@ -19,7 +18,6 @@ type ('k, 'v) t = {
   mutable size : int;
   mutable hits : int;
   mutable misses : int;
-  mutable epoch : int;
 }
 
 let create ?(capacity = 65536) ~hash ~equal () =
@@ -32,19 +30,11 @@ let create ?(capacity = 65536) ~hash ~equal () =
     size = 0;
     hits = 0;
     misses = 0;
-    epoch = 0;
   }
 
 let length t = t.size
 let hits t = t.hits
 let misses t = t.misses
-let epoch t = t.epoch
-
-let bump_epoch t =
-  Hashtbl.reset t.buckets;
-  t.size <- 0;
-  t.epoch <- t.epoch + 1
-
 let find t k =
   let h = t.hash k in
   let rec lookup = function

@@ -9,8 +9,8 @@
     recomputing it, so caching changes time, never behaviour.  The
     capacity bound drops {e insertions} (no eviction) — the cached key
     set is a deterministic function of the insertion sequence, never of
-    hash order or timing — and {!bump_epoch} empties the cache when the
-    fabric itself changes (faults, reconfiguration epochs). *)
+    hash order or timing.  Nothing invalidates entries: callers must
+    not change the fabric under a live cache. *)
 
 type ('k, 'v) t
 
@@ -32,10 +32,3 @@ val memoize : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 val length : ('k, 'v) t -> int
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int
-
-val epoch : ('k, 'v) t -> int
-(** Invalidation epoch, starting at 0. *)
-
-val bump_epoch : ('k, 'v) t -> unit
-(** Empty the cache and advance {!epoch} — called on fabric fault /
-    reconfiguration boundaries where cached plans may be stale. *)

@@ -87,11 +87,6 @@ let out_links t v = t.adj.(v)
 let link_up t i = t.links.(i).up
 let degree t v = Array.length t.adj.(v)
 
-let up_degree t v =
-  Array.fold_left
-    (fun acc (_, lid) -> if link_up t lid then acc + 1 else acc)
-    0 t.adj.(v)
-
 let link_between t a c =
   let best = ref None in
   Array.iter

@@ -78,9 +78,6 @@ val degree : t -> int -> int
 (** Structural out-degree (links counted whether up or down) — the
     quantity the zoo's degree invariants (TOPO002) are stated over. *)
 
-val up_degree : t -> int -> int
-(** Out-degree over links currently up. *)
-
 val link_between : t -> int -> int -> int option
 (** First (lowest-id) up link from one node to another, if any. *)
 

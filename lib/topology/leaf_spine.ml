@@ -89,7 +89,6 @@ let position arr v name =
   if !pos < 0 then invalid_arg name;
   !pos
 
-let leaf_index t leaf = position t.leaves leaf "Leaf_spine.leaf_index: not a leaf"
 let host_index t host = position t.hosts host "Leaf_spine.host_index: not a host"
 
 let spine_leaf_duplex_links t =

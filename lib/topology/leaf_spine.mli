@@ -33,9 +33,6 @@ val create :
 val num_hosts : t -> int
 val num_gpus : t -> int
 
-val leaf_index : t -> int -> int
-(** Position of a leaf node id within [leaves]. *)
-
 val host_index : t -> int -> int
 
 val spine_leaf_duplex_links : t -> int array

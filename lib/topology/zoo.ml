@@ -8,13 +8,6 @@ let cls_to_string = function
   | Jellyfish -> "jellyfish"
   | Xpander -> "xpander"
 
-let cls_of_string = function
-  | "abfattree" -> Some Abfattree
-  | "vl2" -> Some Vl2
-  | "jellyfish" -> Some Jellyfish
-  | "xpander" -> Some Xpander
-  | _ -> None
-
 let all_classes = [ Abfattree; Vl2; Jellyfish; Xpander ]
 
 type params =

@@ -38,7 +38,6 @@
 type cls = Abfattree | Vl2 | Jellyfish | Xpander
 
 val cls_to_string : cls -> string
-val cls_of_string : string -> cls option
 val all_classes : cls list
 
 (** Generator parameters, kept on the value so invariant checks

@@ -78,7 +78,3 @@ let iter_live f t =
     if Bytes.unsafe_get t.live s = '\001' then f s
   done
 
-let fold_live f t init =
-  let acc = ref init in
-  iter_live (fun s -> acc := f !acc s) t;
-  !acc

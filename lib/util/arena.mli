@@ -39,5 +39,3 @@ val capacity : t -> int
 val iter_live : (int -> unit) -> t -> unit
 (** Iterate live slots in increasing slot order. *)
 
-val fold_live : ('a -> int -> 'a) -> t -> 'a -> 'a
-(** Fold over live slots in increasing slot order. *)

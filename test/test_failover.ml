@@ -254,6 +254,53 @@ let test_recovery_restores_links () =
         && Graph.link_up g (Graph.peer_link id)))
     ids
 
+(* Plain [Broadcast.launch] picks its routes at launch and retries a
+   hop whose link is down (or fails under the chunk) after the RTO, so
+   every scheme stalls through an outage and completes once the links
+   recover.  Here all eight spine-leaf pairs go down mid-broadcast and
+   come back 1 ms later. *)
+let test_plain_launch_rides_out_outage () =
+  let chunks = 8 in
+  let fabric = Fabric.leaf_spine ~spines:2 ~leaves:4 ~hosts_per_leaf:2 ~gpus_per_host:2 () in
+  let g = Fabric.graph fabric in
+  let spine v = (Graph.node g v).Graph.kind = Graph.Spine in
+  let uplinks =
+    List.filter
+      (fun id ->
+        let l = Graph.link g id in
+        spine l.Graph.src || spine l.Graph.dst)
+      (Array.to_list (Graph.duplex_ids g))
+  in
+  Alcotest.(check int) "spine-leaf pairs" 8 (List.length uplinks);
+  let spec = { (spec_for fabric ~scale:12) with Spec.bytes = 8e6 } in
+  let run ?faults scheme =
+    let trace = Trace.create ~level:Trace.Full () in
+    let out =
+      Runner.run_custom ~chunks ~trace ?faults fabric [ spec ]
+        ~launch:(fun engine links paths cfg ~spec ~on_complete ->
+          Broadcast.launch engine links fabric paths cfg scheme ~spec ~on_complete)
+    in
+    (trace, List.hd out.Runner.ccts)
+  in
+  List.iter
+    (fun scheme ->
+      let name = Scheme.to_string scheme in
+      let _, clean = run scheme in
+      let at = 0.4 *. clean in
+      let faults = Fault.schedule_of_failures ~at ~recover_at:(at +. 1e-3) uplinks in
+      let trace, cct = run ~faults scheme in
+      let c = Trace.counters trace in
+      let expected = chunks * List.length spec.Spec.dests in
+      Alcotest.(check int) (name ^ ": chunks conserved") expected c.Trace.deliveries;
+      Alcotest.(check bool) (name ^ ": drops traced") true (c.Trace.drops > 0);
+      Alcotest.(check bool) (name ^ ": waits out the outage") true (cct > at +. 1e-3);
+      Alcotest.(check (list string))
+        (name ^ ": check_trace clean (SIM007 incl.)")
+        []
+        (List.map Peel_check.Diagnostic.to_string
+           (Peel_check.Check_sim.check_trace ~expected_deliveries:expected trace)))
+    Scheme.[ Ring; Btree; Peel; Optimal ]
+
 let test_scheme_of_string () =
   List.iter
     (fun scheme ->
@@ -292,5 +339,7 @@ let () =
           Alcotest.test_case "recovery restores links" `Quick
             test_recovery_restores_links;
           Alcotest.test_case "scheme names" `Quick test_scheme_of_string;
+          Alcotest.test_case "plain launch rides out an outage" `Quick
+            test_plain_launch_rides_out_outage;
         ] );
     ]

@@ -178,15 +178,25 @@ let test_unicast_empty_path () =
   Engine.run e;
   check_float "immediate" 2.5 !delivered
 
-let test_unicast_on_reserve_hook () =
-  let g, _, _, _, l1, l2 = line_fabric () in
+(* A chain DAG over the line fabric: na -> nb -> nc, delivering at nc. *)
+let line_dag l1 l2 nc =
+  {
+    Soa.d_link = [| l1; l2 |];
+    d_deliver = [| -1; nc |];
+    d_succ_off = [| 0; 1; 1 |];
+    d_succ = [| 1 |];
+    d_roots = [| 0 |];
+  }
+
+let test_dag_on_reserve_hook () =
+  let g, _, _, nc, l1, l2 = line_fabric () in
   let e = Engine.create () in
   let ls = Link_state.create g in
-  let seen = ref [] in
+  let seen = ref [] and delivered = ref [] in
   let send () =
-    Transfer.unicast e ls ~links:[ l1; l2 ] ~bytes:1e6 ~start:0.0
-      ~on_reserve:(fun ~link ~queue_delay -> seen := (link, queue_delay) :: !seen)
-      ~on_delivered:(fun _ -> ())
+    Transfer.dag e ls (line_dag l1 l2 nc) ~trees:[||] ~bytes:1e6 ~start:0.0
+      ~on_reserve:(fun ~link r -> seen := (link, r.Link_state.queue_delay) :: !seen)
+      ~on_delivered:(fun ~node ~time -> delivered := (node, time) :: !delivered)
       ()
   in
   send ();
@@ -194,7 +204,11 @@ let test_unicast_on_reserve_hook () =
   Engine.run e;
   Alcotest.(check int) "4 reservations" 4 (List.length !seen);
   let queued = List.filter (fun (_, d) -> d > 0.0) !seen in
-  Alcotest.(check int) "second chunk queued once" 1 (List.length queued)
+  Alcotest.(check int) "second chunk queued once" 1 (List.length queued);
+  (* The same arrivals and event count as two unicast chunks. *)
+  Alcotest.(check (list (pair int (float 1e-12))))
+    "deliveries" [ (nc, 2e-3 +. 2e-6); (nc, 3e-3 +. 2e-6) ] (List.rev !delivered);
+  Alcotest.(check int) "two events per hop" 8 (Engine.events_processed e)
 
 let test_path_links () =
   let g, na, nb, nc, l1, l2 = line_fabric () in
@@ -443,7 +457,7 @@ let () =
           Alcotest.test_case "store and forward" `Quick test_unicast_store_and_forward;
           Alcotest.test_case "chunk pipelining" `Quick test_unicast_pipeline_two_chunks;
           Alcotest.test_case "empty path" `Quick test_unicast_empty_path;
-          Alcotest.test_case "on_reserve hook" `Quick test_unicast_on_reserve_hook;
+          Alcotest.test_case "on_reserve hook" `Quick test_dag_on_reserve_hook;
           Alcotest.test_case "path_links" `Quick test_path_links;
           Alcotest.test_case "multicast timing" `Quick test_multicast_tree_timing;
           qt prop_unicast_idle_path_closed_form;

@@ -242,9 +242,9 @@ let count_kind trace p =
 
 let test_loss_counters_agree_with_events () =
   (* The drop/retransmit counters must equal the number of Drop and
-     Retransmit events in the Full log, and every repair send — whether
-     a hop-local selective repeat inside Transfer or an end-to-end NACK
-     repair in Broadcast — must be accounted in [loss.retransmissions]. *)
+     Retransmit events in the Full log, and every repair send (a
+     hop-local selective repeat inside Transfer) must be accounted in
+     [loss.retransmissions]. *)
   let fabric = fat4 () in
   let trace = Trace.create ~level:Trace.Full () in
   let cs = workload fabric ~seed:11 ~n:2 in
