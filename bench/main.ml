@@ -13,8 +13,8 @@
    Every run (except [guard]) also writes BENCH.json (schema
    peel-bench/2) to the invocation directory: per-experiment wall time
    (plus speedup against the committed baseline when comparable),
-   Bechamel ns/run per algorithm, the worker count, and a headline CCT
-   comparison across the schemes.
+   Bechamel ns/run and its OLS r² per algorithm, the worker count, and
+   a headline CCT comparison across the schemes.
 
    [guard] recomputes the deterministic sections (headline CCTs, the
    Quick failover and refinement tables) plus a jobs=1 vs jobs=4 sweep
@@ -89,18 +89,45 @@ let heap_hold_row ~pending =
   in
   let h = H.create () in
   let rng = Rng.create 13 in
-  for _ = 1 to pending do
-    H.push h (Rng.float rng 1.0) ()
+  for i = 1 to pending do
+    H.push h (Rng.float rng 1.0) i
   done;
   Bechamel.Test.make
     ~name:(Printf.sprintf "heap_push_pop_%dk_pending" (pending / 1024))
     (Bechamel.Staged.stage (fun () ->
          Array.iter
            (fun inc ->
-             match H.pop h with
-             | Some (p, ()) -> H.push h (p +. inc) ()
-             | None -> assert false)
+             let p = H.min_prio h in
+             H.push h (p +. inc) (H.pop_min h))
            incs))
+
+(* The shape of the simulator's chunk walker ([Transfer.dag]): an
+   arrival schedules the next hop's step at [now], and the step
+   schedules the next arrival a link time later.  4096 chunks in
+   flight hold the queue ~4k deep (sim-congestion peaks at 4,631), and
+   half of all events are zero-delay.  Each run advances the clock by
+   a fixed window: ~10k events. *)
+let engine_walker_row () =
+  let module E = Peel_sim.Engine in
+  let incs =
+    let rng = Rng.create 17 in
+    Array.init 1024 (fun _ -> Rng.float rng 1.0)
+  in
+  let e = E.create () in
+  let k = ref 0 and horizon = ref 0.0 in
+  let rec arrive () = E.schedule e (E.now e) step
+  and step () =
+    k := (!k + 1) land 1023;
+    E.schedule_in e incs.(!k) arrive
+  in
+  for _ = 1 to 4096 do
+    step ()
+  done;
+  Bechamel.Test.make ~name:"engine_walker_10k_events_4k_pending"
+    (Bechamel.Staged.stage (fun () ->
+         (* 16384 events per unit of simulated time. *)
+         horizon := !horizon +. 0.625;
+         E.run ~until:!horizon e))
 
 let micro_tests () =
   let open Bechamel in
@@ -145,9 +172,9 @@ let micro_tests () =
       (Staged.stage (fun () ->
            let h = Peel_util.Pairing_heap.create () in
            let prios = Lazy.force heap_priorities in
-           Array.iter (fun p -> Peel_util.Pairing_heap.push h p ()) prios;
-           while Peel_util.Pairing_heap.pop h <> None do
-             ()
+           Array.iteri (fun i p -> Peel_util.Pairing_heap.push h p i) prios;
+           while not (Peel_util.Pairing_heap.is_empty h) do
+             ignore (Peel_util.Pairing_heap.pop_min h)
            done));
     (* 10k events of E22's long-hold ramp from a fresh stream: group
        creates dominate, and the timer queue grows to ~30k entries. *)
@@ -166,6 +193,7 @@ let micro_tests () =
       (Staged.stage (engine_churn ~traced:false));
     Test.make ~name:"engine_10k_events_traced"
       (Staged.stage (engine_churn ~traced:true));
+    engine_walker_row ();
     (* One fig6-style cell on a k=32 fat-tree (16384 GPUs), flattened
        and executed on the sharded engine end to end. *)
     (let k32 = Peel_topology.Fabric.fat_tree ~k:32 ~hosts_per_tor:4 ~gpus_per_host:8 () in
@@ -202,19 +230,22 @@ let run_micro () =
         List.map
           (fun elt ->
             let name = Test.Elt.name elt in
-            let ns =
-              match Hashtbl.find_opt analyzed name with
-              | None -> None
-              | Some ols_result -> (
-                  match Analyze.OLS.estimates ols_result with
-                  | Some (e :: _) when Float.is_finite e -> Some e
-                  | _ -> None)
+            let finite = function
+              | Some x when Float.is_finite x -> Some x
+              | _ -> None
             in
-            (name, ns))
+            match Hashtbl.find_opt analyzed name with
+            | None -> (name, None, None)
+            | Some ols_result ->
+                ( name,
+                  (match Analyze.OLS.estimates ols_result with
+                  | Some (e :: _) -> finite (Some e)
+                  | _ -> None),
+                  finite (Analyze.OLS.r_square ols_result) ))
           (Test.elements test))
       (micro_tests ())
   in
-  Peel_util.Table.print ~header:[ "algorithm"; "time per run" ]
+  Peel_util.Table.print ~header:[ "algorithm"; "time per run"; "r2" ]
     (Common.micro_table_rows results);
   results
 
@@ -306,7 +337,11 @@ let write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
          ("jobs", Json.int (Pool.default_jobs ()));
          ("experiments", Json.Arr (List.map experiment_entry exp_times));
          ( "micro_ns_per_run",
-           Json.Obj (List.map (fun (name, ns) -> (name, opt_num ns)) micro) );
+           Json.Obj (List.map (fun (name, ns, _) -> (name, opt_num ns)) micro)
+         );
+         ( "micro_r2",
+           Json.Obj (List.map (fun (name, _, r2) -> (name, opt_num r2)) micro)
+         );
          ("headline_cct", headline_json headline);
          ("failover_degradation", failover);
          ("refinement", refinement);

@@ -43,11 +43,16 @@ let f2 x = Printf.sprintf "%.2f" x
 
 let micro_table_rows results =
   List.map
-    (fun (name, ns) ->
+    (fun (name, ns, r2) ->
       [
         name;
         (match ns with
         | Some ns when Float.is_finite ns -> Peel_util.Table.fsec (ns /. 1e9)
+        | _ -> "n/a");
+        (match r2 with
+        | Some r2 when Float.is_finite r2 ->
+            Printf.sprintf "%.3f%s" r2
+              (if r2 < 0.9 then " low" else "")
         | _ -> "n/a");
       ])
     results

@@ -49,8 +49,12 @@ val fsec : float -> string
 val f2 : float -> string
 (** Two-decimal float. *)
 
-val micro_table_rows : (string * float option) list -> string list list
-(** Format micro-benchmark estimates [(algorithm, ns-per-run)] as table
-    rows: the time pretty-printed in seconds, or ["n/a"] when the
-    estimate is missing or non-finite.  Total — every input produces a
-    row — so a benchmark whose analysis fails still shows up. *)
+val micro_table_rows :
+  (string * float option * float option) list -> string list list
+(** Format micro-benchmark estimates [(algorithm, ns-per-run, r²)] as
+    table rows: the time pretty-printed in seconds and the OLS r² to
+    three decimals, suffixed [" low"] below 0.9 (the samples are not
+    a straight line in the run count, so the estimate is noise until a
+    rerun agrees); either is ["n/a"] when missing or non-finite.
+    Total — every input produces a row — so a benchmark whose analysis
+    fails still shows up. *)

@@ -18,9 +18,9 @@ let min_fraction = 1e-3
 
 let create ?(guard = Some default_guard) ?(trace = Trace.null) ?(flow = -1)
     ~line_rate () =
-  if line_rate <= 0.0 then invalid_arg "Dcqcn.create: line_rate > 0";
+  if not (line_rate > 0.0) then invalid_arg "Dcqcn.create: line_rate > 0";
   (match guard with
-  | Some g when g <= 0.0 -> invalid_arg "Dcqcn.create: guard window > 0"
+  | Some g when not (g > 0.0) -> invalid_arg "Dcqcn.create: guard window > 0"
   | _ -> ());
   {
     line_rate;
@@ -59,7 +59,7 @@ let on_cnp t ~now =
   else Trace.guard_hold t.trace ~time:now ~flow:t.flow
 
 let release_duration t ~now ~bytes =
-  if bytes <= 0.0 then invalid_arg "Dcqcn.release_duration: bytes > 0";
+  if not (bytes > 0.0) then invalid_arg "Dcqcn.release_duration: bytes > 0";
   bytes /. rate t ~now
 
 let cuts t = t.cuts

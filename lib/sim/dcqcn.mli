@@ -30,7 +30,10 @@ val create :
     [flow] (default [-1] = unattributed), followed by a [Rate_cut]
     (carrying the new rate) or — when the guard window suppresses the
     reduction — a [Guard_hold]: the per-flow rate-evolution record the
-    paper's §4 guard-timer figure is drawn from. *)
+    paper's §4 guard-timer figure is drawn from.
+
+    Raises [Invalid_argument] unless [line_rate > 0] and a [Some g]
+    guard has [g > 0]; NaN fails both. *)
 
 val rate : t -> now:float -> float
 (** Current sending rate (bytes/s) after lazy recovery. *)
@@ -39,7 +42,8 @@ val on_cnp : t -> now:float -> unit
 (** Congestion notification from one receiver. *)
 
 val release_duration : t -> now:float -> bytes:float -> float
-(** Time to pace out one chunk at the current rate. *)
+(** Time to pace out one chunk at the current rate.  Raises
+    [Invalid_argument] unless [bytes > 0] (NaN is rejected). *)
 
 val cuts : t -> int
 (** Number of rate reductions actually applied (for tests/telemetry). *)

@@ -1,13 +1,18 @@
 (** Discrete-event simulation engine.
 
-    A time-ordered queue of thunks.  Events scheduled for the same
-    instant run in scheduling order (the queue breaks ties FIFO), which
-    — together with the deterministic PRNG — makes every simulation
-    bit-reproducible.
+    A time-ordered queue of thunks.  Events run in time order, and
+    events scheduled for the same instant run in scheduling order,
+    which — together with the deterministic PRNG — makes every
+    simulation bit-reproducible.  [run ~until] honours the same order:
+    it stops before the first event, in that order, later than
+    [until].
 
-    The queue is the flat binary heap {!Peel_util.Pairing_heap}: its
-    ties break by insertion order, which is exactly the FIFO contract
-    above. *)
+    The queue is {!Peel_util.Pairing_heap}, holding slot ids into a
+    table of thunks; its (priority, insertion order) pop order is
+    exactly the contract above.  An event scheduled at {!now} — a
+    zero-delay successor — takes the heap's FIFO lane in O(1) instead
+    of sifting; the lane is internal to the heap and changes no
+    event's place in the order. *)
 
 type t
 (** One event loop: a clock and a time-ordered queue of thunks. *)
@@ -22,7 +27,7 @@ val now : t -> float
 
 val schedule : t -> float -> (unit -> unit) -> unit
 (** [schedule t at f] runs [f] at absolute time [at].  Raises
-    [Invalid_argument] when [at] lies in the past. *)
+    [Invalid_argument] when [at] lies in the past or is NaN. *)
 
 val schedule_in : t -> float -> (unit -> unit) -> unit
 (** Relative variant: [schedule_in t dt f = schedule t (now t +. dt) f]. *)

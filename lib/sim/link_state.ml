@@ -48,7 +48,8 @@ let set_link_up t ~now ~duplex ~up:want =
   end
 
 let reserve t ~link ~now ~bytes =
-  if bytes <= 0.0 then invalid_arg "Link_state.reserve: bytes must be positive";
+  if not (bytes > 0.0) then
+    invalid_arg "Link_state.reserve: bytes must be positive";
   let l = Graph.link t.graph link in
   if not l.Graph.up then invalid_arg "Link_state.reserve: link is down";
   let backlog = Float.max 0.0 (t.free.(link) -. now) in
@@ -68,7 +69,7 @@ let backlog t ~link ~now = Float.max 0.0 (t.free.(link) -. now)
 let busy_seconds t ~link = t.busy.(link)
 
 let utilization t ~link ~horizon =
-  if horizon <= 0.0 then invalid_arg "Link_state.utilization: horizon > 0";
+  if not (horizon > 0.0) then invalid_arg "Link_state.utilization: horizon > 0";
   t.busy.(link) /. horizon
 
 let reset t =

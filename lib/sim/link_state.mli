@@ -44,7 +44,8 @@ val set_link_up : t -> now:float -> duplex:int -> up:bool -> bool
     the pair is already in the requested state. *)
 
 val reserve : t -> link:int -> now:float -> bytes:float -> reservation
-(** Raises [Invalid_argument] if the link is down or [bytes <= 0]. *)
+(** Raises [Invalid_argument] if the link is down or [bytes] is not
+    positive (NaN included). *)
 
 val arrival : t -> link:int -> reservation -> float
 (** [finish + propagation latency] — when the chunk is fully received
@@ -57,7 +58,8 @@ val busy_seconds : t -> link:int -> float
 (** Cumulative transmission time, for utilization accounting. *)
 
 val utilization : t -> link:int -> horizon:float -> float
-(** [busy_seconds / horizon]. *)
+(** [busy_seconds / horizon].  Raises [Invalid_argument] unless
+    [horizon > 0] (NaN is rejected). *)
 
 val reset : t -> unit
 (** Clear all free times, busy accounting and failure state for a

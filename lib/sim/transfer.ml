@@ -18,8 +18,9 @@ type loss = {
 }
 
 let loss_model ~seed ~prob ?(rto = 100e-6) () =
-  if prob < 0.0 || prob >= 1.0 then invalid_arg "Transfer.loss_model: prob in [0,1)";
-  if rto <= 0.0 then invalid_arg "Transfer.loss_model: rto > 0";
+  if not (prob >= 0.0 && prob < 1.0) then
+    invalid_arg "Transfer.loss_model: prob in [0,1)";
+  if not (rto > 0.0) then invalid_arg "Transfer.loss_model: rto > 0";
   { loss_rng = Peel_util.Rng.create seed; prob; rto; retransmissions = 0 }
 
 let dropped = function

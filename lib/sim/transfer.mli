@@ -32,7 +32,8 @@ type loss = {
 }
 
 val loss_model : seed:int -> prob:float -> ?rto:float -> unit -> loss
-(** Default [rto] is 100 us. *)
+(** Default [rto] is 100 us.  Raises [Invalid_argument] unless
+    [0 <= prob < 1] and [rto > 0]; NaN fails both. *)
 
 val unicast :
   Engine.t ->

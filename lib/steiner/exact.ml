@@ -12,22 +12,18 @@ let relax g dp_mask =
   Array.iteri
     (fun v d -> if d < inf then Heap.push heap (float_of_int d) v)
     dp_mask;
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, v) ->
-        let d = int_of_float d in
-        if d = dp_mask.(v) then
-          Array.iter
-            (fun (w, lid) ->
-              if Graph.link_up g lid && d + 1 < dp_mask.(w) then begin
-                dp_mask.(w) <- d + 1;
-                Heap.push heap (float_of_int (d + 1)) w
-              end)
-            (Graph.out_links g v);
-        drain ()
-  in
-  drain ()
+  while not (Heap.is_empty heap) do
+    let d = int_of_float (Heap.min_prio heap) in
+    let v = Heap.pop_min heap in
+    if d = dp_mask.(v) then
+      Array.iter
+        (fun (w, lid) ->
+          if Graph.link_up g lid && d + 1 < dp_mask.(w) then begin
+            dp_mask.(w) <- d + 1;
+            Heap.push heap (float_of_int (d + 1)) w
+          end)
+        (Graph.out_links g v)
+  done
 
 let steiner_cost g ~terminals =
   let terminals = List.sort_uniq compare terminals in

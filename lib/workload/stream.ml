@@ -49,7 +49,7 @@ type t = {
   s_fabric : Fabric.t;
   s_rng : Rng.t;
   s_tenants : tenant array;
-  s_timers : int Heap.t;
+  s_timers : Heap.t;
   mutable s_tenant : int array;  (* owning tenant; -1 once departed *)
   mutable s_source : int array;
   mutable s_departure : float array;
@@ -241,24 +241,25 @@ let do_churn s ~now gid =
    timer: a churn or send timer never finds its group departed.  The
    liveness checks below are defensive. *)
 let rec next s =
-  match Heap.pop s.s_timers with
-  | None -> invalid_arg "Stream.next: stream exhausted (no live timers)"
-  | Some (now, code) ->
-      let id = code lsr 2 and kind = code land 3 in
-      if kind = k_arrival then do_create s ~now id
-      else if kind = k_depart then begin
-        s.s_tenant.(id) <- -1;
-        s.s_members.(id) <- [];
-        s.s_live <- s.s_live - 1;
-        emit s ~time:now (Depart { gid = id })
-      end
-      else if not (is_live s id) then next s
-      else if kind = k_churn then
-        match do_churn s ~now id with Some ev -> ev | None -> next s
-      else begin
-        let t = s.s_tenants.(s.s_tenant.(id)) in
-        reschedule s ~now ~gid:id ~mean:(1.0 /. t.sends) k_send;
-        emit s ~time:now (Send { gid = id; bytes = t.bytes })
-      end
+  if Heap.is_empty s.s_timers then
+    invalid_arg "Stream.next: stream exhausted (no live timers)";
+  let now = Heap.min_prio s.s_timers in
+  let code = Heap.pop_min s.s_timers in
+  let id = code lsr 2 and kind = code land 3 in
+  if kind = k_arrival then do_create s ~now id
+  else if kind = k_depart then begin
+    s.s_tenant.(id) <- -1;
+    s.s_members.(id) <- [];
+    s.s_live <- s.s_live - 1;
+    emit s ~time:now (Depart { gid = id })
+  end
+  else if not (is_live s id) then next s
+  else if kind = k_churn then
+    match do_churn s ~now id with Some ev -> ev | None -> next s
+  else begin
+    let t = s.s_tenants.(s.s_tenant.(id)) in
+    reschedule s ~now ~gid:id ~mean:(1.0 /. t.sends) k_send;
+    emit s ~time:now (Send { gid = id; bytes = t.bytes })
+  end
 
 let take s n = List.init n (fun _ -> next s)

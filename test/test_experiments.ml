@@ -113,19 +113,24 @@ let test_micro_table_rows () =
   let rows =
     Common.micro_table_rows
       [
-        ("fast", Some 150.0);          (* 150 ns *)
-        ("slow", Some 2.5e9);          (* 2.5 s *)
-        ("failed", None);
-        ("diverged", Some nan);
-        ("overflowed", Some infinity);
+        ("fast", Some 150.0, Some 0.9987);   (* 150 ns *)
+        ("slow", Some 2.5e9, Some 0.9);      (* 2.5 s, r² at the floor *)
+        ("noisy", Some 3000.0, Some 0.8994); (* below the floor *)
+        ("failed", None, None);
+        ("diverged", Some nan, Some nan);
+        ("overflowed", Some infinity, Some neg_infinity);
       ]
   in
-  Alcotest.(check int) "one row per input" 5 (List.length rows);
+  Alcotest.(check int) "one row per input" 6 (List.length rows);
   Alcotest.(check (list (list string)))
     "formatting"
     [
-      [ "fast"; "150.0 ns" ]; [ "slow"; "2.500 s" ]; [ "failed"; "n/a" ];
-      [ "diverged"; "n/a" ]; [ "overflowed"; "n/a" ];
+      [ "fast"; "150.0 ns"; "0.999" ];
+      [ "slow"; "2.500 s"; "0.900" ];
+      [ "noisy"; "3.0 us"; "0.899 low" ];
+      [ "failed"; "n/a"; "n/a" ];
+      [ "diverged"; "n/a"; "n/a" ];
+      [ "overflowed"; "n/a"; "n/a" ];
     ]
     rows
 

@@ -13,9 +13,11 @@ module Par = Peel_collective.Par
 module Shard = Peel_sim.Shard
 
 let drain_heap h =
-  let rec go acc = match Heap.pop h with
-    | None -> List.rev acc
-    | Some (p, v) -> go ((p, v) :: acc)
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let p = Heap.min_prio h in
+      go ((p, Heap.pop_min h) :: acc)
   in
   go []
 

@@ -6,6 +6,14 @@ open Peel_sim
 
 let check_float = Alcotest.(check (float 1e-12))
 
+(* A range check must reject NaN, which fails every comparison. *)
+let check_invalid what f =
+  Alcotest.(check bool) what true
+    (try
+       ignore (f ());
+       false
+     with Invalid_argument _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -58,6 +66,39 @@ let test_engine_until () =
   Alcotest.(check int) "one pending" 1 (Engine.pending e);
   Engine.run e;
   Alcotest.(check int) "drained" 2 !hits
+
+(* An event scheduled at [now] after a bounded run (it takes the
+   queue's zero-delay lane) is still bound by [until]: a run that ends
+   before [now] leaves it queued, [pending] counts it, and a run that
+   ends between it and a later event runs it alone. *)
+let test_engine_until_holds_event_at_now () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.schedule e 1.0 (fun () -> log := "a" :: !log);
+  Engine.schedule e 5.0 (fun () -> log := "c" :: !log);
+  Engine.run ~until:2.0 e;
+  check_float "now" 1.0 (Engine.now e);
+  Engine.schedule e (Engine.now e) (fun () -> log := "b" :: !log);
+  Alcotest.(check int) "pending counts it" 2 (Engine.pending e);
+  Engine.run ~until:0.5 e;
+  Alcotest.(check (list string)) "nothing ran" [ "a" ] (List.rev !log);
+  Alcotest.(check int) "still pending" 2 (Engine.pending e);
+  check_float "clock unchanged" 1.0 (Engine.now e);
+  Engine.run ~until:3.0 e;
+  Alcotest.(check (list string)) "due event ran" [ "a"; "b" ] (List.rev !log);
+  Alcotest.(check int) "later one pending" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check (list string)) "then in time order" [ "a"; "b"; "c" ]
+    (List.rev !log);
+  Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+let test_engine_nan_rejected () =
+  let e = Engine.create () in
+  check_invalid "schedule at nan" (fun () -> Engine.schedule e nan ignore);
+  check_invalid "schedule_in nan" (fun () -> Engine.schedule_in e nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e);
+  Engine.run e;
+  check_float "clock still 0" 0.0 (Engine.now e)
 
 (* ------------------------------------------------------------------ *)
 (* Link_state                                                          *)
@@ -112,6 +153,14 @@ let test_link_down_rejected () =
     (try ignore (Link_state.reserve ls ~link:l ~now:0.0 ~bytes:1.0); false
      with Invalid_argument _ -> true);
   Graph.restore_all g
+
+let test_link_nan_rejected () =
+  let g, l = two_node_graph () in
+  let ls = Link_state.create g in
+  check_invalid "reserve nan bytes" (fun () ->
+      Link_state.reserve ls ~link:l ~now:0.0 ~bytes:nan);
+  check_invalid "utilization over a nan horizon" (fun () ->
+      Link_state.utilization ls ~link:l ~horizon:nan)
 
 let test_link_reset () =
   let g, l = two_node_graph () in
@@ -286,6 +335,12 @@ let test_loss_model_validation () =
     (try ignore (Transfer.loss_model ~seed:1 ~prob:0.1 ~rto:0.0 ()); false
      with Invalid_argument _ -> true)
 
+let test_loss_model_nan_rejected () =
+  check_invalid "nan prob" (fun () ->
+      Transfer.loss_model ~seed:1 ~prob:nan ());
+  check_invalid "nan rto" (fun () ->
+      Transfer.loss_model ~seed:1 ~prob:0.1 ~rto:nan ())
+
 let test_unicast_lossless_prob_zero () =
   let g, _, _, _, l1, l2 = line_fabric () in
   let e = Engine.create () in
@@ -431,6 +486,14 @@ let test_dcqcn_release_duration () =
   let d = Dcqcn.create ~line_rate:1e9 () in
   check_float "at line rate" 1e-3 (Dcqcn.release_duration d ~now:0.0 ~bytes:1e6)
 
+let test_dcqcn_nan_rejected () =
+  check_invalid "nan line rate" (fun () -> Dcqcn.create ~line_rate:nan ());
+  check_invalid "nan guard" (fun () ->
+      Dcqcn.create ~guard:(Some nan) ~line_rate:1e9 ());
+  let d = Dcqcn.create ~line_rate:1e9 () in
+  check_invalid "nan chunk bytes" (fun () ->
+      Dcqcn.release_duration d ~now:0.0 ~bytes:nan)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "peel_sim"
@@ -442,6 +505,9 @@ let () =
           Alcotest.test_case "cascading" `Quick test_engine_cascading;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "until" `Quick test_engine_until;
+          Alcotest.test_case "until holds an event at now" `Quick
+            test_engine_until_holds_event_at_now;
+          Alcotest.test_case "nan rejected" `Quick test_engine_nan_rejected;
         ] );
       ( "link_state",
         [
@@ -450,6 +516,7 @@ let () =
           Alcotest.test_case "directions independent" `Quick test_link_independent_directions;
           Alcotest.test_case "idle gap" `Quick test_link_idle_gap;
           Alcotest.test_case "down rejected" `Quick test_link_down_rejected;
+          Alcotest.test_case "nan rejected" `Quick test_link_nan_rejected;
           Alcotest.test_case "reset" `Quick test_link_reset;
         ] );
       ( "transfer",
@@ -465,6 +532,7 @@ let () =
       ( "loss",
         [
           Alcotest.test_case "model validation" `Quick test_loss_model_validation;
+          Alcotest.test_case "nan rejected" `Quick test_loss_model_nan_rejected;
           Alcotest.test_case "prob zero is lossless" `Quick test_unicast_lossless_prob_zero;
           Alcotest.test_case "unicast recovers" `Quick test_unicast_recovers_from_loss;
           Alcotest.test_case "down link orphans subtree" `Quick
@@ -482,5 +550,6 @@ let () =
           Alcotest.test_case "no guard collapses" `Quick test_dcqcn_no_guard_collapses;
           Alcotest.test_case "guard allows spaced cuts" `Quick test_dcqcn_guard_allows_spaced_cuts;
           Alcotest.test_case "release duration" `Quick test_dcqcn_release_duration;
+          Alcotest.test_case "nan rejected" `Quick test_dcqcn_nan_rejected;
         ] );
     ]

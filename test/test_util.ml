@@ -199,108 +199,140 @@ let prop_summary_bounds =
 (* Pairing_heap                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Every entry, in pop order, as (priority, payload). *)
+let heap_drain h =
+  let rec go acc =
+    if Pairing_heap.is_empty h then List.rev acc
+    else
+      let p = Pairing_heap.min_prio h in
+      go ((p, Pairing_heap.pop_min h) :: acc)
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Pairing_heap.create () in
   List.iter (fun (p, v) -> Pairing_heap.push h p v)
-    [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (0.5, "z") ];
-  let order = ref [] in
-  let rec drain () =
-    match Pairing_heap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list string)) "min-first" [ "z"; "a"; "b"; "c" ] (List.rev !order)
+    [ (3.0, 3); (1.0, 1); (2.0, 2); (0.5, 0) ];
+  Alcotest.(check (list int)) "min-first" [ 0; 1; 2; 3 ]
+    (List.map snd (heap_drain h))
 
 let test_heap_fifo_ties () =
   let h = Pairing_heap.create () in
   List.iter (fun v -> Pairing_heap.push h 1.0 v) [ 1; 2; 3; 4; 5 ];
-  let out = ref [] in
-  let rec drain () =
-    match Pairing_heap.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-  in
-  drain ();
   Alcotest.(check (list int)) "insertion order for equal priorities" [ 1; 2; 3; 4; 5 ]
-    (List.rev !out)
+    (List.map snd (heap_drain h))
 
 let test_heap_empty () =
   let h = Pairing_heap.create () in
   Alcotest.(check bool) "empty" true (Pairing_heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Pairing_heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Pairing_heap.peek h = None)
+  Alcotest.check_raises "pop_min raises"
+    (Invalid_argument "Pairing_heap.pop_min: empty") (fun () ->
+      ignore (Pairing_heap.pop_min h));
+  Alcotest.check_raises "min_prio raises"
+    (Invalid_argument "Pairing_heap.min_prio: empty") (fun () ->
+      ignore (Pairing_heap.min_prio h))
 
 let test_heap_interleaved () =
   let h = Pairing_heap.create () in
   Pairing_heap.push h 5.0 5;
   Pairing_heap.push h 1.0 1;
-  (match Pairing_heap.pop h with
-  | Some (p, v) ->
-      check_float "prio" 1.0 p;
-      Alcotest.(check int) "val" 1 v
-  | None -> Alcotest.fail "expected element");
+  check_float "prio" 1.0 (Pairing_heap.min_prio h);
+  Alcotest.(check int) "val" 1 (Pairing_heap.pop_min h);
   Pairing_heap.push h 0.5 0;
-  (match Pairing_heap.peek h with
-  | Some (_, v) -> Alcotest.(check int) "peek smallest" 0 v
-  | None -> Alcotest.fail "expected element");
-  Alcotest.(check int) "length" 2 (Pairing_heap.length h)
+  check_float "min after push" 0.5 (Pairing_heap.min_prio h);
+  Alcotest.(check int) "length" 2 (Pairing_heap.length h);
+  Alcotest.(check int) "pop smallest" 0 (Pairing_heap.pop_min h)
+
+(* The lane takes a push at the priority just popped; an entry already
+   in the heap at that priority is older and must pop first. *)
+let test_heap_lane_after_older_tie () =
+  let h = Pairing_heap.create () in
+  Pairing_heap.push h 1.0 0;
+  Pairing_heap.push h 1.0 1;
+  Pairing_heap.push h 2.0 9;
+  Alcotest.(check int) "first tie" 0 (Pairing_heap.pop_min h);
+  Pairing_heap.push h 1.0 2;
+  Pairing_heap.push h 1.0 3;
+  Alcotest.(check int) "length counts the lane" 4 (Pairing_heap.length h);
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "older heap entry, then the lane in push order, then later priorities"
+    [ (1.0, 1); (1.0, 2); (1.0, 3); (2.0, 9) ]
+    (heap_drain h)
+
+(* A pop below the lane's priority (a non-monotone push) must not move
+   the lane's entries to the new priority. *)
+let test_heap_lane_keeps_priority () =
+  let h = Pairing_heap.create () in
+  Pairing_heap.push h 2.0 0;
+  Alcotest.(check int) "pop at 2" 0 (Pairing_heap.pop_min h);
+  Pairing_heap.push h 2.0 1;
+  Pairing_heap.push h 1.0 2;
+  check_float "min is the later, lower push" 1.0 (Pairing_heap.min_prio h);
+  Alcotest.(check int) "pop at 1" 2 (Pairing_heap.pop_min h);
+  Pairing_heap.push h 1.0 3;
+  Pairing_heap.push h 2.0 4;
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "each entry at its own priority, FIFO within it"
+    [ (1.0, 3); (2.0, 1); (2.0, 4) ]
+    (heap_drain h)
 
 let test_heap_clear () =
   let h = Pairing_heap.create () in
-  Pairing_heap.push h 1.0 ();
+  Pairing_heap.push h 1.0 0;
+  ignore (Pairing_heap.pop_min h);
+  Pairing_heap.push h 1.0 1;
+  Pairing_heap.push h 2.0 2;
   Pairing_heap.clear h;
-  Alcotest.(check bool) "cleared" true (Pairing_heap.is_empty h)
+  Alcotest.(check bool) "cleared" true (Pairing_heap.is_empty h);
+  Alcotest.(check int) "length" 0 (Pairing_heap.length h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order"
     QCheck.(list (float_range 0.0 1e6))
     (fun xs ->
       let h = Pairing_heap.create () in
-      List.iter (fun x -> Pairing_heap.push h x x) xs;
-      let rec drain acc =
-        match Pairing_heap.pop h with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
-      let drained = drain [] in
-      drained = List.sort compare xs)
+      List.iteri (fun i x -> Pairing_heap.push h x i) xs;
+      List.map fst (heap_drain h) = List.sort compare xs)
 
-(* Random interleaved pushes and pops over three priorities (so ties
-   are the common case) against a reference list ordered by
-   (priority, push index): every pop, peek and length must agree. *)
+(* Random interleaved pushes and pops against a reference list ordered
+   by (priority, push index): every pop, minimum and length must agree.
+   Pushes land on three fixed priorities (so ties are the common case),
+   at the priority last popped (the lane) and one below it (a
+   non-monotone push that the lane must not absorb). *)
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap interleaved ops match (prio, push index) order"
     ~count:300
-    QCheck.(list (option (int_range 0 2)))
+    QCheck.(list (pair (int_range 0 5) (int_range 0 2)))
     (fun ops ->
       let h = Pairing_heap.create () in
-      let reference = ref [] and pushed = ref 0 in
-      let entry = function
-        | [] -> None
-        | e :: _ -> Some (float_of_int (fst e), snd e)
-      in
+      let reference = ref [] and pushed = ref 0 and last = ref 0 in
       List.for_all
-        (fun op ->
+        (fun (kind, p) ->
           let pop_ok =
-            match op with
-            | Some p ->
-                Pairing_heap.push h (float_of_int p) !pushed;
-                reference := List.merge compare !reference [ (p, !pushed) ];
-                incr pushed;
-                true
-            | None ->
-                let expect = entry !reference in
-                reference := (match !reference with [] -> [] | _ :: r -> r);
-                Pairing_heap.pop h = expect
+            if kind <= 1 then
+              match !reference with
+              | [] -> Pairing_heap.is_empty h
+              | (p, v) :: rest ->
+                  reference := rest;
+                  last := p;
+                  let got_p = Pairing_heap.min_prio h in
+                  got_p = float_of_int p && Pairing_heap.pop_min h = v
+            else begin
+              let p =
+                if kind <= 3 then p else if kind = 4 then !last else !last - 1
+              in
+              Pairing_heap.push h (float_of_int p) !pushed;
+              reference := List.merge compare !reference [ (p, !pushed) ];
+              incr pushed;
+              true
+            end
           in
           pop_ok
-          && Pairing_heap.peek h = entry !reference
-          && Pairing_heap.length h = List.length !reference)
+          && Pairing_heap.length h = List.length !reference
+          &&
+          match !reference with
+          | [] -> Pairing_heap.is_empty h
+          | (p, _) :: _ -> Pairing_heap.min_prio h = float_of_int p)
         ops)
 
 let test_heap_tiebreak_at_scale () =
@@ -315,18 +347,17 @@ let test_heap_tiebreak_at_scale () =
     Pairing_heap.push h (float_of_int (i mod 4)) i
   done;
   let last_seen = Array.make 4 (-1) in
-  let rec drain prev_prio =
-    match Pairing_heap.pop h with
-    | None -> ()
-    | Some (p, v) ->
-        if p < prev_prio then Alcotest.fail "priority went backwards";
-        let b = int_of_float p in
-        if v <= last_seen.(b) then
-          Alcotest.failf "FIFO violated at prio %d: %d after %d" b v last_seen.(b);
-        last_seen.(b) <- v;
-        drain p
-  in
-  drain neg_infinity;
+  let prev_prio = ref neg_infinity in
+  while not (Pairing_heap.is_empty h) do
+    let p = Pairing_heap.min_prio h in
+    let v = Pairing_heap.pop_min h in
+    if p < !prev_prio then Alcotest.fail "priority went backwards";
+    let b = int_of_float p in
+    if v <= last_seen.(b) then
+      Alcotest.failf "FIFO violated at prio %d: %d after %d" b v last_seen.(b);
+    last_seen.(b) <- v;
+    prev_prio := p
+  done;
   (* The last value drained per priority must be the last pushed. *)
   Array.iteri
     (fun b last ->
@@ -336,8 +367,9 @@ let test_heap_tiebreak_at_scale () =
     last_seen
 
 let test_heap_grow_boundary () =
-  (* The backing arrays start at 16 and double; exercise push/pop right
-     at the boundaries, including popping down across one. *)
+  (* The backing arrays (heap and lane) start at 16 and double;
+     exercise push/pop right at the boundaries, including popping down
+     across one. *)
   let h = Pairing_heap.create () in
   List.iter
     (fun n ->
@@ -347,14 +379,32 @@ let test_heap_grow_boundary () =
       Alcotest.(check int) "length" n (Pairing_heap.length h);
       let prev = ref neg_infinity in
       for _ = 1 to n do
-        match Pairing_heap.pop h with
-        | None -> Alcotest.fail "heap drained early"
-        | Some (p, _) ->
-            if p < !prev then Alcotest.fail "priority went backwards";
-            prev := p
+        if Pairing_heap.is_empty h then Alcotest.fail "heap drained early";
+        let p = Pairing_heap.min_prio h in
+        ignore (Pairing_heap.pop_min h);
+        if p < !prev then Alcotest.fail "priority went backwards";
+        prev := p
       done;
       Alcotest.(check bool) "drained" true (Pairing_heap.is_empty h))
-    [ 15; 16; 17; 31; 32; 33 ]
+    [ 15; 16; 17; 31; 32; 33 ];
+  (* The lane's ring wraps and grows: after popping at 0.0, keep it
+     [n] deep while cycling entries through it. *)
+  List.iter
+    (fun n ->
+      Pairing_heap.clear h;
+      Pairing_heap.push h 0.0 (-1);
+      ignore (Pairing_heap.pop_min h);
+      for i = 0 to n - 1 do
+        Pairing_heap.push h 0.0 i
+      done;
+      for i = n to (3 * n) - 1 do
+        Alcotest.(check int) "lane FIFO" (i - n) (Pairing_heap.pop_min h);
+        Pairing_heap.push h 0.0 i
+      done;
+      Alcotest.(check (list int)) "lane drains in order"
+        (List.init n (fun i -> (2 * n) + i))
+        (List.map snd (heap_drain h)))
+    [ 15; 16; 17; 33 ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -578,6 +628,10 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
+          Alcotest.test_case "lane after older tie" `Quick
+            test_heap_lane_after_older_tie;
+          Alcotest.test_case "lane keeps its priority" `Quick
+            test_heap_lane_keeps_priority;
           Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "tiebreak at 1e5" `Quick test_heap_tiebreak_at_scale;
           Alcotest.test_case "grow boundary" `Quick test_heap_grow_boundary;
