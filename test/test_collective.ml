@@ -443,6 +443,106 @@ let test_broadcast_pinned () =
   Alcotest.(check int) "corpus size" (List.length pinned_digests) (List.length got)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned forwarding DAGs                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every route Par builds, reduced to one digest per (fabric, scheme)
+   cell over each route's edge links, deliveries, CSR offsets,
+   successors, roots and tree split, for six broadcasts on one shared
+   path cache.  Any change to edge numbering, successor order or root
+   order fails with the cell's name; so does a different path pick.
+   Orca's cell runs each collective's plan drawn from a fixed seed.
+   The digests were recorded before the builder moved from lists to
+   arrays. *)
+let dag_fabrics =
+  [
+    ("ft-k8", Fabric.fat_tree ~k:8 ~hosts_per_tor:4 ~gpus_per_host:2 (), 32);
+    ("ls-4x8", Fabric.leaf_spine ~gpus_per_host:2 ~spines:4 ~leaves:8 ~hosts_per_leaf:2 (), 16);
+  ]
+
+let dag_schemes =
+  Scheme.[ Ring; Btree; Dbtree; Optimal; Orca; Peel; Peel_prog_cores; Peel_multitree 3 ]
+
+let route_digest_into b (r : Par.route) =
+  let ints tag a =
+    Buffer.add_string b tag;
+    Array.iter (Printf.bprintf b " %d") a;
+    Buffer.add_char b ';'
+  in
+  let d = r.Par.dag in
+  ints "link" d.Peel_sim.Soa.d_link;
+  ints "deliver" d.Peel_sim.Soa.d_deliver;
+  ints "off" d.Peel_sim.Soa.d_succ_off;
+  ints "succ" d.Peel_sim.Soa.d_succ;
+  ints "roots" d.Peel_sim.Soa.d_roots;
+  ints "trees" r.Par.trees
+
+let dag_corpus () =
+  List.concat_map
+    (fun (fname, fabric, scale) ->
+      let specs =
+        Spec.poisson_broadcasts fabric (Rng.create 20) ~n:6 ~scale ~bytes:8e6 ~load:0.5 ~fragmentation:0.6 ()
+      in
+      List.map
+        (fun scheme ->
+          let paths = Paths.create fabric in
+          let rng = Rng.create 3 in
+          let b = Buffer.create 4096 in
+          List.iter
+            (fun (spec : Spec.collective) ->
+              let routes =
+                match scheme with
+                | Scheme.Orca ->
+                    [|
+                      Par.orca paths spec
+                        (Peel_baselines.Orca.plan fabric ~rng ~source:spec.source
+                           ~dests:spec.dests);
+                    |]
+                | _ -> Par.routes fabric paths scheme spec
+              in
+              Printf.bprintf b "spec %d:" spec.id;
+              Array.iter (route_digest_into b) routes)
+            specs;
+          ( fname ^ "/" ^ Scheme.to_string scheme,
+            String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16 ))
+        dag_schemes)
+    dag_fabrics
+
+let pinned_dags =
+  [
+    ("ft-k8/ring", "b423d731df14c5e6");
+    ("ft-k8/tree", "1b851e77e85bc4af");
+    ("ft-k8/dbtree", "2a920d91628fdde7");
+    ("ft-k8/optimal", "01f0cc1f992b6c1a");
+    ("ft-k8/orca", "af1594cd64566ced");
+    ("ft-k8/peel", "f702aa8006f4f40a");
+    ("ft-k8/peel+cores", "4247c9a4d637e4ae");
+    ("ft-k8/peel-mt3", "e5b56e0c5170d0e9");
+    ("ls-4x8/ring", "013c5a090e96e5cf");
+    ("ls-4x8/tree", "4bbb2038e4818315");
+    ("ls-4x8/dbtree", "ce4371a78170507e");
+    ("ls-4x8/optimal", "a853937f9a25eae3");
+    ("ls-4x8/orca", "60afbd7fe7c4255c");
+    ("ls-4x8/peel", "20fa915958931a82");
+    ("ls-4x8/peel+cores", "09359e6e1cd77d1c");
+    ("ls-4x8/peel-mt3", "56f55eff33b2d8da");
+  ]
+
+let test_dags_pinned () =
+  let got = dag_corpus () in
+  let drifted =
+    List.filter_map
+      (fun (name, d) ->
+        match List.assoc_opt name pinned_dags with
+        | Some want when want = d -> None
+        | Some want -> Some (Printf.sprintf "%s: %s, pinned %s" name d want)
+        | None -> Some (name ^ ": not pinned"))
+      got
+  in
+  if drifted <> [] then Alcotest.failf "drifted DAGs:\n%s" (String.concat "\n" drifted);
+  Alcotest.(check int) "corpus size" (List.length pinned_dags) (List.length got)
+
+(* ------------------------------------------------------------------ *)
 (* Paths: destination-bounded search vs a full BFS per query          *)
 (* ------------------------------------------------------------------ *)
 
@@ -596,7 +696,11 @@ let () =
           Alcotest.test_case "guard timer improves" `Slow test_guard_timer_improves_cct;
           Alcotest.test_case "cc noop when idle" `Quick test_cc_noop_when_uncongested;
         ] );
-      ("pinned", [ Alcotest.test_case "broadcast corpus digests" `Quick test_broadcast_pinned ]);
+      ( "pinned",
+        [
+          Alcotest.test_case "broadcast corpus digests" `Quick test_broadcast_pinned;
+          Alcotest.test_case "par DAG digests" `Quick test_dags_pinned;
+        ] );
       ( "paths",
         [
           QCheck_alcotest.to_alcotest prop_paths_match_full_bfs;
