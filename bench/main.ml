@@ -13,8 +13,9 @@
    Every run (except [guard]) also writes BENCH.json (schema
    peel-bench/2) to the invocation directory: per-experiment wall time
    (plus speedup against the committed baseline when comparable),
-   Bechamel ns/run and its OLS r² per algorithm, the worker count, and
-   a headline CCT comparison across the schemes.
+   Bechamel ns/run and its OLS r² per algorithm, the minor words per
+   event of the sharded event loop's row, the worker count, and a
+   headline CCT comparison across the schemes.
 
    [guard] recomputes the deterministic sections (headline CCTs, the
    Quick failover and refinement tables) plus a jobs=1 vs jobs=4 sweep
@@ -129,7 +130,61 @@ let engine_walker_row () =
          horizon := !horizon +. 0.625;
          E.run ~until:!horizon e))
 
-let micro_tests () =
+let shard_run_row = "shard_run_k32_btree_6x512"
+
+(* sim-scale's shape (benchmark/sim.ml, seed 0): six 512-GPU 64 MB
+   broadcasts on a k=32 fat-tree, each flattened on a fresh path cache,
+   then sharded, planned and run on one shard.  One row per stage:
+   btree's [Par.flatten] (the costliest of sim-scale's three schemes),
+   [Soa.shard] + [Shard.plan] over its flows, and [Shard.run] over that
+   plan, which is returned too. *)
+let sim_scale_rows k32 =
+  let open Bechamel in
+  let module Soa = Peel_sim.Soa in
+  let cs =
+    Peel_workload.Spec.poisson_broadcasts k32 (Rng.create 100) ~n:6 ~scale:512
+      ~bytes:(Common.mb 64.) ~load:0.3 ()
+  in
+  let flatten () =
+    Array.concat
+      (List.map
+         (fun c ->
+           Peel_collective.Par.flatten k32
+             (Peel_collective.Paths.create ~ecmp:true k32)
+             ~chunks:8 Peel_collective.Scheme.Btree [ c ])
+         cs)
+  in
+  let flows = flatten () in
+  let links = Soa.links_of_graph (Peel_topology.Fabric.graph k32) in
+  let min_bytes =
+    Array.fold_left (fun acc (f : Soa.flow) -> Float.min acc f.Soa.f_chunk_bytes) infinity flows
+  in
+  let plan () =
+    Peel_sim.Shard.plan ~links ~sharding:(Soa.shard k32 ~jobs:1 ~min_bytes) flows
+  in
+  let built = plan () in
+  ( [
+      Test.make ~name:"par_flatten_k32_btree_6x512"
+        (Staged.stage (fun () -> ignore (flatten ())));
+      Test.make ~name:"shard_plan_k32_btree_6x512" (Staged.stage (fun () -> ignore (plan ())));
+      Test.make ~name:shard_run_row
+        (Staged.stage (fun () -> ignore (Peel_sim.Shard.run built)));
+    ],
+    built )
+
+(* Minor words one [Shard.run] of [plan] allocates, averaged over five
+   runs after a warm-up, and its event count: the per-run set-up
+   against the per-event loop. *)
+let shard_run_minor_words plan =
+  let events = (Peel_sim.Shard.run plan).Peel_sim.Shard.r_events in
+  let reps = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Peel_sim.Shard.run plan)
+  done;
+  ((Gc.minor_words () -. w0) /. float_of_int reps, events)
+
+let micro_tests ~k32 ~stage_rows =
   let open Bechamel in
   let fabric = Common.fig5_fabric () in
   let g = Peel_topology.Fabric.graph fabric in
@@ -196,8 +251,7 @@ let micro_tests () =
     engine_walker_row ();
     (* One fig6-style cell on a k=32 fat-tree (16384 GPUs), flattened
        and executed on the sharded engine end to end. *)
-    (let k32 = Peel_topology.Fabric.fat_tree ~k:32 ~hosts_per_tor:4 ~gpus_per_host:8 () in
-     let cs =
+    (let cs =
        Peel_workload.Spec.poisson_broadcasts k32 (Rng.create 100) ~n:4
          ~scale:256 ~bytes:(Common.mb 64.) ~load:0.3 ()
      in
@@ -205,6 +259,7 @@ let micro_tests () =
        (Staged.stage (fun () ->
             ignore (Peel_collective.Par.run ~jobs:4 k32 Peel_collective.Scheme.Peel cs))));
   ]
+  @ stage_rows
   @ List.map (fun e -> heap_hold_row ~pending:(1 lsl e)) [ 15; 18; 20 ]
 
 (* Total extraction: every declared test element yields one row, even
@@ -222,6 +277,8 @@ let run_micro () =
     Benchmark.cfg ~limit:2000 ~stabilize:true
       ~quota:(Time.second 0.5) ()
   in
+  let k32 = Peel_topology.Fabric.fat_tree ~k:32 ~hosts_per_tor:4 ~gpus_per_host:8 () in
+  let stage_rows, built = sim_scale_rows k32 in
   let results =
     List.concat_map
       (fun test ->
@@ -243,11 +300,14 @@ let run_micro () =
                   | _ -> None),
                   finite (Analyze.OLS.r_square ols_result) ))
           (Test.elements test))
-      (micro_tests ())
+      (micro_tests ~k32 ~stage_rows)
   in
   Peel_util.Table.print ~header:[ "algorithm"; "time per run"; "r2" ]
     (Common.micro_table_rows results);
-  results
+  let words, events = shard_run_minor_words built in
+  Printf.printf "%s: %.0f minor words per run, %.4f per event (%d events)\n"
+    shard_run_row words (words /. float_of_int events) events;
+  (results, [ (shard_run_row, words /. float_of_int events) ])
 
 (* ------------------------------------------------------------------ *)
 (* BENCH.json: machine-readable run record                             *)
@@ -309,7 +369,7 @@ let baseline_wall_for baseline ~mode name =
                 entries)
       | _ -> None)
 
-let write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
+let write_bench_json ~mode ~baseline ~exp_times ~micro:(micro, micro_words) ~headline ~failover
     ~refinement ~compile ~scale ~scale_speedup ~service ~service_slo
     ~serve_scale ~serve_scale_slo ~zoo ~total =
   let opt_num = function Some x -> Json.num x | None -> Json.Null in
@@ -342,6 +402,8 @@ let write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
          ( "micro_r2",
            Json.Obj (List.map (fun (name, _, r2) -> (name, opt_num r2)) micro)
          );
+         ( "micro_minor_words_per_event",
+           Json.Obj (List.map (fun (name, w) -> (name, Json.num w)) micro_words) );
          ("headline_cct", headline_json headline);
          ("failover_degradation", failover);
          ("refinement", refinement);
@@ -586,7 +648,7 @@ let () =
         experiments
     in
     let micro =
-      if run_all || List.mem "micro" selections then run_micro () else []
+      if run_all || List.mem "micro" selections then run_micro () else ([], [])
     in
     let headline = headline_ccts () in
     (* Always at Quick scale: a deterministic CCT-degradation record for

@@ -17,63 +17,64 @@ let supported = function
 let bucket tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:[]
 let push tbl k v = Hashtbl.replace tbl k (v :: bucket tbl k)
 
-type builder = {
-  mutable b_links : int list;     (* reversed: head is newest edge *)
-  mutable b_delivers : int list;
-  mutable b_n : int;
-  b_succs : (int, int list) Hashtbl.t;  (* edge -> successors, reversed *)
-  mutable b_roots : int list;     (* reversed *)
-}
+type column = { mutable a : int array; mutable n : int }
 
-let b_create () =
-  { b_links = []; b_delivers = []; b_n = 0; b_succs = Hashtbl.create 64; b_roots = [] }
+let column () = { a = Array.make 64 0; n = 0 }
+
+let append c v =
+  if c.n = Array.length c.a then begin
+    let a = Array.make (2 * c.n) 0 in
+    Array.blit c.a 0 a 0 c.n;
+    c.a <- a
+  end;
+  c.a.(c.n) <- v;
+  c.n <- c.n + 1
+
+(* Edges are numbered in the order they are added.  [b_edges] holds
+   (link, deliver) per edge and [b_succs] (from, next) per successor
+   link, both interleaved; [freeze] sorts the pairs into CSR by [from],
+   keeping each edge's successors in the order they were added. *)
+type builder = { b_edges : column; b_succs : column; b_roots : column }
+
+let b_create () = { b_edges = column (); b_succs = column (); b_roots = column () }
 
 let add_edge b ~link ~deliver =
-  let e = b.b_n in
-  b.b_links <- link :: b.b_links;
-  b.b_delivers <- deliver :: b.b_delivers;
-  b.b_n <- e + 1;
+  let e = b.b_edges.n / 2 in
+  append b.b_edges link;
+  append b.b_edges deliver;
   e
-
-let add_succ b ~from ~next = push b.b_succs from next
-
-let add_root b e = b.b_roots <- e :: b.b_roots
 
 (* Hang edge [e] under [incoming], or release it at the source. *)
 let attach b ~incoming e =
   match incoming with
-  | None -> add_root b e
-  | Some pe -> add_succ b ~from:pe ~next:e
+  | None -> append b.b_roots e
+  | Some pe ->
+      append b.b_succs pe;
+      append b.b_succs e
 
 let freeze b : Soa.dag =
-  let n = b.b_n in
-  let link = Array.make n 0 and deliver = Array.make n (-1) in
-  List.iteri (fun i l -> link.(n - 1 - i) <- l) b.b_links;
-  List.iteri (fun i d -> deliver.(n - 1 - i) <- d) b.b_delivers;
+  let edges = b.b_edges.a and pairs = b.b_succs.a in
+  let n = b.b_edges.n / 2 and np = b.b_succs.n / 2 in
   let off = Array.make (n + 1) 0 in
-  for e = 0 to n - 1 do
-    let deg =
-      match Hashtbl.find_opt b.b_succs e with
-      | None -> 0
-      | Some l -> List.length l
-    in
-    off.(e + 1) <- off.(e) + deg
+  for i = 0 to np - 1 do
+    let from = pairs.(2 * i) in
+    off.(from + 1) <- off.(from + 1) + 1
   done;
-  let succ = Array.make off.(n) 0 in
   for e = 0 to n - 1 do
-    match Hashtbl.find_opt b.b_succs e with
-    | None -> ()
-    | Some l ->
-        List.iteri
-          (fun i s -> succ.(off.(e + 1) - 1 - i) <- s)
-          l
+    off.(e + 1) <- off.(e + 1) + off.(e)
+  done;
+  let next = Array.sub off 0 n and succ = Array.make np 0 in
+  for i = 0 to np - 1 do
+    let from = pairs.(2 * i) in
+    succ.(next.(from)) <- pairs.((2 * i) + 1);
+    next.(from) <- next.(from) + 1
   done;
   {
-    Soa.d_link = link;
-    d_deliver = deliver;
+    Soa.d_link = Array.init n (fun e -> edges.(2 * e));
+    d_deliver = Array.init n (fun e -> edges.((2 * e) + 1));
     d_succ_off = off;
     d_succ = succ;
-    d_roots = Array.of_list (List.rev b.b_roots);
+    d_roots = Array.sub b.b_roots.a 0 b.b_roots.n;
   }
 
 (* A unicast logical hop: the chain of links [path], entered after
@@ -124,16 +125,21 @@ let btree fabric paths dest_set (spec : Spec.collective) =
   let order = bt.Peel_baselines.Binary_tree.order in
   let n = Array.length order in
   let rec emit pos ~incoming =
+    (* Both children's paths before either chain: the two queries share
+       a source, so one destination-bounded search serves both, where
+       emitting the first child's subtree in between would restart it. *)
+    let hops =
+      List.filter_map
+        (fun child ->
+          if child < n then Some (child, Paths.links paths order.(pos) order.(child))
+          else None)
+        [ (2 * pos) + 1; (2 * pos) + 2 ]
+    in
     List.iter
-      (fun child ->
-        if child < n then begin
-          let path = Paths.links paths order.(pos) order.(child) in
-          let last =
-            chain b ~incoming ~deliver:(mem_dest dest_set order.(child)) path
-          in
-          emit child ~incoming:(Some last)
-        end)
-      [ (2 * pos) + 1; (2 * pos) + 2 ]
+      (fun (child, path) ->
+        let last = chain b ~incoming ~deliver:(mem_dest dest_set order.(child)) path in
+        emit child ~incoming:(Some last))
+      hops
   in
   emit 0 ~incoming:None;
   of_chains b

@@ -16,15 +16,27 @@ type plan = {
   p_links : Soa.links;
   p_shard : Soa.sharding;
   p_flows : Soa.flow array;
-  p_stride : int;   (* key stride between chunks: max edges over all DAGs *)
-  p_cstride : int;  (* key stride between flows: max chunk count *)
+  p_ebits : int;  (* key bits of the edge field: edges < 2^p_ebits in every DAG *)
+  p_cbits : int;  (* key bits of the chunk field: chunks < 2^p_cbits in every flow *)
 }
+
+(* An event's key packs (flow, chunk, edge) into power-of-two fields,
+   flow highest.  Each field stays below its width, so the keys order
+   like the triples do, and a shift and a mask decode each field. *)
+let[@inline] key p ~flow ~chunk ~edge = (((flow lsl p.p_cbits) lor chunk) lsl p.p_ebits) lor edge
 
 let plan ~links ~sharding flows =
   Array.iter
     (fun (f : Soa.flow) ->
       if f.Soa.f_chunks < 1 then invalid_arg "Shard.plan: f_chunks >= 1";
       if Array.length f.Soa.f_dags = 0 then invalid_arg "Shard.plan: flow without DAGs";
+      if not (Float.is_finite f.Soa.f_arrival && f.Soa.f_arrival >= 0.0) then
+        invalid_arg "Shard.plan: f_arrival must be finite and >= 0";
+      (* A flow whose DAGs have no edge sends nothing, so its chunk
+         size never reaches a link. *)
+      if Soa.flow_max_edges f > 0
+         && not (Float.is_finite f.Soa.f_chunk_bytes && f.Soa.f_chunk_bytes > 0.0)
+      then invalid_arg "Shard.plan: f_chunk_bytes must be finite and > 0";
       Array.iter
         (fun d ->
           match Soa.validate_dag links d with
@@ -32,13 +44,13 @@ let plan ~links ~sharding flows =
           | Error m -> invalid_arg ("Shard.plan: bad DAG: " ^ m))
         f.Soa.f_dags)
     flows;
-  let stride =
-    max 1 (Array.fold_left (fun acc f -> max acc (Soa.flow_max_edges f)) 0 flows)
-  in
-  let cstride =
-    max 1 (Array.fold_left (fun acc (f : Soa.flow) -> max acc f.Soa.f_chunks) 0 flows)
-  in
-  { p_links = links; p_shard = sharding; p_flows = flows; p_stride = stride; p_cstride = cstride }
+  let bits_for n = Peel_util.Bits.ceil_log2 (max 1 n) in
+  let widest g = Array.fold_left (fun acc f -> max acc (g f)) 0 flows in
+  let ebits = bits_for (widest Soa.flow_max_edges) in
+  let cbits = bits_for (widest (fun (f : Soa.flow) -> f.Soa.f_chunks)) in
+  if bits_for (Array.length flows) + cbits + ebits > 62 then
+    invalid_arg "Shard.plan: a (flow, chunk, edge) key needs more than 62 bits";
+  { p_links = links; p_shard = sharding; p_flows = flows; p_ebits = ebits; p_cbits = cbits }
 
 let nshards p = p.p_shard.Soa.s_n
 
@@ -69,14 +81,19 @@ let fnv_basis = 0x2545F4914F6CDD1D
 
 let fnv h v = ((h lxor v) * fnv_prime) land max_int
 
-let fingerprint_delivery acc ~flow ~chunk ~node ~time =
+let[@inline] fingerprint_delivery acc ~flow ~chunk ~node ~time =
   let tb = Int64.to_int (Int64.bits_of_float time) in
   acc lxor (fnv (fnv (fnv (fnv fnv_basis flow) chunk) node) tb)
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard event queue: a flat binary heap over (time, key) with no
    insertion sequence — keys are globally unique and statically
-   ordered, which is precisely what makes jobs-n deterministic.        *)
+   ordered, which is precisely what makes jobs-n deterministic.  Every
+   (flow, chunk, edge) enters a queue at most once (a DAG edge has one
+   parent or is a root), so the (time, key) pairs are distinct and any
+   correct min-heap pops the same sequence.  Push and pop sift a hole:
+   one store per level, and the entry lands once at the end.  Push is
+   inlined so its time stays an unboxed float.                          *)
 (* ------------------------------------------------------------------ *)
 
 type queue = {
@@ -87,61 +104,66 @@ type queue = {
 
 let q_create () = { qp = Array.make 256 0.0; qk = Array.make 256 0; qn = 0 }
 
-let q_less q i j = q.qp.(i) < q.qp.(j) || (q.qp.(i) = q.qp.(j) && q.qk.(i) < q.qk.(j))
+let q_grow q =
+  let ncap = 2 * Array.length q.qp in
+  let qp = Array.make ncap 0.0 and qk = Array.make ncap 0 in
+  Array.blit q.qp 0 qp 0 q.qn;
+  Array.blit q.qk 0 qk 0 q.qn;
+  q.qp <- qp;
+  q.qk <- qk
 
-let q_swap q i j =
-  let p = q.qp.(i) in
-  q.qp.(i) <- q.qp.(j);
-  q.qp.(j) <- p;
-  let k = q.qk.(i) in
-  q.qk.(i) <- q.qk.(j);
-  q.qk.(j) <- k
-
-let q_push q t key =
-  if q.qn >= Array.length q.qp then begin
-    let ncap = 2 * Array.length q.qp in
-    let qp = Array.make ncap 0.0 and qk = Array.make ncap 0 in
-    Array.blit q.qp 0 qp 0 q.qn;
-    Array.blit q.qk 0 qk 0 q.qn;
-    q.qp <- qp;
-    q.qk <- qk
-  end;
-  q.qp.(q.qn) <- t;
-  q.qk.(q.qn) <- key;
+let[@inline] q_push q t key =
+  if q.qn = Array.length q.qp then q_grow q;
+  let qp = q.qp and qk = q.qk in
+  let i = ref q.qn in
   q.qn <- q.qn + 1;
-  let i = ref (q.qn - 1) in
   let continue = ref true in
   while !continue && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if q_less q !i parent then begin
-      q_swap q !i parent;
+    let parent = (!i - 1) lsr 1 in
+    let pt = qp.(parent) in
+    if t < pt || (t = pt && key < qk.(parent)) then begin
+      qp.(!i) <- pt;
+      qk.(!i) <- qk.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  qp.(!i) <- t;
+  qk.(!i) <- key
 
+(* Remove the minimum and return its key; its time is [q.qp.(0)],
+   which the caller reads first.  Precondition: qn > 0. *)
 let q_pop q =
-  (* Precondition: qn > 0. *)
-  let t = q.qp.(0) and key = q.qk.(0) in
-  q.qn <- q.qn - 1;
-  if q.qn > 0 then begin
-    q.qp.(0) <- q.qp.(q.qn);
-    q.qk.(0) <- q.qk.(q.qn);
+  let qp = q.qp and qk = q.qk in
+  let top = qk.(0) in
+  let n = q.qn - 1 in
+  q.qn <- n;
+  if n > 0 then begin
+    let t = qp.(n) and key = qk.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.qn && q_less q l !smallest then smallest := l;
-      if r < q.qn && q_less q r !smallest then smallest := r;
-      if !smallest <> !i then begin
-        q_swap q !smallest !i;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (qp.(r) < qp.(l) || (qp.(r) = qp.(l) && qk.(r) < qk.(l))) then r
+          else l
+        in
+        let ct = qp.(c) in
+        if ct < t || (ct = t && qk.(c) < key) then begin
+          qp.(!i) <- ct;
+          qk.(!i) <- qk.(c);
+          i := c
+        end
+        else continue := false
       end
-      else continue := false
-    done
+    done;
+    qp.(!i) <- t;
+    qk.(!i) <- key
   end;
-  (t, key)
+  top
 
 (* Cross-shard mailboxes: written by the source shard during a window,
    drained (and reset) by the destination shard at the closing barrier. *)
@@ -220,18 +242,22 @@ type ctx = {
   c_audits : audit_record list ref array;  (* per shard, newest first *)
 }
 
-let exec ctx me t key =
+(* Inlined into [worker], so [t] and every time derived from it stay
+   unboxed floats: an event allocates nothing. *)
+let[@inline] exec ctx me q t key =
   let p = ctx.c_plan in
-  let e = key mod p.p_stride in
-  let fc = key / p.p_stride in
-  let c = fc mod p.p_cstride in
-  let fi = fc / p.p_cstride in
+  let e = key land ((1 lsl p.p_ebits) - 1) in
+  let c = (key lsr p.p_ebits) land ((1 lsl p.p_cbits) - 1) in
+  let fi = key lsr (p.p_ebits + p.p_cbits) in
   let f = p.p_flows.(fi) in
   let d = f.Soa.f_dags.(c mod Array.length f.Soa.f_dags) in
   let lid = d.Soa.d_link.(e) in
   (* Same expressions, same order as Link_state.reserve + arrival:
-     identical rounding keeps parity with the sequential engine. *)
-  let start = Float.max t ctx.c_free.(lid) in
+     identical rounding keeps parity with the sequential engine.  Times
+     are finite and >= 0 (Shard.plan checks arrivals), so the plain
+     comparison picks what [Float.max] would. *)
+  let free = ctx.c_free.(lid) in
+  let start = if t > free then t else free in
   let tx = f.Soa.f_chunk_bytes /. p.p_links.Soa.l_bw.(lid) in
   let finish = start +. tx in
   ctx.c_free.(lid) <- finish;
@@ -246,12 +272,12 @@ let exec ctx me t key =
       fingerprint_delivery ctx.c_fps.(me) ~flow:f.Soa.f_id ~chunk:c ~node:dst
         ~time:arr
   end;
-  let base = fc * p.p_stride in
+  let base = key lxor e in
   for i = d.Soa.d_succ_off.(e) to d.Soa.d_succ_off.(e + 1) - 1 do
     let e' = d.Soa.d_succ.(i) in
     let owner = p.p_shard.Soa.s_of_link.(d.Soa.d_link.(e')) in
-    if owner = me then q_push ctx.c_queues.(me) arr (base + e')
-    else o_push ctx.c_out.(me).(owner) arr (base + e')
+    if owner = me then q_push q arr (base lor e')
+    else o_push ctx.c_out.(me).(owner) arr (base lor e')
   done;
   ctx.c_evs.(me) <- ctx.c_evs.(me) + 1
 
@@ -273,9 +299,10 @@ let worker ctx me =
       let max_exec = ref neg_infinity in
       let evs0 = ctx.c_evs.(me) in
       while q.qn > 0 && q.qp.(0) < bound do
-        let t, key = q_pop q in
+        let t = q.qp.(0) in
+        let k = q_pop q in
         max_exec := t;
-        exec ctx me t key
+        exec ctx me q t k
       done;
       b_wait ctx.c_barrier;
       let min_in = ref infinity in
@@ -333,11 +360,10 @@ let run ?(audit = false) p =
       let ndags = Array.length f.Soa.f_dags in
       for c = 0 to f.Soa.f_chunks - 1 do
         let d = f.Soa.f_dags.(c mod ndags) in
-        let base = ((fi * p.p_cstride) + c) * p.p_stride in
         Array.iter
           (fun r ->
             let owner = p.p_shard.Soa.s_of_link.(d.Soa.d_link.(r)) in
-            q_push ctx.c_queues.(owner) f.Soa.f_arrival (base + r))
+            q_push ctx.c_queues.(owner) f.Soa.f_arrival (key p ~flow:fi ~chunk:c ~edge:r))
           d.Soa.d_roots
       done)
     p.p_flows;

@@ -12,7 +12,12 @@
     the closing barrier.  No null messages are ever sent.
 
     {b Determinism.}  Every event carries a static integer key encoding
-    (flow, chunk, edge), and each shard pops in (time, key) order.
+    (flow, chunk, edge), and each shard pops in (time, key) order.  The
+    key packs the three into power-of-two fields, flow highest: the
+    edge field is wide enough for the largest DAG, the chunk field for
+    the largest chunk count, the flow field for the flow count.  Each
+    field stays below its width, so keys order like the triples, and a
+    shift and a mask decode each field.
     Because a link is reserved only by its owning shard, the
     per-link reservation sequence is the (time, key) total order
     restricted to that link — independent of the shard count — and the
@@ -31,8 +36,12 @@ type plan
 
 val plan : links:Soa.links -> sharding:Soa.sharding -> Soa.flow array -> plan
 (** Validate every flow's DAGs against the link table and freeze the
-    key layout.  Raises [Invalid_argument] on a malformed DAG or a
-    flow with [f_chunks < 1]. *)
+    key layout.  Raises [Invalid_argument] on a malformed DAG, a flow
+    with [f_chunks < 1], an [f_arrival] that is not finite and [>= 0],
+    an [f_chunk_bytes] that is not finite and [> 0] on a flow whose
+    DAGs have an edge (a flow without one sends nothing), or a key
+    layout wider than 62 bits: [ceil_log2] of the flow count, the
+    largest chunk count and the largest DAG's edge count, summed. *)
 
 val nshards : plan -> int
 (** Worker count the plan will run with ([1] = sequential drain). *)

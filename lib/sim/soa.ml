@@ -37,31 +37,42 @@ let lookahead_haircut = 1.0 -. 1e-6
 
 let shard fabric ~jobs ~min_bytes =
   if jobs < 1 then invalid_arg "Soa.shard: jobs >= 1";
-  if min_bytes <= 0.0 then invalid_arg "Soa.shard: min_bytes > 0";
+  if not (min_bytes > 0.0) then invalid_arg "Soa.shard: min_bytes > 0";
   let g = Fabric.graph fabric in
   let nshards = max 1 (min jobs (Fabric.pods fabric)) in
-  let nnodes = Graph.num_nodes g in
-  let of_node =
-    Array.init nnodes (fun v ->
-        let nd = Graph.node g v in
-        if nd.Graph.pod >= 0 then nd.Graph.pod mod nshards
-        else nd.Graph.idx mod nshards)
-  in
-  let nlinks = Graph.num_links g in
-  let of_link = Array.make nlinks 0 in
-  let look = ref infinity in
-  for lid = 0 to nlinks - 1 do
-    let l = Graph.link g lid in
-    of_link.(lid) <- of_node.(l.Graph.src);
-    if nshards > 1 && of_node.(l.Graph.src) <> of_node.(l.Graph.dst) then begin
-      let d = l.Graph.latency +. (min_bytes /. l.Graph.bandwidth) in
-      if d < !look then look := d
-    end
-  done;
-  let lookahead =
-    if nshards = 1 then infinity else !look *. lookahead_haircut
-  in
-  { s_n = nshards; s_of_node = of_node; s_of_link = of_link; s_lookahead = lookahead }
+  let nnodes = Graph.num_nodes g and nlinks = Graph.num_links g in
+  if nshards = 1 then
+    (* Everything on shard 0 and no boundary link: one window runs it all. *)
+    {
+      s_n = 1;
+      s_of_node = Array.make nnodes 0;
+      s_of_link = Array.make nlinks 0;
+      s_lookahead = infinity;
+    }
+  else begin
+    let of_node =
+      Array.init nnodes (fun v ->
+          let nd = Graph.node g v in
+          if nd.Graph.pod >= 0 then nd.Graph.pod mod nshards
+          else nd.Graph.idx mod nshards)
+    in
+    let of_link = Array.make nlinks 0 in
+    let look = ref infinity in
+    for lid = 0 to nlinks - 1 do
+      let l = Graph.link g lid in
+      of_link.(lid) <- of_node.(l.Graph.src);
+      if of_node.(l.Graph.src) <> of_node.(l.Graph.dst) then begin
+        let d = l.Graph.latency +. (min_bytes /. l.Graph.bandwidth) in
+        if d < !look then look := d
+      end
+    done;
+    {
+      s_n = nshards;
+      s_of_node = of_node;
+      s_of_link = of_link;
+      s_lookahead = !look *. lookahead_haircut;
+    }
+  end
 
 type dag = {
   d_link : int array;

@@ -54,8 +54,11 @@ val shard : Fabric.t -> jobs:int -> min_bytes:float -> sharding
     smallest chunk any flow will transmit; the lookahead is
     [min over boundary links of (latency + min_bytes / bandwidth)],
     scaled by [1 - 1e-6] so float rounding in the per-hop arithmetic
-    can never push a cross-shard arrival below the window bound.
-    Raises [Invalid_argument] if [jobs < 1] or [min_bytes <= 0]. *)
+    can never push a cross-shard arrival below the window bound.  At
+    one shard every node and link maps to shard 0 and the lookahead is
+    [infinity], with no pass over the fabric.
+    Raises [Invalid_argument] if [jobs < 1] or [min_bytes] is not
+    [> 0] (NaN included). *)
 
 (** {1 Flows}
 
@@ -87,9 +90,11 @@ val validate_dag : links -> dag -> (unit, string) result
 
 type flow = {
   f_id : int;              (** collective id (trace/fingerprint key) *)
-  f_arrival : float;       (** release time of every chunk, seconds *)
+  f_arrival : float;       (** release time of every chunk, seconds
+                               (finite, >= 0) *)
   f_chunks : int;          (** chunk count (>= 1) *)
-  f_chunk_bytes : float;   (** bytes per chunk transmission *)
+  f_chunk_bytes : float;   (** bytes per chunk transmission (finite,
+                               > 0 unless no DAG has an edge) *)
   f_expected : int;        (** deliveries to credit before complete:
                                [chunks * |dests|] *)
   f_dags : dag array;      (** chunk [c] forwards over
@@ -100,6 +105,7 @@ type flow = {
 }
 
 val flow_max_edges : flow -> int
-(** Largest [dag_edges] over the flow's DAG classes — the per-chunk
-    key stride {!Shard} uses to give every (chunk, edge) a unique,
-    order-preserving integer. *)
+(** Largest [dag_edges] over the flow's DAG classes.  {!Shard} sizes
+    its key's edge field from it: [ceil_log2] of the largest value over
+    all flows, in bits, so every (flow, chunk, edge) packs into a
+    unique, order-preserving integer of at most 62 bits. *)

@@ -266,6 +266,122 @@ let test_par_differential_sweep () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Plan and sharding input checks                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Soa = Peel_sim.Soa
+
+let small_fabric () = Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 ()
+
+(* One ring collective at 2 chunks, flattened, with its links and a
+   2-shard sharding. *)
+let small_plan_inputs () =
+  let fabric = small_fabric () in
+  let specs = specs_for fabric ~seed:3 ~n:1 ~scale:4 ~bytes:1e6 in
+  let flows =
+    Par.flatten fabric (Peel_collective.Paths.create fabric) ~chunks:2 Scheme.Ring specs
+  in
+  let links = Soa.links_of_graph (Fabric.graph fabric) in
+  (links, Soa.shard fabric ~jobs:2 ~min_bytes:5e5, flows.(0))
+
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+(* Inputs the sequential engine rejects.  Unchecked, a NaN hangs
+   Shard.run, a negative arrival offsets the CCT by its magnitude, zero
+   or negative bytes give a nonsense CCT, and an infinite arrival ends
+   in a missing-delivery Failure. *)
+let test_plan_rejects_bad_flows () =
+  let links, sharding, f = small_plan_inputs () in
+  let cases =
+    [
+      ("arrival nan", { f with Soa.f_arrival = Float.nan });
+      ("arrival -1", { f with Soa.f_arrival = -1.0 });
+      ("arrival inf", { f with Soa.f_arrival = Float.infinity });
+      ("chunk bytes nan", { f with Soa.f_chunk_bytes = Float.nan });
+      ("chunk bytes 0", { f with Soa.f_chunk_bytes = 0.0 });
+      ("chunk bytes -1e6", { f with Soa.f_chunk_bytes = -1e6 });
+      ("chunk bytes inf", { f with Soa.f_chunk_bytes = Float.infinity });
+    ]
+  in
+  ignore (Shard.plan ~links ~sharding [| f |]);
+  List.iter
+    (fun (what, bad) -> raises_invalid what (fun () -> Shard.plan ~links ~sharding [| bad |]))
+    cases
+
+(* A flow without destinations has no edge and sends nothing, so its
+   chunk size is never used (as in Broadcast.launch). *)
+let test_plan_destinationless_flow () =
+  let links, sharding, f = small_plan_inputs () in
+  let empty =
+    { Soa.d_link = [||]; d_deliver = [||]; d_succ_off = [| 0 |]; d_succ = [||]; d_roots = [||] }
+  in
+  let idle = { f with Soa.f_chunk_bytes = Float.nan; f_expected = 0; f_dags = [| empty |] } in
+  let r = Shard.run (Shard.plan ~links ~sharding [| idle; f |]) in
+  Alcotest.(check (float 0.0)) "idle flow's CCT" 0.0 r.Shard.r_ccts.(0);
+  Alcotest.(check bool) "other flow completes" true (r.Shard.r_ccts.(1) > 0.0)
+
+let test_par_run_rejects_nan_bytes () =
+  let fabric = small_fabric () in
+  let specs =
+    List.map
+      (fun (s : Spec.collective) -> { s with Spec.bytes = Float.nan })
+      (specs_for fabric ~seed:3 ~n:1 ~scale:4 ~bytes:1e6)
+  in
+  List.iter
+    (fun jobs ->
+      raises_invalid (Printf.sprintf "bytes nan, jobs %d" jobs) (fun () ->
+          Par.run ~chunks:2 ~jobs fabric Scheme.Ring specs))
+    [ 1; 2 ]
+
+(* The key packs (flow, chunk, edge) into power-of-two fields: a
+   2-edge DAG takes 1 bit and one flow none, so 2^61 chunks fill 62
+   bits exactly and one chunk more needs a 63rd. *)
+let test_plan_key_width () =
+  let links, sharding, f = small_plan_inputs () in
+  let d = f.Soa.f_dags.(0) in
+  let two =
+    {
+      Soa.d_link = Array.sub d.Soa.d_link 0 2;
+      d_deliver = [| -1; -1 |];
+      d_succ_off = [| 0; 1; 1 |];
+      d_succ = [| 1 |];
+      d_roots = [| 0 |];
+    }
+  in
+  let with_chunks n = [| { f with Soa.f_chunks = n; f_dags = [| two |] } |] in
+  ignore (Shard.plan ~links ~sharding (with_chunks (1 lsl 61)));
+  raises_invalid "63-bit key" (fun () ->
+      Shard.plan ~links ~sharding (with_chunks ((1 lsl 61) + 1)))
+
+(* NaN fails [min_bytes <= 0] too, and would have set a 2-shard
+   lookahead of infinity: one window, cross-shard events behind it. *)
+let test_shard_rejects_nan_min_bytes () =
+  let fabric = small_fabric () in
+  List.iter
+    (fun m ->
+      raises_invalid (Printf.sprintf "min_bytes %g" m) (fun () ->
+          Soa.shard fabric ~jobs:2 ~min_bytes:m))
+    [ Float.nan; 0.0; -1.0 ];
+  let s = Soa.shard fabric ~jobs:2 ~min_bytes:1e6 in
+  Alcotest.(check bool) "finite lookahead at 2 shards" true
+    (s.Soa.s_n = 2 && Float.is_finite s.Soa.s_lookahead)
+
+(* One shard: everything on shard 0, no window bound. *)
+let test_shard_single () =
+  let fabric = small_fabric () in
+  let s = Soa.shard fabric ~jobs:1 ~min_bytes:1e6 in
+  let g = Fabric.graph fabric in
+  Alcotest.(check int) "one shard" 1 s.Soa.s_n;
+  Alcotest.(check bool) "nodes on 0" true
+    (Array.length s.Soa.s_of_node = Graph.num_nodes g && Array.for_all (( = ) 0) s.Soa.s_of_node);
+  Alcotest.(check bool) "links on 0" true
+    (Array.length s.Soa.s_of_link = Graph.num_links g && Array.for_all (( = ) 0) s.Soa.s_of_link);
+  Alcotest.(check bool) "no lookahead bound" true (s.Soa.s_lookahead = Float.infinity)
+
+(* ------------------------------------------------------------------ *)
 (* SIM008: shard-boundary causality audit                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -390,6 +506,15 @@ let () =
           Alcotest.test_case "jobs-1 == jobs-4" `Quick test_par_jobs_bit_identical;
           Alcotest.test_case "differential sweep" `Quick test_par_differential_sweep;
           qt qcheck_par_jobs_invariant;
+        ] );
+      ( "inputs",
+        [
+          Alcotest.test_case "plan rejects bad flows" `Quick test_plan_rejects_bad_flows;
+          Alcotest.test_case "destination-less flow" `Quick test_plan_destinationless_flow;
+          Alcotest.test_case "Par.run rejects NaN bytes" `Quick test_par_run_rejects_nan_bytes;
+          Alcotest.test_case "62-bit key limit" `Quick test_plan_key_width;
+          Alcotest.test_case "shard rejects NaN min_bytes" `Quick test_shard_rejects_nan_min_bytes;
+          Alcotest.test_case "one shard" `Quick test_shard_single;
         ] );
       ( "sim008",
         [
