@@ -135,9 +135,10 @@ let shard_run_row = "shard_run_k32_btree_6x512"
 (* sim-scale's shape (benchmark/sim.ml, seed 0): six 512-GPU 64 MB
    broadcasts on a k=32 fat-tree, each flattened on a fresh path cache,
    then sharded, planned and run on one shard.  One row per stage:
-   btree's [Par.flatten] (the costliest of sim-scale's three schemes),
-   [Soa.shard] + [Shard.plan] over its flows, and [Shard.run] over that
-   plan, which is returned too. *)
+   btree's [Par.flatten] (the costliest of sim-scale's three schemes)
+   and peel's (one [Layer_peel.build] per plan packet), [Soa.shard] +
+   [Shard.plan] over btree's flows, and [Shard.run] over that plan,
+   which is returned too. *)
 let sim_scale_rows k32 =
   let open Bechamel in
   let module Soa = Peel_sim.Soa in
@@ -145,16 +146,16 @@ let sim_scale_rows k32 =
     Peel_workload.Spec.poisson_broadcasts k32 (Rng.create 100) ~n:6 ~scale:512
       ~bytes:(Common.mb 64.) ~load:0.3 ()
   in
-  let flatten () =
+  let flatten scheme () =
     Array.concat
       (List.map
          (fun c ->
            Peel_collective.Par.flatten k32
              (Peel_collective.Paths.create ~ecmp:true k32)
-             ~chunks:8 Peel_collective.Scheme.Btree [ c ])
+             ~chunks:8 scheme [ c ])
          cs)
   in
-  let flows = flatten () in
+  let flows = flatten Peel_collective.Scheme.Btree () in
   let links = Soa.links_of_graph (Peel_topology.Fabric.graph k32) in
   let min_bytes =
     Array.fold_left (fun acc (f : Soa.flow) -> Float.min acc f.Soa.f_chunk_bytes) infinity flows
@@ -165,7 +166,9 @@ let sim_scale_rows k32 =
   let built = plan () in
   ( [
       Test.make ~name:"par_flatten_k32_btree_6x512"
-        (Staged.stage (fun () -> ignore (flatten ())));
+        (Staged.stage (fun () -> ignore (flatten Peel_collective.Scheme.Btree ())));
+      Test.make ~name:"par_flatten_k32_peel_6x512"
+        (Staged.stage (fun () -> ignore (flatten Peel_collective.Scheme.Peel ())));
       Test.make ~name:"shard_plan_k32_btree_6x512" (Staged.stage (fun () -> ignore (plan ())));
       Test.make ~name:shard_run_row
         (Staged.stage (fun () -> ignore (Peel_sim.Shard.run built)));
@@ -184,7 +187,26 @@ let shard_run_minor_words plan =
   done;
   ((Gc.minor_words () -. w0) /. float_of_int reps, events)
 
-let micro_tests ~k32 ~stage_rows =
+(* One pod-local 512-GPU group (E19's 4 hosts x 8 GPUs per ToR): all of
+   a k=32 pod, half of a k=64 one. *)
+let pod_group fabric =
+  let gpus = Peel_topology.Fabric.gpus fabric in
+  (gpus.(0), List.init 511 (fun i -> gpus.(i + 1)))
+
+(* Minor words one [Layer_peel.build] of [pod_group] allocates, averaged
+   over five builds after a warm-up. *)
+let peel_build_minor_words fabric =
+  let g = Peel_topology.Fabric.graph fabric in
+  let source, dests = pod_group fabric in
+  ignore (Peel_steiner.Layer_peel.build g ~source ~dests);
+  let reps = 5 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Peel_steiner.Layer_peel.build g ~source ~dests)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+let micro_tests ~k32 ~k64 ~stage_rows =
   let open Bechamel in
   let fabric = Common.fig5_fabric () in
   let g = Peel_topology.Fabric.graph fabric in
@@ -198,6 +220,11 @@ let micro_tests ~k32 ~stage_rows =
     Test.make ~name:"layer_peel_tree_256_dests"
       (Staged.stage (fun () ->
            ignore (Peel_steiner.Layer_peel.build g ~source ~dests)));
+    (let source, dests = pod_group k64 in
+     let g = Peel_topology.Fabric.graph k64 in
+     Test.make ~name:"layer_peel_k64_512_dests"
+       (Staged.stage (fun () ->
+            ignore (Peel_steiner.Layer_peel.build g ~source ~dests))));
     Test.make ~name:"symmetric_optimal_tree_256_dests"
       (Staged.stage (fun () ->
            ignore (Peel_steiner.Symmetric.build fabric ~source ~dests)));
@@ -278,6 +305,7 @@ let run_micro () =
       ~quota:(Time.second 0.5) ()
   in
   let k32 = Peel_topology.Fabric.fat_tree ~k:32 ~hosts_per_tor:4 ~gpus_per_host:8 () in
+  let k64 = Peel_topology.Fabric.fat_tree ~k:64 ~hosts_per_tor:4 ~gpus_per_host:8 () in
   let stage_rows, built = sim_scale_rows k32 in
   let results =
     List.concat_map
@@ -300,14 +328,22 @@ let run_micro () =
                   | _ -> None),
                   finite (Analyze.OLS.r_square ols_result) ))
           (Test.elements test))
-      (micro_tests ~k32 ~stage_rows)
+      (micro_tests ~k32 ~k64 ~stage_rows)
   in
   Peel_util.Table.print ~header:[ "algorithm"; "time per run"; "r2" ]
     (Common.micro_table_rows results);
   let words, events = shard_run_minor_words built in
   Printf.printf "%s: %.0f minor words per run, %.4f per event (%d events)\n"
     shard_run_row words (words /. float_of_int events) events;
-  (results, [ (shard_run_row, words /. float_of_int events) ])
+  let build_words =
+    List.map
+      (fun (name, fabric) ->
+        let w = peel_build_minor_words fabric in
+        Printf.printf "%s: %.0f minor words per Layer_peel.build\n" name w;
+        (name, w))
+      [ ("layer_peel_k32_512_dests", k32); ("layer_peel_k64_512_dests", k64) ]
+  in
+  (results, [ (shard_run_row, words /. float_of_int events) ], build_words)
 
 (* ------------------------------------------------------------------ *)
 (* BENCH.json: machine-readable run record                             *)
@@ -369,7 +405,8 @@ let baseline_wall_for baseline ~mode name =
                 entries)
       | _ -> None)
 
-let write_bench_json ~mode ~baseline ~exp_times ~micro:(micro, micro_words) ~headline ~failover
+let write_bench_json ~mode ~baseline ~exp_times ~micro:(micro, micro_words, build_words)
+    ~headline ~failover
     ~refinement ~compile ~scale ~scale_speedup ~service ~service_slo
     ~serve_scale ~serve_scale_slo ~zoo ~total =
   let opt_num = function Some x -> Json.num x | None -> Json.Null in
@@ -404,6 +441,8 @@ let write_bench_json ~mode ~baseline ~exp_times ~micro:(micro, micro_words) ~hea
          );
          ( "micro_minor_words_per_event",
            Json.Obj (List.map (fun (name, w) -> (name, Json.num w)) micro_words) );
+         ( "micro_minor_words_per_build",
+           Json.Obj (List.map (fun (name, w) -> (name, Json.num w)) build_words) );
          ("headline_cct", headline_json headline);
          ("failover_degradation", failover);
          ("refinement", refinement);
@@ -648,7 +687,7 @@ let () =
         experiments
     in
     let micro =
-      if run_all || List.mem "micro" selections then run_micro () else ([], [])
+      if run_all || List.mem "micro" selections then run_micro () else ([], [], [])
     in
     let headline = headline_ccts () in
     (* Always at Quick scale: a deterministic CCT-degradation record for

@@ -3,7 +3,13 @@
     A tree is rooted at the multicast source; every other member has
     exactly one parent edge pointing toward the root.  Edges are
     directed graph links (root-to-leaf direction), so a tree doubles as
-    the exact set of links a multicast packet traverses. *)
+    the exact set of links a multicast packet traverses.
+
+    A tree is stored in arrays sized by its members, never by the
+    fabric: the members sorted ascending, aligned parent and link
+    columns, and the children in CSR form.  [mem], [parent] and
+    [children] binary-search the members (O(log members)); [members],
+    [edges] and [link_ids] are O(members). *)
 
 open Peel_topology
 
@@ -15,8 +21,10 @@ val of_parents : Graph.t -> root:int -> parents:(int * (int * int)) list -> t
 (** [of_parents g ~root ~parents] builds a tree from
     [(node, (parent, link_id))] bindings.  The link must run
     parent->node.  Raises [Invalid_argument] on inconsistent input
-    (wrong link endpoints, duplicate binding for a node, or a parent
-    chain that does not reach the root). *)
+    (wrong link endpoints, duplicate binding for a node, a binding for
+    the root, or a parent chain that does not reach the root or
+    cycles).  Costs O(b log b) in the [b] bindings, whatever their
+    order. *)
 
 val members : t -> int list
 (** All nodes in the tree (root included), ascending. *)
@@ -33,7 +41,8 @@ val edges : t -> (int * int * int) list
 (** [(parent, child, link_id)] triples, ascending child order. *)
 
 val link_ids : t -> int list
-(** The directed links of the tree (one per non-root member). *)
+(** The directed links of the tree (one per non-root member), in
+    descending member order. *)
 
 val cost : t -> int
 (** Number of edges = number of directed links used. *)

@@ -131,7 +131,7 @@ let failure_domain t tier =
   | Zo z -> Zoo.inter_switch_duplex_links z
 
 let fail_random t ~rng ~tier ~fraction ?(ensure_connected = true) () =
-  if fraction < 0.0 || fraction > 1.0 then
+  if not (fraction >= 0.0 && fraction <= 1.0) then
     invalid_arg "Fabric.fail_random: fraction in [0,1]";
   let g = graph t in
   let candidates =

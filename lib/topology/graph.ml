@@ -49,6 +49,12 @@ module Builder = struct
 
   let add_duplex b ?(latency = 500e-9) ~bandwidth a c =
     if a = c then invalid_arg "Graph.Builder.add_duplex: self-loop";
+    (* Negated so NaN fails too.  Zero bandwidth stays constructible:
+       SIM001 is the check that reports it. *)
+    if not (bandwidth >= 0.0 && bandwidth < infinity) then
+      invalid_arg "Graph.Builder.add_duplex: bandwidth must be finite and >= 0";
+    if not (latency >= 0.0 && latency < infinity) then
+      invalid_arg "Graph.Builder.add_duplex: latency must be finite and >= 0";
     let fwd = b.n_links in
     let bwd = fwd + 1 in
     b.rev_links <-
@@ -239,40 +245,50 @@ let shortest_path_from_dist t ~dist src dst =
 let shortest_path t src dst =
   shortest_path_from_dist t ~dist:(bfs_dist t src) src dst
 
-(* SplitMix64-style finalizer over a few ints, for ECMP hashing. *)
-let mix_ints ints =
-  let mix64 z =
-    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-    Int64.(logxor z (shift_right_logical z 31))
-  in
-  let h =
-    List.fold_left
-      (fun acc x -> mix64 (Int64.add acc (Int64.of_int x)))
-      0x9E3779B97F4A7C15L ints
-  in
+(* SplitMix64 finalizer, for ECMP hashing.  Inlined into [ecmp_hash],
+   every [Int64] stays unboxed. *)
+let[@inline] mix64 z =
+  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  Int64.(logxor z (shift_right_logical z 31))
+
+(* The finalizer folded over (src, dst, v, salt) from a fixed seed. *)
+let ecmp_hash src dst v salt =
+  let h = mix64 (Int64.add 0x9E3779B97F4A7C15L (Int64.of_int src)) in
+  let h = mix64 (Int64.add h (Int64.of_int dst)) in
+  let h = mix64 (Int64.add h (Int64.of_int v)) in
+  let h = mix64 (Int64.add h (Int64.of_int salt)) in
   Int64.to_int (Int64.shift_right_logical h 1) land max_int
+
+(* Whether out-edge [(w, lid)] of a node at distance [dv] leads back to
+   a live predecessor. *)
+let[@inline] ecmp_pred t dist dv (w, lid) =
+  t.links.(peer_link lid).up && dist.(w) = dv - 1
 
 let shortest_path_ecmp_from_dist t ~dist src dst ~salt =
   let n = num_nodes t in
   if dst < 0 || dst >= n then invalid_arg "Graph.shortest_path_ecmp: bad destination";
   if dist.(dst) = unreachable then None
   else begin
+    (* Count the live predecessors at distance d-1, then take the
+       (hash mod count)-th of them in adjacency order. *)
     let rec back v acc =
       if v = src then v :: acc
       else begin
         let dv = dist.(v) in
-        let preds = ref [] in
-        Array.iter
-          (fun (w, lid) ->
-            if t.links.(peer_link lid).up && dist.(w) = dv - 1 then
-              preds := w :: !preds)
-          t.adj.(v);
-        let preds = Array.of_list (List.rev !preds) in
-        let count = Array.length preds in
-        assert (count > 0);
-        let pick = mix_ints [ src; dst; v; salt ] mod count in
-        back preds.(pick) (v :: acc)
+        let edges = t.adj.(v) in
+        let count = ref 0 in
+        for i = 0 to Array.length edges - 1 do
+          if ecmp_pred t dist dv edges.(i) then incr count
+        done;
+        assert (!count > 0);
+        let skip = ref (ecmp_hash src dst v salt mod !count) in
+        let i = ref 0 in
+        while not (ecmp_pred t dist dv edges.(!i) && !skip = 0) do
+          if ecmp_pred t dist dv edges.(!i) then decr skip;
+          incr i
+        done;
+        back (fst edges.(!i)) (v :: acc)
       end
     in
     Some (back dst [])

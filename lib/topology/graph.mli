@@ -51,7 +51,11 @@ module Builder : sig
   val add_duplex : t -> ?latency:float -> bandwidth:float -> int -> int -> int
   (** [add_duplex b a c] adds links [a -> c] and [c -> a]; returns the
       id of the [a -> c] direction (the peer is that id xor 1).
-      Default latency is 500 ns. *)
+      Default latency is 500 ns.  Raises [Invalid_argument] naming the
+      parameter when [bandwidth] or [latency] is NaN, infinite or
+      negative, so every fabric builder rejects such a [link_bw],
+      [nvlink_bw] or [link_latency]; a zero bandwidth is accepted
+      (SIM001 reports it). *)
 
   val finish : t -> graph
 end
@@ -125,7 +129,9 @@ val bfs_reach : bfs -> src:int -> dst:int -> int array
     The returned array is the scratch's own, valid until the next call
     on [b].  Every label present is an exact hop distance, and every
     node closer to [src] than [dst] is labelled; farther nodes may read
-    [unreachable].  That is all the [*_from_dist] walks below query, so
+    [unreachable].  Called once per destination of a group, in any
+    order, it labels every node closer to [src] than the farthest
+    destination: the labels [Layer_peel] peels over.  That is all the [*_from_dist] walks below query, so
     they pick the same path from it as from [bfs_dist].  The labels
     describe the link state of the search that wrote them: call
     [bfs_reset] after failing or restoring links. *)
@@ -145,7 +151,10 @@ val shortest_path_ecmp : t -> int -> int -> salt:int -> int list option
 (** Like [shortest_path] but hash-selects among equal-cost predecessors
     (keyed on endpoints, hop and [salt]) — the per-flow path diversity
     ECMP provides in a real Clos.  Deterministic for a given
-    (src, dst, salt). *)
+    (src, dst, salt): at each hop the walk counts the live predecessors
+    and takes the (hash mod count)-th in adjacency order, where the hash
+    is a SplitMix64 finalizer over (src, dst, hop node, salt).  The walk
+    allocates only the returned path. *)
 
 val shortest_path_from_dist : t -> dist:int array -> int -> int -> int list option
 (** [shortest_path t src dst] given precomputed distances from [src],

@@ -22,7 +22,7 @@ let place fabric rng ~scale ?(fragmentation = 0.0) () =
   let n = Array.length endpoints in
   if scale < 2 || scale > n then
     invalid_arg "Spec.place: scale must be in [2, #endpoints]";
-  if fragmentation < 0.0 || fragmentation > 1.0 then
+  if not (fragmentation >= 0.0 && fragmentation <= 1.0) then
     invalid_arg "Spec.place: fragmentation in [0,1]";
   let gps = gpus_per_server fabric in
   (* Bin-packing granularity: schedulers allocate whole pods to
@@ -89,7 +89,9 @@ let place fabric rng ~scale ?(fragmentation = 0.0) () =
 let nic_bandwidth = 12.5e9
 
 let mean_interarrival fabric ~scale ~bytes ~load =
-  if load <= 0.0 || load > 1.0 then invalid_arg "Spec.mean_interarrival: load in (0,1]";
+  if not (load > 0.0 && load <= 1.0) then invalid_arg "Spec.mean_interarrival: load in (0,1]";
+  if not (bytes > 0.0 && bytes < infinity) then
+    invalid_arg "Spec.mean_interarrival: bytes must be finite and > 0";
   let n = Fabric.num_endpoints fabric in
   let capacity = float_of_int n *. nic_bandwidth in
   bytes *. float_of_int scale /. (load *. capacity)

@@ -74,7 +74,7 @@ let validate_tenant fabric i t =
     fail "Stream.create: tenant %d churn must be finite and >= 0" i;
   if t.sends < 0.0 || not (Float.is_finite t.sends) then
     fail "Stream.create: tenant %d sends must be finite and >= 0" i;
-  if t.fragmentation < 0.0 || t.fragmentation > 1.0 then
+  if not (t.fragmentation >= 0.0 && t.fragmentation <= 1.0) then
     fail "Stream.create: tenant %d fragmentation in [0,1]" i
 
 let create fabric rng ~tenants () =

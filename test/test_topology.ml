@@ -87,6 +87,48 @@ let test_self_loop_rejected () =
     (Invalid_argument "Graph.Builder.add_duplex: self-loop") (fun () ->
       ignore (Graph.Builder.add_duplex b ~bandwidth:1.0 s s))
 
+(* NaN, infinite or negative link parameters fail where they enter,
+   naming the parameter, and every fabric builder inherits the check;
+   zero bandwidth stays constructible (SIM001 reports it). *)
+let test_link_parameters_rejected () =
+  let b = Graph.Builder.create () in
+  let s = Graph.Builder.add_node b Graph.Host ~pod:0 ~idx:0 in
+  let c = Graph.Builder.add_node b Graph.Tor ~pod:0 ~idx:0 in
+  let bw_msg = "Graph.Builder.add_duplex: bandwidth must be finite and >= 0" in
+  let lat_msg = "Graph.Builder.add_duplex: latency must be finite and >= 0" in
+  List.iter
+    (fun bandwidth ->
+      Alcotest.check_raises (Printf.sprintf "bandwidth %g" bandwidth)
+        (Invalid_argument bw_msg) (fun () ->
+          ignore (Graph.Builder.add_duplex b ~bandwidth s c)))
+    [ Float.nan; -1.0; Float.infinity ];
+  List.iter
+    (fun latency ->
+      Alcotest.check_raises (Printf.sprintf "latency %g" latency)
+        (Invalid_argument lat_msg) (fun () ->
+          ignore (Graph.Builder.add_duplex b ~latency ~bandwidth:1.0 s c)))
+    [ Float.nan; -1e-9; Float.infinity ];
+  ignore (Graph.Builder.add_duplex b ~latency:0.0 ~bandwidth:0.0 s c);
+  Alcotest.check_raises "fat_tree link_bw nan" (Invalid_argument bw_msg) (fun () ->
+      ignore (Fabric.fat_tree ~k:4 ~link_bw:Float.nan ()));
+  Alcotest.check_raises "fat_tree link_bw -1" (Invalid_argument bw_msg) (fun () ->
+      ignore (Fabric.fat_tree ~k:4 ~link_bw:(-1.0) ()));
+  Alcotest.check_raises "fat_tree link_latency nan" (Invalid_argument lat_msg)
+    (fun () -> ignore (Fabric.fat_tree ~k:4 ~link_latency:Float.nan ()))
+
+let test_fail_random_rejects_nan () =
+  let f = Fabric.fat_tree ~k:4 () in
+  Alcotest.check_raises "fraction nan"
+    (Invalid_argument "Fabric.fail_random: fraction in [0,1]") (fun () ->
+      ignore
+        (Fabric.fail_random f ~rng:(Peel_util.Rng.create 1) ~tier:`All
+           ~fraction:Float.nan ()));
+  Alcotest.(check int) "nothing failed" 0
+    (Array.fold_left
+       (fun acc (l : Graph.link) -> if l.Graph.up then acc else acc + 1)
+       0
+       (Graph.links (Fabric.graph f)))
+
 (* ------------------------------------------------------------------ *)
 (* Fat-tree structure                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -492,6 +534,9 @@ let () =
           Alcotest.test_case "hop layers" `Quick test_hop_layers;
           Alcotest.test_case "link_between" `Quick test_link_between;
           Alcotest.test_case "self loop rejected" `Quick test_self_loop_rejected;
+          Alcotest.test_case "link parameters rejected" `Quick
+            test_link_parameters_rejected;
+          Alcotest.test_case "fail_random rejects NaN" `Quick test_fail_random_rejects_nan;
           Alcotest.test_case "bfs_reach stops early" `Quick test_bfs_reach_stops_early;
           qt prop_bfs_reach_matches_bfs_dist;
         ] );

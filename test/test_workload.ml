@@ -40,7 +40,26 @@ let test_place_errors () =
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "bad fragmentation" true
     (try ignore (Spec.place f rng ~scale:8 ~fragmentation:1.5 ()); false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.check_raises "NaN fragmentation"
+    (Invalid_argument "Spec.place: fragmentation in [0,1]") (fun () ->
+      ignore (Spec.place f rng ~scale:8 ~fragmentation:Float.nan ()))
+
+(* NaN or a non-positive size used to come back as a NaN or negative
+   interarrival time instead of failing here. *)
+let test_mean_interarrival_rejects () =
+  let f = fat8 () in
+  let load_msg = "Spec.mean_interarrival: load in (0,1]" in
+  let bytes_msg = "Spec.mean_interarrival: bytes must be finite and > 0" in
+  let call ~bytes ~load () = ignore (Spec.mean_interarrival f ~scale:8 ~bytes ~load) in
+  Alcotest.check_raises "load nan" (Invalid_argument load_msg) (call ~bytes:1e6 ~load:Float.nan);
+  Alcotest.check_raises "bytes nan" (Invalid_argument bytes_msg)
+    (call ~bytes:Float.nan ~load:0.5);
+  Alcotest.check_raises "bytes -1" (Invalid_argument bytes_msg) (call ~bytes:(-1.0) ~load:0.5);
+  Alcotest.check_raises "bytes inf" (Invalid_argument bytes_msg)
+    (call ~bytes:Float.infinity ~load:0.5);
+  Alcotest.(check bool) "valid input" true
+    (Spec.mean_interarrival f ~scale:8 ~bytes:1e6 ~load:0.5 > 0.0)
 
 let test_place_fragmentation_preserves_count () =
   let f = fat8 () in
@@ -187,7 +206,14 @@ let test_stream_validates () =
   Alcotest.(check bool) "scale too small" true
     (reject [ Stream.tenant ~rate:1.0 ~scale:1 ~bytes:1e6 ~hold:0.1 () ]);
   Alcotest.(check bool) "scale beyond the fabric" true
-    (reject [ Stream.tenant ~rate:1.0 ~scale:1000 ~bytes:1e6 ~hold:0.1 () ])
+    (reject [ Stream.tenant ~rate:1.0 ~scale:1000 ~bytes:1e6 ~hold:0.1 () ]);
+  Alcotest.check_raises "NaN fragmentation"
+    (Invalid_argument "Stream.create: tenant 0 fragmentation in [0,1]") (fun () ->
+      ignore
+        (Stream.create f (Rng.create 1)
+           ~tenants:
+             [ Stream.tenant ~fragmentation:Float.nan ~rate:1.0 ~scale:4 ~bytes:1e6 ~hold:0.1 () ]
+           ()))
 
 let test_stream_deterministic () =
   let events n seed =
@@ -365,6 +391,7 @@ let () =
           Alcotest.test_case "contiguous aligned" `Quick test_place_contiguous_aligned;
           Alcotest.test_case "full fabric" `Quick test_place_full_fabric;
           Alcotest.test_case "errors" `Quick test_place_errors;
+          Alcotest.test_case "mean_interarrival rejects" `Quick test_mean_interarrival_rejects;
           Alcotest.test_case "fragmentation count" `Quick test_place_fragmentation_preserves_count;
           Alcotest.test_case "fragmentation spreads" `Quick test_fragmentation_spreads_racks;
           qt prop_place_members_are_endpoints;
