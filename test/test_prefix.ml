@@ -408,6 +408,32 @@ let prop_rules_cover_every_subset_via_exact_cover =
       in
       delivered = targets)
 
+(* Both cover builders over 2,000 seeded target sets (m 0-6, duplicates
+   and empty sets included, budget 1-5), reduced to one digest.  A
+   different block, order or tie-break in either builder changes it.
+   Recorded with the bool-array [exact_cover] and the [Hashtbl]-memoized
+   [budgeted_cover]. *)
+let pinned_covers = "db7fda2e8aed1225"
+
+let test_covers_pinned () =
+  let rng = Rng.create 23 in
+  let b = Buffer.create (1 lsl 16) in
+  let add ps =
+    List.iter (fun (p : Cover.prefix) -> Printf.bprintf b " %d/%d" p.value p.len) ps;
+    Buffer.add_char b ';'
+  in
+  for i = 0 to 1999 do
+    let m = i mod 7 in
+    let size = 1 lsl m in
+    let targets = List.init (Rng.int rng (size + 1)) (fun _ -> Rng.int rng size) in
+    let budget = 1 + Rng.int rng 5 in
+    Printf.bprintf b "m%d b%d:" m budget;
+    add (Cover.exact_cover ~m targets);
+    add (Cover.budgeted_cover ~m ~budget targets)
+  done;
+  Alcotest.(check string) "cover digest" pinned_covers
+    (String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "peel_prefix"
@@ -448,6 +474,7 @@ let () =
           qt prop_budgeted_matches_bruteforce;
           qt prop_budgeted_monotone_in_budget;
         ] );
+      ("pinned", [ Alcotest.test_case "cover digests" `Quick test_covers_pinned ]);
       ( "header",
         [
           Alcotest.test_case "bits formula" `Quick test_header_bits_formula;

@@ -765,7 +765,11 @@ let prop_splice_differential =
    and with 20 % of their links failed, on six seeded groups of 2 to 48
    members.  A different greedy pick, parent link, tie-break or prune
    fails with the cell's name.  The digests were recorded with the
-   whole-fabric peel and the [Map]-backed [Tree]. *)
+   whole-fabric peel and the [Map]-backed [Tree].  The [plan] cell
+   (every packet of [Plan.build] at budgets none and 1 to 4) and the
+   [bound] cell (the Theorem 2.5 [symmetric_lower_bound]) were recorded
+   with the [Hashtbl]-grouped planner and the bound that restored down
+   links around its count. *)
 let pin_fabrics () =
   let zoo z = Fabric.of_zoo z in
   [
@@ -795,6 +799,19 @@ let tree_digest_into b = function
       Printf.bprintf b "root %d:" (Tree.root t);
       List.iter (fun (p, c, l) -> Printf.bprintf b " %d-%d-%d" p c l) (Tree.edges t);
       Buffer.add_char b ';'
+
+let plan_digest_into b (plan : Peel.Plan.t) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let prefix (p : Peel.Cover.prefix) = Printf.sprintf "%d/%d" p.value p.len in
+  Printf.bprintf b "hdr %d dests %s:" plan.header_bytes (ints plan.dests);
+  List.iter
+    (fun (k : Peel.Plan.packet) ->
+      Printf.bprintf b " [%s %s pods %s tors %s eps %s waste %s]"
+        (match k.pod_prefix with None -> "-" | Some p -> prefix p)
+        (prefix k.tor_prefix) (ints k.pods) (ints k.tors) (ints k.endpoints)
+        (ints k.waste_tors))
+    plan.packets;
+  Buffer.add_char b ';'
 
 (* A rooted layering that is not the BFS one: endpoints sit one layer
    above the switches of their BFS ring, so an endpoint may hang off a
@@ -897,6 +914,25 @@ let pin_cells fabric groups =
         match Layer_peel.farthest_layer g ~source ~dests with
         | None -> Buffer.add_string b "none;"
         | Some f -> Printf.bprintf b "%d;" f);
+    cell "plan" (fun b _ ~source ~dests ->
+        List.iter
+          (fun budget ->
+            guarded b (fun () ->
+                plan_digest_into b (Peel.Plan.build ?budget fabric ~source ~dests)))
+          [ None; Some 1; Some 2; Some 3; Some 4 ]);
+    (* The bound on the group, on the empty group, and with a switch
+       (the source's ToR) as a member; a call that leaves any link's
+       [up] flag changed is recorded too. *)
+    cell "bound" (fun b _ ~source ~dests ->
+        let ups () = Array.map (fun (l : Graph.link) -> l.Graph.up) (Graph.links g) in
+        let before = ups () in
+        List.iter
+          (fun dests ->
+            match Peel_check.Check_tree.symmetric_lower_bound fabric ~source ~dests with
+            | None -> Buffer.add_string b "none;"
+            | Some c -> Printf.bprintf b "%d;" c)
+          [ dests; []; Fabric.attach_tor fabric source :: dests ];
+        if ups () <> before then Buffer.add_string b "link state changed;");
   ]
 
 let tree_corpus () =
@@ -927,6 +963,8 @@ let pinned_trees =
     ("ft-k8/peel-general-layers", "c4088de23b90054b");
     ("ft-k8/symmetric", "4e5613644b741796");
     ("ft-k8/farthest", "bc4d66d05b801e0a");
+    ("ft-k8/plan", "8b94764436208e6b");
+    ("ft-k8/bound", "f2eab2771adb4c39");
     ("ft-k8-failed/build", "8d808edf545e97a8");
     ("ft-k8-failed/build-salted", "d7bd2e69550fb101");
     ("ft-k8-failed/packet-trees", "a9016b23cadddc9b");
@@ -936,6 +974,8 @@ let pinned_trees =
     ("ft-k8-failed/peel-general-layers", "ebad2e78c6d0d2e3");
     ("ft-k8-failed/symmetric", "beca572b349915c8");
     ("ft-k8-failed/farthest", "bc4d66d05b801e0a");
+    ("ft-k8-failed/plan", "8b94764436208e6b");
+    ("ft-k8-failed/bound", "f2eab2771adb4c39");
     ("ls-4x8/build", "92fb528e54730781");
     ("ls-4x8/build-salted", "4f8488929b611edd");
     ("ls-4x8/packet-trees", "c309fa40fad2a6b1");
@@ -945,6 +985,8 @@ let pinned_trees =
     ("ls-4x8/peel-general-layers", "a9d7f667515fc616");
     ("ls-4x8/symmetric", "92fb528e54730781");
     ("ls-4x8/farthest", "b394759477baa7f7");
+    ("ls-4x8/plan", "ac456f11b59c07e0");
+    ("ls-4x8/bound", "81f0604c33bae8e0");
     ("ls-4x8-failed/build", "55833f79981a375c");
     ("ls-4x8-failed/build-salted", "893bf4cd48fc835b");
     ("ls-4x8-failed/packet-trees", "30b9dba271887b39");
@@ -954,6 +996,8 @@ let pinned_trees =
     ("ls-4x8-failed/peel-general-layers", "81c4b321137fd841");
     ("ls-4x8-failed/symmetric", "aa09cf87fe0691f0");
     ("ls-4x8-failed/farthest", "b394759477baa7f7");
+    ("ls-4x8-failed/plan", "ac456f11b59c07e0");
+    ("ls-4x8-failed/bound", "81f0604c33bae8e0");
     ("rail-4x2/build", "28ba5a15974833ad");
     ("rail-4x2/build-salted", "a2ba5c67d74e6016");
     ("rail-4x2/packet-trees", "2653df4b21c13c48");
@@ -963,6 +1007,8 @@ let pinned_trees =
     ("rail-4x2/peel-general-layers", "bbeb5b5a0edb1ae3");
     ("rail-4x2/symmetric", "48cbca3576ff6ff6");
     ("rail-4x2/farthest", "b394759477baa7f7");
+    ("rail-4x2/plan", "611bea05ae589fbc");
+    ("rail-4x2/bound", "19734958e19caade");
     ("rail-4x2-failed/build", "588a0c1ec8c666c1");
     ("rail-4x2-failed/build-salted", "6d651b5a97ae4d47");
     ("rail-4x2-failed/packet-trees", "b68a79715787f9a3");
@@ -972,6 +1018,8 @@ let pinned_trees =
     ("rail-4x2-failed/peel-general-layers", "b0b43f8942a6f171");
     ("rail-4x2-failed/symmetric", "d2553e0edfdb43fe");
     ("rail-4x2-failed/farthest", "b394759477baa7f7");
+    ("rail-4x2-failed/plan", "611bea05ae589fbc");
+    ("rail-4x2-failed/bound", "19734958e19caade");
     ("abfattree/build", "b83fa121d12e22c7");
     ("abfattree/build-salted", "f8d68ce47b3eb7c8");
     ("abfattree/packet-trees", "97db85a9ddc31a45");
@@ -981,6 +1029,8 @@ let pinned_trees =
     ("abfattree/peel-general-layers", "42889c002948c4d4");
     ("abfattree/symmetric", "d2553e0edfdb43fe");
     ("abfattree/farthest", "bc4d66d05b801e0a");
+    ("abfattree/plan", "5a54db1770d13ecd");
+    ("abfattree/bound", "e436afb4c44e23f7");
     ("abfattree-failed/build", "58b3ef7f26107d22");
     ("abfattree-failed/build-salted", "45b68fa720d1bdb6");
     ("abfattree-failed/packet-trees", "78a131009ff93a6a");
@@ -990,6 +1040,8 @@ let pinned_trees =
     ("abfattree-failed/peel-general-layers", "85dd8881f9ea9c32");
     ("abfattree-failed/symmetric", "d2553e0edfdb43fe");
     ("abfattree-failed/farthest", "f1e93a9d236c68c6");
+    ("abfattree-failed/plan", "5a54db1770d13ecd");
+    ("abfattree-failed/bound", "e436afb4c44e23f7");
     ("vl2/build", "65f27c951c80a07c");
     ("vl2/build-salted", "54dd57101ed39fe2");
     ("vl2/packet-trees", "1bbe5dcef8bae81e");
@@ -999,6 +1051,8 @@ let pinned_trees =
     ("vl2/peel-general-layers", "f4889bc042198b2e");
     ("vl2/symmetric", "d2553e0edfdb43fe");
     ("vl2/farthest", "bc4d66d05b801e0a");
+    ("vl2/plan", "1f61f2e80598a44e");
+    ("vl2/bound", "e436afb4c44e23f7");
     ("vl2-failed/build", "979525e6671d05a1");
     ("vl2-failed/build-salted", "979525e6671d05a1");
     ("vl2-failed/packet-trees", "0a9023e507839c37");
@@ -1008,6 +1062,8 @@ let pinned_trees =
     ("vl2-failed/peel-general-layers", "fc277da13e2ebe4b");
     ("vl2-failed/symmetric", "d2553e0edfdb43fe");
     ("vl2-failed/farthest", "bc4d66d05b801e0a");
+    ("vl2-failed/plan", "1f61f2e80598a44e");
+    ("vl2-failed/bound", "e436afb4c44e23f7");
     ("jellyfish/build", "24fbb756fc00a35d");
     ("jellyfish/build-salted", "c11519a4f74f67d2");
     ("jellyfish/packet-trees", "7cd09a9611d503d8");
@@ -1017,6 +1073,8 @@ let pinned_trees =
     ("jellyfish/peel-general-layers", "1cc4e2d557741dc0");
     ("jellyfish/symmetric", "d2553e0edfdb43fe");
     ("jellyfish/farthest", "ea241951234faeeb");
+    ("jellyfish/plan", "5fe6c25932e10d29");
+    ("jellyfish/bound", "e436afb4c44e23f7");
     ("jellyfish-failed/build", "d5a62f4476e9d787");
     ("jellyfish-failed/build-salted", "c458e449b2ee9668");
     ("jellyfish-failed/packet-trees", "335a7630afaf969d");
@@ -1026,6 +1084,8 @@ let pinned_trees =
     ("jellyfish-failed/peel-general-layers", "7cca90db75a63383");
     ("jellyfish-failed/symmetric", "d2553e0edfdb43fe");
     ("jellyfish-failed/farthest", "45deedfe59bc8630");
+    ("jellyfish-failed/plan", "5fe6c25932e10d29");
+    ("jellyfish-failed/bound", "e436afb4c44e23f7");
     ("xpander/build", "98a3f6961df000ec");
     ("xpander/build-salted", "66738a0d2078e5fd");
     ("xpander/packet-trees", "0d1c3cd7b98e9a2f");
@@ -1035,6 +1095,8 @@ let pinned_trees =
     ("xpander/peel-general-layers", "7c05e53e999d7b15");
     ("xpander/symmetric", "d2553e0edfdb43fe");
     ("xpander/farthest", "ce5be9d3f670ba5f");
+    ("xpander/plan", "53bbbdc4618ccfb2");
+    ("xpander/bound", "e436afb4c44e23f7");
     ("xpander-failed/build", "f61712d4a43672f0");
     ("xpander-failed/build-salted", "f2860add158de9b6");
     ("xpander-failed/packet-trees", "3e9dec7acbf5f58b");
@@ -1044,6 +1106,8 @@ let pinned_trees =
     ("xpander-failed/peel-general-layers", "52e97956174f1ecf");
     ("xpander-failed/symmetric", "d2553e0edfdb43fe");
     ("xpander-failed/farthest", "37f268d8d41c75a3");
+    ("xpander-failed/plan", "53bbbdc4618ccfb2");
+    ("xpander-failed/bound", "e436afb4c44e23f7");
   ]
 
 let test_trees_pinned () =
