@@ -33,97 +33,187 @@ let header_bytes_for fabric =
   in
   Bits.ceil_div (tor_field + pod_field) 8
 
+(* Ascending, in place: insertion sort at the sizes the service's groups
+   have, where it beats the library sorts several times over, and
+   [Array.stable_sort] past them. *)
+let sort_ints a =
+  if Array.length a > 16 then Array.stable_sort Int.compare a
+  else
+    for i = 1 to Array.length a - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+
+(* [l] holds distinct ints, accumulated by prepending: ascending, as
+   [List.sort] would give, without sorting when the pushes came in
+   order. *)
+let ascending_of_rev l =
+  let rec descending = function
+    | (a : int) :: (b :: _ as rest) -> a > b && descending rest
+    | [ _ ] | [] -> true
+  in
+  if descending l then List.rev l else List.sort Int.compare l
+
+(* Packet order: by pod list, then ToR prefix (value, then length). *)
+let rec compare_pods a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: a, y :: b ->
+      let c = Int.compare x y in
+      if c <> 0 then c else compare_pods a b
+
+let compare_packets p q =
+  let c = compare_pods p.pods q.pods in
+  if c <> 0 then c
+  else
+    let c = Int.compare p.tor_prefix.Cover.value q.tor_prefix.Cover.value in
+    if c <> 0 then c else Int.compare p.tor_prefix.Cover.len q.tor_prefix.Cover.len
+
 let build ?budget fabric ~source ~dests =
-  let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
+  (match budget with
+  | Some b when b < 1 -> invalid_arg "Plan.build: budget must be >= 1"
+  | Some _ | None -> ());
   let m = tor_id_bits fabric in
   let mp = pod_id_bits fabric in
   let multi_pod = Fabric.pods fabric > 1 in
-  (* Destination ToR-id set per pod, and endpoints per (pod, tor id). *)
-  let pod_tors = Hashtbl.create 16 in (* pod -> tor idx set (sorted list) *)
-  let members = Hashtbl.create 64 in (* (pod, tor idx) -> endpoints *)
-  List.iter
+  (* The destinations, ascending, without repeats or the source. *)
+  let ds = Array.of_list dests in
+  sort_ints ds;
+  let n = ref 0 in
+  Array.iter
     (fun d ->
-      let tor = Fabric.attach_tor fabric d in
-      let pod = Fabric.pod_of_tor fabric tor in
-      let idx = Fabric.tor_idx_in_pod fabric tor in
-      Hashtbl.replace pod_tors pod
-        (idx :: Option.value (Hashtbl.find_opt pod_tors pod) ~default:[]);
-      Hashtbl.replace members (pod, idx)
-        (d :: Option.value (Hashtbl.find_opt members (pod, idx)) ~default:[]))
-    dests;
-  let signature pod =
-    List.sort_uniq compare (Hashtbl.find pod_tors pod)
+      if d <> source && (!n = 0 || ds.(!n - 1) <> d) then begin
+        ds.(!n) <- d;
+        incr n
+      end)
+    ds;
+  let n = !n in
+  (* One int per destination packing (pod, ToR id, position in [ds]),
+     high to low; a ToR's id in its pod is below 2^m by the choice of
+     m.  Sorted, the key column is the stable sort by rack: each rack's
+     endpoints form an ascending run, and each pod's racks a run of
+     runs in ToR-id order — the pod's signature. *)
+  let pb = Bits.ceil_log2 (Int.max 2 n) in
+  let keys =
+    Array.init n (fun i ->
+        let tor = Fabric.attach_tor fabric ds.(i) in
+        let rack = (Fabric.pod_of_tor fabric tor lsl m) lor Fabric.tor_idx_in_pod fabric tor in
+        (rack lsl pb) lor i)
   in
-  (* Group pods by identical ToR signature. *)
-  let groups = Hashtbl.create 8 in (* signature -> pod list *)
-  Hashtbl.iter
-    (fun pod _ ->
-      let s = signature pod in
-      if not (List.mem pod (Option.value (Hashtbl.find_opt groups s) ~default:[]))
-      then
-        Hashtbl.replace groups s
-          (pod :: Option.value (Hashtbl.find_opt groups s) ~default:[]))
-    pod_tors;
+  sort_ints keys;
+  let rack k = keys.(k) lsr pb in
+  let dest k = ds.(keys.(k) land (Bits.pow2 pb - 1)) in
+  let id_mask = Bits.pow2 m - 1 in
+  (* Run [r] is rack [run_rack.(r)], endpoints [keys.(run_at.(r) ..
+     run_at.(r+1) - 1)]; pod [q] owns runs [pod_at.(q) .. pod_at.(q+1) - 1]. *)
+  let run_rack = Array.make n 0 and run_at = Array.make (n + 1) n in
+  let pod_at = Array.make (n + 1) 0 in
+  let runs = ref 0 and npods = ref 0 in
+  for k = 0 to n - 1 do
+    if k = 0 || rack k <> rack (k - 1) then begin
+      if k = 0 || rack k lsr m <> rack (k - 1) lsr m then begin
+        pod_at.(!npods) <- !runs;
+        incr npods
+      end;
+      run_rack.(!runs) <- rack k;
+      run_at.(!runs) <- k;
+      incr runs
+    end
+  done;
+  let npods = !npods in
+  pod_at.(npods) <- !runs;
+  let pod_id q = run_rack.(pod_at.(q)) lsr m in
+  (* Pods with identical signatures are adjacent once sorted by
+     signature; the stable sort keeps each group's pods ascending. *)
+  let compare_signatures q q' =
+    let e = pod_at.(q + 1) and e' = pod_at.(q' + 1) in
+    let rec go r r' =
+      if r = e then if r' = e' then 0 else -1
+      else if r' = e' then 1
+      else
+        let c = Int.compare (run_rack.(r) land id_mask) (run_rack.(r') land id_mask) in
+        if c <> 0 then c else go (r + 1) (r' + 1)
+    in
+    go pod_at.(q) pod_at.(q')
+  in
+  let by_signature = Array.init npods Fun.id in
+  Array.stable_sort compare_signatures by_signature;
   let cover_tors targets =
     match budget with
     | None -> Cover.exact_cover ~m targets
     | Some b -> Cover.budgeted_cover ~m ~budget:b targets
   in
   let packets = ref [] in
-  let emit ~pod_prefix ~tor_prefix ~pods =
-    let pods = List.sort compare pods in
-    let covered_ids = Cover.expand ~m tor_prefix in
-    let tors, waste, endpoints =
-      List.fold_left
-        (fun (tors, waste, eps) pod ->
-          let pod_tors_arr = Fabric.tors_of_pod fabric pod in
-          List.fold_left
-            (fun (tors, waste, eps) idx ->
-              if idx >= Array.length pod_tors_arr then (tors, waste, eps)
-              else begin
-                let tor = pod_tors_arr.(idx) in
-                match Hashtbl.find_opt members (pod, idx) with
-                | Some ms -> (tor :: tors, waste, List.rev_append ms eps)
-                | None -> (tor :: tors, tor :: waste, eps)
-              end)
-            (tors, waste, eps) covered_ids)
-        ([], [], []) pods
-    in
+  (* One packet: each pod's covered racks, matched against the pod's
+     rack runs in one ascending pass. *)
+  let emit ~pod_prefix ~tor_prefix qs =
+    let size = Cover.block_size ~m tor_prefix in
+    let first = tor_prefix.Cover.value * size in
+    let tors = ref [] and waste = ref [] and eps = ref [] in
+    List.iter
+      (fun q ->
+        let pod_tors = Fabric.tors_of_pod fabric (pod_id q) in
+        let r = ref pod_at.(q) in
+        for id = first to Int.min (first + size) (Array.length pod_tors) - 1 do
+          let tor = pod_tors.(id) in
+          while !r < pod_at.(q + 1) && run_rack.(!r) land id_mask < id do
+            incr r
+          done;
+          tors := tor :: !tors;
+          if !r < pod_at.(q + 1) && run_rack.(!r) land id_mask = id then
+            for k = run_at.(!r) to run_at.(!r + 1) - 1 do
+              eps := dest k :: !eps
+            done
+          else waste := tor :: !waste
+        done)
+      qs;
     packets :=
       {
         pod_prefix;
         tor_prefix;
-        pods;
-        tors = List.sort compare tors;
-        endpoints = List.sort compare endpoints;
-        waste_tors = List.sort compare waste;
+        pods = List.map pod_id qs;
+        tors = ascending_of_rev !tors;
+        endpoints = ascending_of_rev !eps;
+        waste_tors = ascending_of_rev !waste;
       }
       :: !packets
   in
-  Hashtbl.iter
-    (fun sig_tors pods ->
-      let tor_covers = cover_tors sig_tors in
-      if multi_pod then begin
-        let pod_covers = Cover.exact_cover ~m:mp pods in
-        List.iter
-          (fun pp ->
-            let covered_pods =
-              List.filter (fun p -> List.mem p pods) (Cover.expand ~m:mp pp)
-            in
-            List.iter
-              (fun tp -> emit ~pod_prefix:(Some pp) ~tor_prefix:tp ~pods:covered_pods)
-              tor_covers)
-          pod_covers
-      end
-      else
-        List.iter (fun tp -> emit ~pod_prefix:None ~tor_prefix:tp ~pods) tor_covers)
-    groups;
-  let packets =
-    List.sort
-      (fun a b -> compare (a.pods, a.tor_prefix) (b.pods, b.tor_prefix))
-      !packets
-  in
-  { source; dests; packets; header_bytes = header_bytes_for fabric }
+  let g = ref 0 in
+  while !g < npods do
+    (* The signature group [by_signature.(!g .. e - 1)]. *)
+    let q0 = by_signature.(!g) in
+    let e = ref (!g + 1) in
+    while !e < npods && compare_signatures q0 by_signature.(!e) = 0 do
+      incr e
+    done;
+    let qs = List.init (!e - !g) (fun j -> by_signature.(!g + j)) in
+    let tor_covers =
+      cover_tors
+        (List.init (pod_at.(q0 + 1) - pod_at.(q0)) (fun j ->
+             run_rack.(pod_at.(q0) + j) land id_mask))
+    in
+    if multi_pod then
+      List.iter
+        (fun pp ->
+          let covered = List.filter (fun q -> Cover.covers ~m:mp pp (pod_id q)) qs in
+          List.iter (fun tp -> emit ~pod_prefix:(Some pp) ~tor_prefix:tp covered) tor_covers)
+        (Cover.exact_cover ~m:mp (List.map pod_id qs))
+    else List.iter (fun tp -> emit ~pod_prefix:None ~tor_prefix:tp qs) tor_covers;
+    g := !e
+  done;
+  {
+    source;
+    dests = List.init n (fun i -> ds.(i));
+    packets = List.sort compare_packets !packets;
+    header_bytes = header_bytes_for fabric;
+  }
 
 let num_packets t = List.length t.packets
 

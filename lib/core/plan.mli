@@ -44,7 +44,14 @@ val pod_id_bits : Fabric.t -> int
 
 val build : ?budget:int -> Fabric.t -> source:int -> dests:int list -> t
 (** [budget] caps the number of ToR prefixes per pod-signature group
-    (default: unlimited, i.e. exact covers). *)
+    (default: unlimited, i.e. exact covers); [Some b] with [b < 1]
+    raises [Invalid_argument], even for an empty group.
+
+    Cost: one stable sort of the destinations by a (pod, ToR id) key
+    column, so each covered rack's endpoints are read as one run; one
+    sort of the pods by ToR signature to group them; then per packet a
+    single pass over its covered racks.  O(|D| log |D|) plus the covers
+    and the covered racks, with no hash tables. *)
 
 val num_packets : t -> int
 

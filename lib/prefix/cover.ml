@@ -52,107 +52,111 @@ let check_targets ~m targets =
   List.iter (fun t -> tgt.(t) <- true) targets;
   tgt
 
+(* Prefix-summed target counts: [cs.(i)] is the number of distinct
+   targets below [i], so a block's count is one subtraction. *)
+let target_counts ~m targets =
+  let size = Bits.pow2 m in
+  let cs = Array.make (size + 1) 0 in
+  List.iter
+    (fun t ->
+      if t < 0 || t >= size then invalid_arg "Cover: target outside identifier space";
+      cs.(t + 1) <- 1)
+    targets;
+  for i = 1 to size do
+    cs.(i) <- cs.(i) + cs.(i - 1)
+  done;
+  cs
+
 let exact_cover ~m targets =
   if m < 0 || m > 24 then invalid_arg "Cover: m out of range (0..24)";
-  let tgt = check_targets ~m targets in
-  (* Count of targets in the block of (value,len) via recursion. *)
+  let cs = target_counts ~m targets in
   let rec go value len acc =
     let size = Bits.pow2 (m - len) in
     let start = value * size in
-    let count = ref 0 in
-    for i = start to start + size - 1 do
-      if tgt.(i) then incr count
-    done;
-    if !count = 0 then acc
-    else if !count = size then { value; len } :: acc
+    let count = cs.(start + size) - cs.(start) in
+    if count = 0 then acc
+    else if count = size then { value; len } :: acc
     else go ((2 * value) + 1) (len + 1) (go (2 * value) (len + 1) acc)
   in
   List.rev (go 0 0 [])
 
-(* Lexicographic (over-coverage, prefix-count) objective. *)
-let inf_pair = (max_int, max_int)
-let pair_min a b = if a <= b then a else b
-let pair_add (a1, a2) (b1, b2) =
-  if (a1, a2) = inf_pair || (b1, b2) = inf_pair then inf_pair
-  else (a1 + b1, a2 + b2)
-
 let budgeted_cover ~m ~budget targets =
   if budget < 1 then invalid_arg "Cover.budgeted_cover: budget >= 1";
   if m < 0 || m > 24 then invalid_arg "Cover: m out of range (0..24)";
-  let tgt = check_targets ~m targets in
-  let bmax = budget in
-  (* dp (value,len) = array over b in 0..bmax of best (overcov, count)
-     using at most b prefixes inside this block, covering all its
-     targets. *)
-  let memo = Hashtbl.create 256 in
-  let rec dp value len =
-    match Hashtbl.find_opt memo (value, len) with
-    | Some a -> a
-    | None ->
-        let size = Bits.pow2 (m - len) in
-        let start = value * size in
-        let count = ref 0 in
-        for i = start to start + size - 1 do
-          if tgt.(i) then incr count
-        done;
-        let a = Array.make (bmax + 1) inf_pair in
-        if !count = 0 then Array.fill a 0 (bmax + 1) (0, 0)
-        else begin
-          (* One prefix over the whole block. *)
-          let whole = (size - !count, 1) in
-          for b = 1 to bmax do
-            a.(b) <- whole
-          done;
-          (* Or split between the two children. *)
-          if len < m then begin
-            let l = dp (2 * value) (len + 1) and r = dp ((2 * value) + 1) (len + 1) in
-            for b = 1 to bmax do
-              for b1 = 0 to b do
-                a.(b) <- pair_min a.(b) (pair_add l.(b1) r.(b - b1))
-              done
-            done
-          end;
-          (* Monotonicity: allow using fewer prefixes. *)
-          for b = 1 to bmax do
-            a.(b) <- pair_min a.(b) a.(b - 1)
-          done
-        end;
-        Hashtbl.replace memo (value, len) a;
-        a
+  let cs = target_counts ~m targets in
+  (* The objective is lexicographic (over-coverage, prefix count).  A
+     cover within budget [b] uses at most [b] prefixes, so it packs into
+     one int as [over * w + count] with [w = budget + 1]: int order is
+     the lexicographic order and int addition adds both parts.  [inf]
+     marks "no cover" (a block with targets at budget 0). *)
+  let w = budget + 1 in
+  let inf = max_int in
+  let add x y = if x = inf || y = inf then inf else x + y in
+  (* Each block holding targets gets a slot, in post order: a row of
+     [w] values, the best cover of the block within each budget 0 ..
+     [budget], and its two children's slots.  A block without targets
+     is slot -1 and costs 0 at every budget. *)
+  let cap = Int.min ((m + 1) * cs.(Bits.pow2 m)) (Bits.pow2 (m + 1) - 1) in
+  let rows = Array.make (cap * w) 0 in
+  let left = Array.make cap (-1) and right = Array.make cap (-1) in
+  let slots = ref 0 in
+  let value_at slot b = if slot < 0 then 0 else rows.((slot * w) + b) in
+  let count_of value len =
+    let size = Bits.pow2 (m - len) in
+    let start = value * size in
+    cs.(start + size) - cs.(start)
   in
-  let _ = dp 0 0 in
-  (* Reconstruct the choice achieving dp 0 0 budget. *)
-  let rec rebuild value len b acc =
-    let a = (dp value len).(b) in
-    if a = (0, 0) then acc
+  let whole value len = ((Bits.pow2 (m - len) - count_of value len) * w) + 1 in
+  let rec solve value len =
+    if count_of value len = 0 then -1
     else begin
-      let size = Bits.pow2 (m - len) in
-      let start = value * size in
-      let count = ref 0 in
-      for i = start to start + size - 1 do
-        if tgt.(i) then incr count
+      let l = if len < m then solve (2 * value) (len + 1) else -1 in
+      let r = if len < m then solve ((2 * value) + 1) (len + 1) else -1 in
+      let s = !slots in
+      incr slots;
+      left.(s) <- l;
+      right.(s) <- r;
+      let base = s * w in
+      let whole = whole value len in
+      rows.(base) <- inf;
+      for b = 1 to budget do
+        (* One prefix over the whole block, or a split between the two
+           children; a smaller budget's cover also fits. *)
+        let best = ref whole in
+        if len < m then
+          for b1 = 0 to b do
+            let v = add (value_at l b1) (value_at r (b - b1)) in
+            if v < !best then best := v
+          done;
+        rows.(base + b) <- Int.min !best rows.(base + b - 1)
       done;
-      if !count = 0 then acc
-      else if a = (size - !count, 1) then { value; len } :: acc
+      s
+    end
+  in
+  let root = solve 0 0 in
+  (* Reconstruct the choice achieving the root's value at [budget]:
+     the whole block when it is optimal, else the first split that
+     matches, else the same block at a smaller budget. *)
+  let rec rebuild slot value len b acc =
+    if slot < 0 then acc
+    else begin
+      let a = rows.((slot * w) + b) in
+      if a = whole value len then { value; len } :: acc
       else begin
         assert (len < m);
-        let l = dp (2 * value) (len + 1) and r = dp ((2 * value) + 1) (len + 1) in
-        (* Find a split matching the optimum. *)
-        let found = ref None in
-        for b1 = 0 to b do
-          if !found = None && pair_add l.(b1) r.(b - b1) = a then found := Some b1
+        let l = left.(slot) and r = right.(slot) in
+        let b1 = ref 0 in
+        while !b1 <= b && add (value_at l !b1) (value_at r (b - !b1)) <> a do
+          incr b1
         done;
-        match !found with
-        | Some b1 ->
-            rebuild ((2 * value) + 1) (len + 1) (b - b1)
-              (rebuild (2 * value) (len + 1) b1 acc)
-        | None ->
-            (* The optimum came from a smaller budget. *)
-            rebuild value len (b - 1) acc
+        if !b1 > b then rebuild slot value len (b - 1) acc
+        else
+          rebuild r ((2 * value) + 1) (len + 1) (b - !b1)
+            (rebuild l (2 * value) (len + 1) !b1 acc)
       end
     end
   in
-  List.rev (rebuild 0 0 budget [])
+  List.rev (rebuild root 0 0 budget [])
 
 let covered_set ~m prefixes =
   List.concat_map (expand ~m) prefixes |> List.sort_uniq compare

@@ -1,114 +1,156 @@
 open Peel_topology
+module Bits = Peel_util.Bits
 
-module Iset = Set.Make (Int)
+(* The link a binding parent->child uses: the lowest-id one that is up
+   ([build]), or that exists at all ([cost_lower_bound], which costs
+   the failure-free fabric).  Every link has its peer in the other
+   direction, so one pass over the smaller of the two adjacencies finds
+   them all: an endpoint's, not its ToR's. *)
+let find_link ~structural g parent child =
+  let from_child = Graph.degree g child < Graph.degree g parent in
+  let adj = Graph.out_links g (if from_child then child else parent) in
+  let other = if from_child then parent else child in
+  let best = ref max_int in
+  for i = 0 to Array.length adj - 1 do
+    let dst, lid = adj.(i) in
+    let lid = if from_child then Graph.peer_link lid else lid in
+    if dst = other && lid < !best && (structural || Graph.link_up g lid) then
+      best := lid
+  done;
+  if !best = max_int then
+    invalid_arg
+      (if structural then
+         Printf.sprintf "Symmetric.cost_lower_bound: no link %d->%d" parent child
+       else
+         Printf.sprintf "Symmetric.build: no up link %d->%d (fabric asymmetric?)"
+           parent child);
+  !best
 
-(* Accumulates parent bindings, ignoring repeats for the same child. *)
-type acc = { mutable bindings : (int * (int * int)) list; mutable seen : Iset.t }
+(* Ascending, in place: insertion sort at the sizes the service's groups
+   have, where it beats the library sorts several times over, and
+   [Array.stable_sort] past them. *)
+let sort_ints a =
+  if Array.length a > 16 then Array.stable_sort Int.compare a
+  else
+    for i = 1 to Array.length a - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
 
-let add_edge g acc ~parent ~child =
-  if not (Iset.mem child acc.seen) then begin
-    match Graph.link_between g parent child with
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Symmetric.build: no up link %d->%d (fabric asymmetric?)"
-             parent child)
-    | Some lid ->
-        acc.bindings <- (child, (parent, lid)) :: acc.bindings;
-        acc.seen <- Iset.add child acc.seen
-  end
+(* Distinct values of the ascending [a.(0 .. n-1)], compacted in place;
+   returns their count. *)
+let dedup (a : int array) n =
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if !k = 0 || a.(!k - 1) <> a.(i) then begin
+      a.(!k) <- a.(i);
+      incr k
+    end
+  done;
+  !k
 
-(* Enumerate the symmetric tree's parent bindings without constructing
-   a [Tree.t].  [build] lowers them through [Tree.of_parents]; the cost
-   bound only needs their count — [add_edge] already guarantees one
-   binding per child over a real parent->child link, which is all
-   [Tree.cost] would measure. *)
-let bindings fabric ~source ~dests =
+(* Enumerate the symmetric tree's parent bindings once, calling [emit
+   child parent link] for each; [build] lowers them through
+   [Tree.of_parents] and [cost_lower_bound] counts them.  Every
+   endpoint (host, or GPU through its dedicated NIC) hangs directly off
+   its ToR, so the tree is: source -> ToR -> upper tiers -> destination
+   ToRs -> destination endpoints.  The group is one ascending int column
+   of (ToR, endpoint) keys, so each ToR's endpoints form a run and the
+   distinct ToRs are read off the run heads. *)
+let enumerate ~structural fabric ~source ~dests ~emit =
   let g = Fabric.graph fabric in
-  let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
-  let acc = { bindings = []; seen = Iset.add source Iset.empty } in
+  let bind parent child = emit child parent (find_link ~structural g parent child) in
+  let shift = Bits.ceil_log2 (Int.max 2 (Graph.num_nodes g)) in
+  let mask = (1 lsl shift) - 1 in
   let src_tor = Fabric.attach_tor fabric source in
-  (* Every endpoint (host, or GPU through its dedicated NIC) hangs
-     directly off its ToR, so the tree is: source -> ToR -> upper tiers
-     -> destination ToRs -> destination endpoints. *)
-  let by_tor = Hashtbl.create 16 in
-  List.iter
-    (fun d ->
-      let tor = Fabric.attach_tor fabric d in
-      Hashtbl.replace by_tor tor
-        (d :: Option.value (Hashtbl.find_opt by_tor tor) ~default:[]))
-    dests;
-  let tors_needed =
-    Hashtbl.fold (fun t _ acc -> if t <> src_tor then t :: acc else acc) by_tor []
-    |> List.sort compare
+  let keys =
+    Array.make (List.fold_left (fun n d -> if d = source then n else n + 1) 0 dests) 0
   in
-  if dests <> [] then add_edge g acc ~parent:source ~child:src_tor;
+  ignore
+    (List.fold_left
+       (fun i d ->
+         if d = source then i
+         else begin
+           keys.(i) <- (Fabric.attach_tor fabric d lsl shift) lor d;
+           i + 1
+         end)
+       0 dests);
+  sort_ints keys;
+  let n = dedup keys (Array.length keys) in
+  (* The distinct destination ToRs other than the source's, ascending. *)
+  let tors = Array.make n 0 in
+  let nt = ref 0 in
+  for i = 0 to n - 1 do
+    let tor = keys.(i) lsr shift in
+    if tor <> src_tor && (!nt = 0 || tors.(!nt - 1) <> tor) then begin
+      tors.(!nt) <- tor;
+      incr nt
+    end
+  done;
+  let nt = !nt in
+  if n > 0 then bind source src_tor;
   (* Upper tiers, only if some ToR outside the source ToR is involved. *)
-  (match fabric with
-  | Fabric.Ls ls when tors_needed <> [] ->
-      let spine = ls.Leaf_spine.spines.(0) in
-      add_edge g acc ~parent:src_tor ~child:spine;
-      List.iter (fun tor -> add_edge g acc ~parent:spine ~child:tor) tors_needed
-  | Fabric.Ls _ -> ()
-  | Fabric.Rl rl when tors_needed <> [] ->
-      (* Two-tier like a leaf-spine: one spine covers all rail ToRs. *)
-      let spine = rl.Rail.spines.(0) in
-      add_edge g acc ~parent:src_tor ~child:spine;
-      List.iter (fun tor -> add_edge g acc ~parent:spine ~child:tor) tors_needed
-  | Fabric.Rl _ -> ()
-  | Fabric.Ft ft when tors_needed <> [] ->
-      let by_pod = Hashtbl.create 8 in
-      List.iter
-        (fun tor ->
-          let p = Fabric.pod_of_tor fabric tor in
-          Hashtbl.replace by_pod p
-            (tor :: Option.value (Hashtbl.find_opt by_pod p) ~default:[]))
-        tors_needed;
-      let src_pod = Fabric.pod_of_tor fabric src_tor in
-      let pods_needed =
-        Hashtbl.fold (fun p _ acc -> p :: acc) by_pod [] |> List.sort compare
-      in
-      let agg_of_pod p = ft.Fat_tree.aggs_of_pod.(p).(0) in
-      let core = ft.Fat_tree.cores.(0) in
-      let src_agg = agg_of_pod src_pod in
-      add_edge g acc ~parent:src_tor ~child:src_agg;
-      let other_pods = List.filter (fun p -> p <> src_pod) pods_needed in
-      if other_pods <> [] then begin
-        add_edge g acc ~parent:src_agg ~child:core;
-        List.iter
-          (fun p ->
-            let agg = agg_of_pod p in
-            add_edge g acc ~parent:core ~child:agg;
-            List.iter
-              (fun tor -> add_edge g acc ~parent:agg ~child:tor)
-              (List.sort compare (Hashtbl.find by_pod p)))
-          other_pods
-      end;
-      (match Hashtbl.find_opt by_pod src_pod with
-      | Some tors ->
-          List.iter
-            (fun tor -> add_edge g acc ~parent:src_agg ~child:tor)
-            (List.sort compare tors)
-      | None -> ())
-  | Fabric.Ft _ -> ()
-  | Fabric.Zo _ ->
-      (* No closed-form optimum beyond the source rack on zoo fabrics:
-         force the caller (Peel.multicast_tree, TREE005's lower bound)
-         onto the general layer-peeling path.  A single-rack group is
-         still exact — source -> ToR -> destinations needs no upper
-         tier. *)
-      if tors_needed <> [] then
-        invalid_arg
-          "Symmetric.build: no closed-form optimal tree on a zoo fabric");
+  (if nt > 0 then
+     match fabric with
+     | Fabric.Ls { Leaf_spine.spines; _ } | Fabric.Rl { Rail.spines; _ } ->
+         (* Two tiers: one spine covers every leaf (or rail ToR). *)
+         let spine = spines.(0) in
+         bind src_tor spine;
+         for i = 0 to nt - 1 do
+           bind spine tors.(i)
+         done
+     | Fabric.Ft ft ->
+         (* One aggregation switch per involved pod and one core between
+            pods.  (pod, ToR) keys, ascending, run pod by pod. *)
+         let pod_tors =
+           Array.init nt (fun i ->
+               (Fabric.pod_of_tor fabric tors.(i) lsl shift) lor tors.(i))
+         in
+         sort_ints pod_tors;
+         let src_pod = Fabric.pod_of_tor fabric src_tor in
+         let agg_of_pod p = ft.Fat_tree.aggs_of_pod.(p).(0) in
+         let src_agg = agg_of_pod src_pod in
+         bind src_tor src_agg;
+         if Array.exists (fun k -> k lsr shift <> src_pod) pod_tors then begin
+           let core = ft.Fat_tree.cores.(0) in
+           bind src_agg core;
+           Array.iteri
+             (fun i k ->
+               let p = k lsr shift in
+               if p <> src_pod then begin
+                 let agg = agg_of_pod p in
+                 if i = 0 || pod_tors.(i - 1) lsr shift <> p then bind core agg;
+                 bind agg (k land mask)
+               end)
+             pod_tors
+         end;
+         Array.iter
+           (fun k -> if k lsr shift = src_pod then bind src_agg (k land mask))
+           pod_tors
+     | Fabric.Zo _ ->
+         (* No closed-form optimum beyond the source rack on zoo fabrics:
+            force the caller (Peel.multicast_tree, TREE005's lower bound)
+            onto the general layer-peeling path.  A single-rack group is
+            still exact — source -> ToR -> destinations needs no upper
+            tier. *)
+         invalid_arg "Symmetric.build: no closed-form optimal tree on a zoo fabric");
   (* Down edges: ToR -> destination endpoint (host or GPU NIC). *)
-  Hashtbl.iter
-    (fun tor eps ->
-      List.iter (fun e -> add_edge g acc ~parent:tor ~child:e) (List.sort compare eps))
-    by_tor;
-  acc.bindings
+  for i = 0 to n - 1 do
+    bind (keys.(i) lsr shift) (keys.(i) land mask)
+  done
 
 let build fabric ~source ~dests =
-  Tree.of_parents (Fabric.graph fabric) ~root:source
-    ~parents:(bindings fabric ~source ~dests)
+  let parents = ref [] in
+  enumerate ~structural:false fabric ~source ~dests ~emit:(fun child parent lid ->
+      parents := (child, (parent, lid)) :: !parents);
+  Tree.of_parents (Fabric.graph fabric) ~root:source ~parents:!parents
 
 let cost_lower_bound fabric ~source ~dests =
-  List.length (bindings fabric ~source ~dests)
+  let count = ref 0 in
+  enumerate ~structural:true fabric ~source ~dests ~emit:(fun _ _ _ -> incr count);
+  !count
