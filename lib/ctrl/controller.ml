@@ -34,6 +34,9 @@ let create ?(trace = Trace.null) cfg =
     invalid_arg "Controller.create: rpc must be >= 0";
   if cfg.per_rule < 0.0 || not (Float.is_finite cfg.per_rule) then
     invalid_arg "Controller.create: per_rule must be >= 0";
+  (match cfg.budget with
+  | Some b when b < 1 -> invalid_arg "Controller.create: budget must be >= 1"
+  | Some _ | None -> ());
   let tcam =
     if cfg.capacity <= 0 then None
     else Some (Tcam.create ~capacity:cfg.capacity ~policy:cfg.policy)

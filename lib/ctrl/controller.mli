@@ -44,7 +44,8 @@ type t
     and the optional TCAM. *)
 
 val create : ?trace:Trace.t -> config -> t
-(** Raises [Invalid_argument] on negative or non-finite latencies. *)
+(** Raises [Invalid_argument] on negative or non-finite latencies, or
+    on a [budget] of [Some b] with [b < 1]. *)
 
 val config : t -> config
 (** The configuration the controller was created with. *)

@@ -852,6 +852,9 @@ let run ?(cfg = default_config) ?jobs ?(trace = Trace.null) fabric ~events
     invalid_arg "Service.run: install_delay must be finite and >= 0";
   if cfg.cache_capacity < 1 then
     invalid_arg "Service.run: cache_capacity must be >= 1";
+  (match cfg.budget with
+  | Some b when b < 1 -> invalid_arg "Service.run: budget must be >= 1"
+  | Some _ | None -> ());
   match cfg.gc_space_overhead with
   | None -> run_body cfg jobs trace fabric ~events stream
   | Some o ->

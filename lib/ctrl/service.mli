@@ -157,5 +157,6 @@ val run :
     bit-identical for every value, and for either [use_cache] setting.
     [trace] (default {!Peel_sim.Trace.null}) receives the planning-
     cache hit/miss counters.  Raises [Invalid_argument] on a
-    non-positive [batch], negative [install_delay] or non-positive
-    [cache_capacity]. *)
+    non-positive [batch], negative [install_delay], non-positive
+    [cache_capacity] or a [budget] of [Some b] with [b < 1], before the
+    first event. *)

@@ -160,6 +160,12 @@ let test_controller_duplicate_admit_raises () =
        false
      with Invalid_argument _ -> true)
 
+let test_controller_budget_below_one () =
+  Alcotest.check_raises "budget 0"
+    (Invalid_argument "Controller.create: budget must be >= 1") (fun () ->
+      ignore
+        (Controller.create { (cfg ()) with Controller.budget = Some 0 }))
+
 let test_controller_eviction_reverts_victim () =
   (* Capacity 1 on a shared switch: the second install displaces the
      first group, which must drop back to the static stage. *)
@@ -551,6 +557,17 @@ let prop_service_saturation =
       budget_ok && policy_ok && no_departed_rules && fallback_unicast
       && Check_service.check_state out = [])
 
+(* A budget below 1 is rejected before the first event is taken from
+   the stream, not at the first flush. *)
+let test_service_budget_below_one () =
+  let fabric = ls48 () in
+  let s = Stream.create fabric (Rng.create 11) ~tenants:service_tenants () in
+  let cfg = { Service.default_config with Service.budget = Some 0 } in
+  Alcotest.check_raises "budget 0"
+    (Invalid_argument "Service.run: budget must be >= 1") (fun () ->
+      ignore (Service.run ~cfg ~jobs:1 fabric ~events:800 s));
+  Alcotest.(check int) "no event consumed" 0 (Stream.next s).Stream.ev_seq
+
 let test_service_deny_fat_tree_reclaims () =
   (* Regression: on a fat-tree, a membership delta can add switches to
      an already-Installed group; only the new switches go back through
@@ -880,6 +897,8 @@ let () =
             test_controller_release_cancels_install;
           Alcotest.test_case "duplicate admit" `Quick
             test_controller_duplicate_admit_raises;
+          Alcotest.test_case "budget below 1" `Quick
+            test_controller_budget_below_one;
           Alcotest.test_case "eviction reverts" `Quick
             test_controller_eviction_reverts_victim;
         ] );
@@ -917,6 +936,8 @@ let () =
           qt prop_service_saturation;
           Alcotest.test_case "deny reclaims on fat-tree" `Quick
             test_service_deny_fat_tree_reclaims;
+          Alcotest.test_case "budget below 1" `Quick
+            test_service_budget_below_one;
           Alcotest.test_case "svc001 corruption" `Quick
             test_service_svc001_seeded_corruption;
           Alcotest.test_case "svc002 silent" `Quick

@@ -106,6 +106,18 @@ let test_plan_budget_overcovers () =
   Alcotest.(check int) "wastes 4 racks" 4 (Plan.waste_tor_count tight);
   match Plan.validate f tight with Ok () -> () | Error e -> Alcotest.fail e
 
+(* A budget below 1 is rejected where it enters, for an empty group as
+   for any other. *)
+let test_plan_budget_below_one () =
+  let f = Fabric.leaf_spine ~spines:2 ~leaves:4 ~hosts_per_leaf:2 () in
+  let hosts = Fabric.hosts f in
+  List.iter
+    (fun dests ->
+      Alcotest.check_raises "budget 0"
+        (Invalid_argument "Plan.build: budget must be >= 1") (fun () ->
+          ignore (Plan.build ~budget:0 f ~source:hosts.(0) ~dests)))
+    [ []; [ hosts.(3); hosts.(5) ] ]
+
 let test_plan_leaf_spine_single_pod () =
   let ls = Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:2 () in
   let hosts = Fabric.hosts ls in
@@ -279,6 +291,7 @@ let () =
           Alcotest.test_case "paper prefix example" `Quick test_plan_paper_prefix_example;
           Alcotest.test_case "header bytes" `Quick test_plan_header_bytes;
           Alcotest.test_case "budget overcovers" `Quick test_plan_budget_overcovers;
+          Alcotest.test_case "budget below 1" `Quick test_plan_budget_below_one;
           Alcotest.test_case "leaf-spine single pod" `Quick test_plan_leaf_spine_single_pod;
           Alcotest.test_case "packet trees valid" `Quick test_packet_trees_valid;
           qt prop_plan_partitions;
