@@ -20,8 +20,9 @@
 # suite carries the parallel-sweep determinism gate: it re-runs the
 # fig5 sweep under 1 and 4 worker domains and fails unless the rows
 # are bit-identical. The documentation gate lives in scripts/docs.sh
-# (its own ci.sh stage). A grep step first checks that the code reads
-# no ambient configuration.
+# (its own ci.sh stage). Two grep steps come first: the code reads no
+# ambient configuration, and planning and checking code never writes
+# link state.
 # Exits non-zero on the first violated invariant.
 set -eu
 cd "$(dirname "$0")/.."
@@ -38,6 +39,21 @@ if [ -n "$env_reads" ] \
   || ! grep -q '^let env_var = "PEEL_CHECK"$' lib/check/peel_check.ml; then
   echo "lint.sh: environment reads other than PEEL_JOBS/PEEL_CHECK:" >&2
   echo "$env_reads" >&2
+  exit 1
+fi
+
+# Planning and checking code reads link state and never writes it: a
+# check that flips links cannot run next to a fault stream, and a memo
+# hit must not depend on one having run.  No .ml file under these
+# directories may name a link-state writer (Graph.fail_link,
+# recover_link, restore_all; Fabric.fail_random, recover_link;
+# Link_state.set_link_up), qualified, opened or aliased.
+link_writes=$(grep -rnwE --include='*.ml' \
+  'fail_link|recover_link|restore_all|fail_random|set_link_up' \
+  lib/check lib/steiner lib/core lib/prefix lib/compile lib/ctrl || true)
+if [ -n "$link_writes" ]; then
+  echo "lint.sh: planning or checking code writes link state:" >&2
+  echo "$link_writes" >&2
   exit 1
 fi
 
