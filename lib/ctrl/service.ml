@@ -697,10 +697,52 @@ let handle st (ev : Stream.event) =
       log_event st ~ev "x");
   maybe_flush st ~now
 
-let percentile sorted p =
-  match Array.length sorted with
+(* The [k]-th smallest of [a] (from 0) in the order [Array.sort
+   compare] gives floats ([Float.compare]): a quickselect with a
+   median-of-three pivot that reorders [a] in place, expected O(n). *)
+let select a k =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi) in
+    let pivot =
+      if Float.compare x y <= 0 then
+        if Float.compare y z <= 0 then y else if Float.compare x z <= 0 then z else x
+      else if Float.compare x z <= 0 then x
+      else if Float.compare y z <= 0 then z
+      else y
+    in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while Float.compare a.(!i) pivot < 0 do
+        incr i
+      done;
+      while Float.compare a.(!j) pivot > 0 do
+        decr j
+      done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    (* [lo .. j] <= pivot <= [i .. hi], and whatever lies between
+       equals the pivot. *)
+    if k <= !j then hi := !j
+    else if k >= !i then lo := !i
+    else begin
+      lo := k;
+      hi := k
+    end
+  done;
+  a.(k)
+
+(* Nearest-rank percentile of the unsorted [a]; reorders [a]. *)
+let percentile a p =
+  match Array.length a with
   | 0 -> 0.0
-  | n -> sorted.(min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
+  | n -> select a (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
 (* Shard switches for the TCAM: by pod where the fabric has pods, by
    the node's index within its kind otherwise (leaf-spine spines and
@@ -785,7 +827,6 @@ let run_body cfg jobs trace fabric ~events stream =
        evictions st.denials st.batches st.compiled_entries st.multicast_chunks
        st.unicast_chunks st.multicast_link_bytes st.unicast_link_bytes);
   let lat = Array.sub st.plan_lat 0 st.plan_n in
-  Array.sort compare lat;
   let cache_hits = Memo.hits st.trees + Memo.hits st.plans + Memo.hits st.bounds in
   let cache_misses =
     Memo.misses st.trees + Memo.misses st.plans + Memo.misses st.bounds
@@ -818,7 +859,11 @@ let run_body cfg jobs trace fabric ~events stream =
       groups_live = G.live st.groups;
       plan_p50_s = percentile lat 0.50;
       plan_p99_s = percentile lat 0.99;
-      plan_max_s = (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1));
+      plan_max_s =
+        Array.fold_left
+          (fun m x -> if Float.compare x m > 0 then x else m)
+          (if Array.length lat = 0 then 0.0 else lat.(0))
+          lat;
       events_per_sec =
         (if wall > 0.0 then float_of_int events /. wall else 0.0);
       wall_s = wall;
