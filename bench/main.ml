@@ -206,7 +206,12 @@ let peel_build_minor_words fabric =
   done;
   (Gc.minor_words () -. w0) /. float_of_int reps
 
-let micro_tests ~k32 ~k64 ~stage_rows =
+(* Rows that need no large fabric.  [run_micro] measures them before it
+   builds the k=32 and k=64 fat-trees: a row that allocates pays
+   major-GC work in proportion to the live heap, and with both fabrics
+   live a microsecond row's estimate grew 4-7x and its r2 went
+   negative. *)
+let micro_tests () =
   let open Bechamel in
   let fabric = Common.fig5_fabric () in
   let g = Peel_topology.Fabric.graph fabric in
@@ -216,26 +221,45 @@ let micro_tests ~k32 ~k64 ~stage_rows =
   let dests = List.tl members in
   let rng = Rng.create 9 in
   let tor_targets = List.init 24 (fun _ -> Rng.int rng 64) |> List.sort_uniq compare in
+  (* Serve-churn's shape: E20's leaf-spine (4 spines, 8 leaves of 4
+     hosts) and one seeded 13-member group, as a flush plans it (budget
+     1) and a membership delta bounds it. *)
+  let ls = Peel_topology.Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:4 () in
+  let ls_source, ls_dests =
+    let hosts = Peel_topology.Fabric.endpoints ls in
+    match Rng.sample_without_replacement (Rng.create 3) (Array.length hosts) 13 with
+    | s :: ds -> (hosts.(s), List.map (fun i -> hosts.(i)) ds)
+    | [] -> assert false
+  in
   [
     Test.make ~name:"layer_peel_tree_256_dests"
       (Staged.stage (fun () ->
            ignore (Peel_steiner.Layer_peel.build g ~source ~dests)));
-    (let source, dests = pod_group k64 in
-     let g = Peel_topology.Fabric.graph k64 in
-     Test.make ~name:"layer_peel_k64_512_dests"
-       (Staged.stage (fun () ->
-            ignore (Peel_steiner.Layer_peel.build g ~source ~dests))));
     Test.make ~name:"symmetric_optimal_tree_256_dests"
       (Staged.stage (fun () ->
            ignore (Peel_steiner.Symmetric.build fabric ~source ~dests)));
     Test.make ~name:"peel_plan_256_dests"
       (Staged.stage (fun () -> ignore (Peel.Plan.build fabric ~source ~dests)));
-    Test.make ~name:"exact_cover_m6_24_targets"
+    Test.make ~name:"peel_plan_ls4x8_b1_12_dests"
       (Staged.stage (fun () ->
-           ignore (Peel_prefix.Cover.exact_cover ~m:6 tor_targets)));
-    Test.make ~name:"budgeted_cover_m6_b4"
+           ignore (Peel.Plan.build ~budget:1 ls ~source:ls_source ~dests:ls_dests)));
+    Test.make ~name:"symmetric_bound_ls4x8_12_dests"
       (Staged.stage (fun () ->
-           ignore (Peel_prefix.Cover.budgeted_cover ~m:6 ~budget:4 tor_targets)));
+           ignore
+             (Peel_check.Check_tree.symmetric_lower_bound ls ~source:ls_source
+                ~dests:ls_dests)));
+    (* 100 calls per run: a single cover call is too short for the fit
+       to resolve on a busy host. *)
+    Test.make ~name:"exact_cover_m6_24_targets_x100"
+      (Staged.stage (fun () ->
+           for _ = 1 to 100 do
+             ignore (Peel_prefix.Cover.exact_cover ~m:6 tor_targets)
+           done));
+    Test.make ~name:"budgeted_cover_m6_b4_x100"
+      (Staged.stage (fun () ->
+           for _ = 1 to 100 do
+             ignore (Peel_prefix.Cover.budgeted_cover ~m:6 ~budget:4 tor_targets)
+           done));
     (* 1k installs into a full LRU table: every install pops the heap
        root and sifts the newcomer — the operation the old O(capacity)
        victim scan made linear. *)
@@ -276,6 +300,18 @@ let micro_tests ~k32 ~k64 ~stage_rows =
     Test.make ~name:"engine_10k_events_traced"
       (Staged.stage (engine_churn ~traced:true));
     engine_walker_row ();
+  ]
+
+(* Rows over the k=32 and k=64 fat-trees, and the rows that hold a large
+   heap themselves. *)
+let fabric_micro_tests ~k32 ~k64 ~stage_rows =
+  let open Bechamel in
+  [
+    (let source, dests = pod_group k64 in
+     let g = Peel_topology.Fabric.graph k64 in
+     Test.make ~name:"layer_peel_k64_512_dests"
+       (Staged.stage (fun () ->
+            ignore (Peel_steiner.Layer_peel.build g ~source ~dests))));
     (* One fig6-style cell on a k=32 fat-tree (16384 GPUs), flattened
        and executed on the sharded engine end to end. *)
     (let cs =
@@ -304,10 +340,7 @@ let run_micro () =
     Benchmark.cfg ~limit:2000 ~stabilize:true
       ~quota:(Time.second 0.5) ()
   in
-  let k32 = Peel_topology.Fabric.fat_tree ~k:32 ~hosts_per_tor:4 ~gpus_per_host:8 () in
-  let k64 = Peel_topology.Fabric.fat_tree ~k:64 ~hosts_per_tor:4 ~gpus_per_host:8 () in
-  let stage_rows, built = sim_scale_rows k32 in
-  let results =
+  let measure tests =
     List.concat_map
       (fun test ->
         let raw = Benchmark.all cfg [ instance ] test in
@@ -328,8 +361,13 @@ let run_micro () =
                   | _ -> None),
                   finite (Analyze.OLS.r_square ols_result) ))
           (Test.elements test))
-      (micro_tests ~k32 ~k64 ~stage_rows)
+      tests
   in
+  let small = measure (micro_tests ()) in
+  let k32 = Peel_topology.Fabric.fat_tree ~k:32 ~hosts_per_tor:4 ~gpus_per_host:8 () in
+  let k64 = Peel_topology.Fabric.fat_tree ~k:64 ~hosts_per_tor:4 ~gpus_per_host:8 () in
+  let stage_rows, built = sim_scale_rows k32 in
+  let results = small @ measure (fabric_micro_tests ~k32 ~k64 ~stage_rows) in
   Peel_util.Table.print ~header:[ "algorithm"; "time per run"; "r2" ]
     (Common.micro_table_rows results);
   let words, events = shard_run_minor_words built in
