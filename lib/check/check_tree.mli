@@ -25,8 +25,9 @@ val check :
   dests:int list ->
   Diagnostic.t list
 (** Structural checks against the graph; when [fabric] is supplied the
-    Theorem 2.5 cost bound is also checked (failures are temporarily
-    restored to compute the symmetric lower bound, then re-applied). *)
+    Theorem 2.5 cost bound is also checked, against the symmetric lower
+    bound of the failure-free fabric ({!symmetric_lower_bound}).  Reads
+    link state and never writes it. *)
 
 val check_splice :
   ?fabric:Fabric.t ->
@@ -45,6 +46,10 @@ val check_splice :
 val symmetric_lower_bound :
   Fabric.t -> source:int -> dests:int list -> int option
 (** Lemma 2.1 optimum cost for the group on the failure-free fabric;
-    [None] when the symmetric construction does not apply.  Restores
-    any injected failures for the computation and re-applies them
-    before returning. *)
+    [None] when the symmetric construction does not apply (a zoo fabric
+    with more than one destination rack, a member that is not an
+    endpoint, or a link the construction needs that the fabric does not
+    have).  {!Peel_steiner.Symmetric.cost_lower_bound} under a
+    [Some]/[None]: it checks each binding against the fabric's links
+    whether up or down, so it reads no link state and writes none, and
+    a call costs O(|D| log |D|) in the group, not the fabric. *)

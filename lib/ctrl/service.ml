@@ -304,9 +304,11 @@ let farthest st ~source ~dests =
   go 0 dests
 
 (* The Theorem 2.5 envelope data, memoized by (source, member set).
-   [symmetric_lower_bound] restores down links before costing, so both
-   components are pure in (source, dests) for the service's static
-   fabric and a memo hit equals recomputing (the SVC005 contract). *)
+   [symmetric_lower_bound] costs the failure-free fabric and reads no
+   link state, and [farthest] reads the creation-time distances, so
+   both components are pure in (source, dests) for the service's
+   static fabric and a memo hit equals recomputing (the SVC005
+   contract). *)
 let bound_info st ~source ~members_bs ~dests =
   let compute () =
     let opt =
@@ -698,19 +700,13 @@ let handle st (ev : Stream.event) =
   maybe_flush st ~now
 
 (* The [k]-th smallest of [a] (from 0) in the order [Array.sort
-   compare] gives floats ([Float.compare]): a quickselect with a
-   median-of-three pivot that reorders [a] in place, expected O(n). *)
+   compare] gives floats ([Float.compare]): Hoare's selection, which
+   reorders [a] in place in expected O(n).  The middle element as pivot
+   keeps sorted and reversed runs linear. *)
 let select a k =
   let lo = ref 0 and hi = ref (Array.length a - 1) in
   while !lo < !hi do
-    let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi) in
-    let pivot =
-      if Float.compare x y <= 0 then
-        if Float.compare y z <= 0 then y else if Float.compare x z <= 0 then z else x
-      else if Float.compare x z <= 0 then x
-      else if Float.compare y z <= 0 then z
-      else y
-    in
+    let pivot = a.((!lo + !hi) / 2) in
     let i = ref !lo and j = ref !hi in
     while !i <= !j do
       while Float.compare a.(!i) pivot < 0 do

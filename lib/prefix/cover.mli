@@ -50,13 +50,19 @@ val validate : m:int -> prefix -> unit
 val exact_cover : m:int -> int list -> prefix list
 (** Minimal exact decomposition of a target set into power-of-two
     blocks; sorted by block start. Targets must lie in [0..2^m);
-    duplicates are ignored. The empty set yields []. *)
+    duplicates are ignored. The empty set yields [].  Cost: O(2^m) to
+    prefix-sum the targets, then O(1) per trie node visited (at most
+    [(m + 1) * |targets|] of them). *)
 
 val budgeted_cover : m:int -> budget:int -> int list -> prefix list
 (** Cover every target with at most [budget] prefixes (budget >= 1),
     minimizing first the count of covered non-targets, then the number
     of prefixes. Falls back to [{value=0; len=0}] (the whole pod) when
-    the budget forces it. *)
+    the budget forces it.  Among equal optima, a block is covered whole
+    when that is optimal, else split at the smallest left-child budget
+    that reaches the optimum.  Cost: O(2^m) to prefix-sum the targets,
+    then O(budget^2) int operations per trie node holding a target, in
+    int arrays of [budget + 1] values per such node. *)
 
 val covered_set : m:int -> prefix list -> int list
 (** Union of the blocks, ascending, duplicates removed. *)
