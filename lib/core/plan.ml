@@ -59,23 +59,6 @@ let ascending_of_rev l =
   in
   if descending l then List.rev l else List.sort Int.compare l
 
-(* Packet order: by pod list, then ToR prefix (value, then length). *)
-let rec compare_pods a b =
-  match (a, b) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | x :: a, y :: b ->
-      let c = Int.compare x y in
-      if c <> 0 then c else compare_pods a b
-
-let compare_packets p q =
-  let c = compare_pods p.pods q.pods in
-  if c <> 0 then c
-  else
-    let c = Int.compare p.tor_prefix.Cover.value q.tor_prefix.Cover.value in
-    if c <> 0 then c else Int.compare p.tor_prefix.Cover.len q.tor_prefix.Cover.len
-
 let build ?budget fabric ~source ~dests =
   (match budget with
   | Some b when b < 1 -> invalid_arg "Plan.build: budget must be >= 1"
@@ -213,7 +196,10 @@ let build ?budget fabric ~source ~dests =
   {
     source;
     dests = List.init n (fun i -> ds.(i));
-    packets = List.sort compare_packets !packets;
+    packets =
+      List.sort
+        (fun a b -> compare (a.pods, a.tor_prefix) (b.pods, b.tor_prefix))
+        !packets;
     header_bytes = header_bytes_for fabric;
   }
 
