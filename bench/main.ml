@@ -210,7 +210,7 @@ let peel_build_minor_words fabric =
    builds the k=32 and k=64 fat-trees: a row that allocates pays
    major-GC work in proportion to the live heap, and with both fabrics
    live a microsecond row's estimate grew 4-7x and its r2 went
-   negative. *)
+   negative (2-core x86-64 host). *)
 let micro_tests () =
   let open Bechamel in
   let fabric = Common.fig5_fabric () in
