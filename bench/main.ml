@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's experiment index) and times the core
-   algorithms with Bechamel.
+   evaluation (the experiments of [Registry.all]; see DESIGN.md's
+   experiment index) and times the core algorithms with Bechamel.
 
    Usage:
      dune exec bench/main.exe               # full run, all experiments
@@ -11,50 +11,22 @@
      dune exec bench/main.exe -- guard      # drift check vs BENCH.json
 
    Every run (except [guard]) also writes BENCH.json (schema
-   peel-bench/2) to the invocation directory: per-experiment wall time
-   (plus speedup against the committed baseline when comparable),
+   peel-bench/2) to the invocation directory: per-experiment wall time,
    Bechamel ns/run and its OLS r² per algorithm, the minor words per
-   event of the sharded event loop's row, the worker count, and a
-   headline CCT comparison across the schemes.
+   event of the sharded event loop's row, the worker count, and every
+   section the registry lists, whichever experiments ran.
 
-   [guard] recomputes the deterministic sections (headline CCTs, the
-   Quick failover and refinement tables) plus a jobs=1 vs jobs=4 sweep
-   and compares them against the committed BENCH.json: any numeric
-   drift means a simulation-behaviour change and exits non-zero.  It
-   writes nothing. *)
+   [guard] recomputes every section the registry marks guarded, plus a
+   jobs=1 vs jobs=4 sweep, and compares them against the committed
+   BENCH.json: any numeric drift means a simulation-behaviour change
+   and exits non-zero.  It writes nothing. *)
 
 open Peel_experiments
 module Rng = Peel_util.Rng
 module Json = Peel_util.Json
 module Pool = Peel_util.Pool
 
-let experiments : (string * string * (Common.mode -> unit)) list =
-  [
-    ("fig1", "E1: Broadcast bandwidth, Ring/Tree vs optimal", Exp_fig1.run);
-    ("fig3", "E2: RSBF Bloom-filter header overhead", Exp_fig3.run);
-    ("fig4", "E3: Orca controller-overhead inflation", Exp_fig4.run);
-    ("fig5", "E4: CCT vs message size, all schemes", Exp_fig5.run);
-    ("fig6", "E5: CCT vs scale", Exp_fig6.run);
-    ("fig7", "E6: robustness to failures", Exp_fig7.run);
-    ("state", "E7: switch state and header accounting", Exp_state.run);
-    ("guard", "E8: DCQCN guard timer ablation", Exp_guard.run);
-    ("approx", "E9: greedy quality and aggregate bandwidth", Exp_approx.run);
-    ("frag", "E10: fragmentation ablation", Exp_frag.run);
-    ("collectives", "E11 (ext): PEEL inside larger collectives", Exp_collectives.run);
-    ("multipath", "E12 (ext): multicast vs multipath", Exp_multipath.run);
-    ("loss", "E13 (ext): loss and selective repeat", Exp_loss.run);
-    ("tenancy", "E14 (ext): concurrent jobs vs TCAM", Exp_tenancy.run);
-    ("rail", "E15 (ext): rail-optimized fabric", Exp_rail.run);
-    ("failover", "E16 (ext): mid-run failures and re-peeling", Exp_failover.run);
-    ("refine", "E17 (ext): two-stage refinement control plane", Exp_refine.run);
-    ("compile", "E18 (ext): rule compiler vs TCAM budget", Exp_compile.run);
-    ("scale", "E19 (ext): sharded-engine scale sweep, k=16/32/64", Exp_scale.run);
-    ("service", "E20 (ext): open-loop service control plane", Exp_service.run);
-    ("zoo", "E21 (ext): topology zoo vs exact-Steiner oracle", Exp_zoo.run);
-    ( "serve-scale",
-      "E22 (ext): million-group service fast path",
-      Exp_serve_scale.run );
-  ]
+let sections = List.concat_map (fun (e : Registry.entry) -> e.sections) Registry.all
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: the paper's complexity claims            *)
@@ -387,35 +359,6 @@ let run_micro () =
 (* BENCH.json: machine-readable run record                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A cheap scheme comparison on the intro fabric so the JSON carries
-   headline CCT numbers even when no CCT experiment was selected. *)
-let headline_ccts () =
-  let fabric = Common.fig1_fabric () in
-  let open Peel_collective in
-  List.map
-    (fun scheme ->
-      let cs =
-        Peel_workload.Spec.poisson_broadcasts fabric (Rng.create 7) ~n:4
-          ~scale:8 ~bytes:(Common.mb 8.0) ~load:0.3 ()
-      in
-      let s = Runner.summarize (Runner.run fabric scheme cs) in
-      (Scheme.to_string scheme, s))
-    Scheme.all
-
-let headline_json headline =
-  Json.Arr
-    (List.map
-       (fun (scheme, (s : Peel_util.Stats.summary)) ->
-         Json.Obj
-           [
-             ("scheme", Json.str scheme);
-             ("mean", Json.num s.Peel_util.Stats.mean);
-             ("p50", Json.num s.Peel_util.Stats.p50);
-             ("p99", Json.num s.Peel_util.Stats.p99);
-             ("max", Json.num s.Peel_util.Stats.max);
-           ])
-       headline)
-
 let mode_string = function Common.Quick -> "quick" | Common.Full -> "full"
 
 let load_baseline () =
@@ -424,45 +367,11 @@ let load_baseline () =
     let text = In_channel.with_open_text "BENCH.json" In_channel.input_all in
     match Json.parse text with Ok doc -> Some doc | Error _ -> None
 
-(* The committed baseline is only comparable when it was produced at
-   the same trial counts. *)
-let baseline_wall_for baseline ~mode name =
-  match baseline with
-  | None -> None
-  | Some doc -> (
-      match Json.member "mode" doc with
-      | Some (Json.Str m) when m = mode_string mode -> (
-          match Option.bind (Json.member "experiments" doc) Json.get_arr with
-          | None -> None
-          | Some entries ->
-              List.find_map
-                (fun e ->
-                  match (Json.member "name" e, Json.member "wall_s" e) with
-                  | Some (Json.Str n), Some w when n = name -> Json.get_num w
-                  | _ -> None)
-                entries)
-      | _ -> None)
-
-let write_bench_json ~mode ~baseline ~exp_times ~micro:(micro, micro_words, build_words)
-    ~headline ~failover
-    ~refinement ~compile ~scale ~scale_speedup ~service ~service_slo
-    ~serve_scale ~serve_scale_slo ~zoo ~total =
+let write_bench_json ~mode ~exp_times ~micro:(micro, micro_words, build_words)
+    ~records ~total =
   let opt_num = function Some x -> Json.num x | None -> Json.Null in
   let experiment_entry (name, wall) =
-    let speedup =
-      match baseline_wall_for baseline ~mode name with
-      | Some base when wall > 0.0 -> [ ("speedup_vs_baseline", Json.num (base /. wall)) ]
-      | _ -> []
-    in
-    Json.Obj
-      ([ ("name", Json.str name); ("wall_s", Json.num wall) ] @ speedup)
-  in
-  let baseline_total =
-    match baseline with
-    | Some doc
-      when Json.member "mode" doc = Some (Json.Str (mode_string mode)) ->
-        Option.bind (Json.member "total_wall_s" doc) Json.get_num
-    | _ -> None
+    Json.Obj [ ("name", Json.str name); ("wall_s", Json.num wall) ]
   in
   let doc =
     Json.Obj
@@ -481,23 +390,9 @@ let write_bench_json ~mode ~baseline ~exp_times ~micro:(micro, micro_words, buil
            Json.Obj (List.map (fun (name, w) -> (name, Json.num w)) micro_words) );
          ( "micro_minor_words_per_build",
            Json.Obj (List.map (fun (name, w) -> (name, Json.num w)) build_words) );
-         ("headline_cct", headline_json headline);
-         ("failover_degradation", failover);
-         ("refinement", refinement);
-         ("compile", compile);
-         ("scale", scale);
-         ("scale_speedup", scale_speedup);
-         ("service", service);
-         ("service_slo", service_slo);
-         ("serve_scale", serve_scale);
-         ("serve_scale_slo", serve_scale_slo);
-         ("zoo", zoo);
-         ("total_wall_s", Json.num total);
        ]
-      @
-      match baseline_total with
-      | Some t -> [ ("baseline_total_wall_s", Json.num t) ]
-      | None -> [])
+      @ records
+      @ [ ("total_wall_s", Json.num total) ])
   in
   Out_channel.with_open_text "BENCH.json" (fun oc ->
       Out_channel.output_string oc (Json.to_string doc);
@@ -602,65 +497,15 @@ let run_guard () =
       exit 2
   | Some doc ->
       Printf.printf "bench guard: recomputing deterministic sections\n";
-      let headline =
-        guard_section "headline_cct"
-          (Json.member "headline_cct" doc)
-          (headline_json (headline_ccts ()))
+      let drifted =
+        List.fold_left
+          (fun acc (s : Registry.section) ->
+            if s.guarded then
+              acc + guard_section s.key (Json.member s.key doc) (s.json ())
+            else acc)
+          0 sections
       in
-      let failover =
-        guard_section "failover_degradation"
-          (Json.member "failover_degradation" doc)
-          (Exp_failover.rows_json Common.Quick)
-      in
-      let refinement =
-        guard_section "refinement"
-          (Json.member "refinement" doc)
-          (Exp_refine.rows_json Common.Quick)
-      in
-      let compile =
-        guard_section "compile"
-          (Json.member "compile" doc)
-          (Exp_compile.rows_json Common.Quick)
-      in
-      (* The scale rows come off the sharded engine, whose results are
-         jobs-invariant — so this section both guards E19 against drift
-         and doubles as a determinism gate for the parallel DES.  The
-         machine-dependent "scale_speedup" section is NOT guarded. *)
-      let scale =
-        guard_section "scale"
-          (Json.member "scale" doc)
-          (Exp_scale.rows_json Common.Quick)
-      in
-      (* The service rows fold delta re-peeling, sharded compiles and
-         TCAM admission into one fingerprinted record; the wall-clock
-         "service_slo" section is NOT guarded. *)
-      let service =
-        guard_section "service"
-          (Json.member "service" doc)
-          (Exp_service.rows_json Common.Quick)
-      in
-      (* The scale rows pin the arena-backed service's counters and all
-         three replay fingerprints (jobs=1 / jobs=4 / cache-off) at the
-         10^6-group cell; the wall-clock "serve_scale_slo" section —
-         where the reference baseline runs — is NOT guarded. *)
-      let serve_scale =
-        guard_section "serve_scale"
-          (Json.member "serve_scale" doc)
-          (Exp_serve_scale.rows_json Common.Quick)
-      in
-      (* The zoo record folds the approximation ratios, the port-set
-         rule accounting and the expander reconfiguration runs into one
-         seeded, jobs-invariant object. *)
-      let zoo =
-        guard_section "zoo"
-          (Json.member "zoo" doc)
-          (Exp_zoo.rows_json Common.Quick)
-      in
-      let failures =
-        headline + failover + refinement + compile + scale + service
-        + serve_scale + zoo
-        + guard_jobs_determinism ()
-      in
+      let failures = drifted + guard_jobs_determinism () in
       if failures > 0 then begin
         Printf.printf
           "bench guard: %d section(s) drifted from the committed BENCH.json\n"
@@ -693,56 +538,41 @@ let () =
   else begin
     let quick = List.mem "quick" args in
     let mode = if quick then Common.Quick else Common.Full in
-    let exp_names = List.map (fun (n, _, _) -> n) experiments in
+    let names = List.map (fun (e : Registry.entry) -> e.name) Registry.all in
     let selections = List.filter (fun a -> a <> "quick") args in
     let unknown =
       List.filter
-        (fun a -> a <> "micro" && a <> "all" && not (List.mem a exp_names))
+        (fun a -> a <> "micro" && a <> "all" && not (List.mem a names))
         selections
     in
     if unknown <> [] then begin
-      Printf.eprintf "unknown experiment(s): %s\navailable: %s micro all quick guard\n"
-        (String.concat " " unknown)
-        (String.concat " " exp_names);
+      Printf.eprintf
+        "unknown experiment(s): %s\navailable: %s micro all quick, or guard alone\n"
+        (String.concat " " unknown) (String.concat " " names);
       exit 2
     end;
     let run_all = selections = [] || List.mem "all" selections in
     let wanted name = run_all || List.mem name selections in
-    let baseline = load_baseline () in
     let t0 = Unix.gettimeofday () in
     Printf.printf "PEEL benchmark harness (%s mode, %d worker%s)\n"
       (mode_string mode) (Pool.default_jobs ())
       (if Pool.default_jobs () = 1 then "" else "s");
     let exp_times =
       List.filter_map
-        (fun (name, _desc, f) ->
-          if wanted name then begin
+        (fun (e : Registry.entry) ->
+          if wanted e.name then begin
             let t = Unix.gettimeofday () in
-            f mode;
-            Some (name, Unix.gettimeofday () -. t)
+            e.run mode;
+            Some (e.name, Unix.gettimeofday () -. t)
           end
           else None)
-        experiments
+        Registry.all
     in
     let micro =
       if run_all || List.mem "micro" selections then run_micro () else ([], [], [])
     in
-    let headline = headline_ccts () in
-    (* Always at Quick scale: a deterministic CCT-degradation record for
-       PEEL and the baselines, regardless of which experiments ran. *)
-    let failover = Exp_failover.rows_json Common.Quick in
-    let refinement = Exp_refine.rows_json Common.Quick in
-    let compile = Exp_compile.rows_json Common.Quick in
-    let scale = Exp_scale.rows_json Common.Quick in
-    let scale_speedup = Exp_scale.speedup_json Common.Quick in
-    let service = Exp_service.rows_json Common.Quick in
-    let service_slo = Exp_service.slo_json Common.Quick in
-    let serve_scale = Exp_serve_scale.rows_json Common.Quick in
-    let serve_scale_slo = Exp_serve_scale.slo_json Common.Quick in
-    let zoo = Exp_zoo.rows_json Common.Quick in
+    let records = List.map (fun (s : Registry.section) -> (s.key, s.json ())) sections in
     let total = Unix.gettimeofday () -. t0 in
-    write_bench_json ~mode ~baseline ~exp_times ~micro ~headline ~failover
-      ~refinement ~compile ~scale ~scale_speedup ~service ~service_slo
-      ~serve_scale ~serve_scale_slo ~zoo ~total;
+    write_bench_json ~mode ~exp_times ~micro ~records ~total;
     Printf.printf "\ntotal wall time: %.1f s (BENCH.json written)\n" total
   end

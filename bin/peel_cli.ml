@@ -86,6 +86,51 @@ let apply_jobs jobs = Option.iter Peel_util.Pool.set_default_jobs jobs
 let scale_term =
   Arg.(value & opt int 64 & info [ "scale" ] ~doc:"Collective size in GPUs.")
 
+let quiet_term =
+  Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
+
+(* A flag value parsed by a library's [of_string]; [what] names it in
+   the usage error. *)
+let conv_of ~what of_string to_string =
+  let parse s =
+    match of_string s with
+    | Some x -> Ok x
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S" what s))
+  in
+  Arg.conv (parse, fun fmt x -> Format.pp_print_string fmt (to_string x))
+
+let policy_term =
+  let open Peel_ctrl in
+  Arg.(
+    value
+    & opt (conv_of ~what:"eviction policy" Tcam.policy_of_string Tcam.policy_to_string)
+        Tcam.Lru
+    & info [ "policy" ] ~docv:"POLICY" ~doc:"Eviction policy: lru or bytes.")
+
+module D = Peel_check.Diagnostic
+module Json = Peel_util.Json
+
+let finding_json d =
+  Json.Obj
+    [
+      ("severity", Json.str (D.severity_to_string d.D.severity));
+      ("code", Json.str d.D.code);
+      ("location", Json.str d.D.location);
+      ("message", Json.str d.D.message);
+    ]
+
+(* The tail of every linting subcommand: [json] when given, else the
+   findings (unless [quiet]) and one verdict line, [head] then the
+   finding and error counts then [tail]; exit 1 on any error. *)
+let report ?json ?(tail = "") ~quiet ds head =
+  (match json with
+  | Some doc -> print_endline (Json.to_string doc)
+  | None ->
+      if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
+      Printf.printf "%s%d finding(s), %d error(s)%s\n" head (List.length ds)
+        (List.length (D.errors ds)) tail);
+  if D.has_errors ds then exit 1
+
 (* The uniform exit-code contract, documented in every subcommand's man
    page and asserted by test_compile's CLI test. *)
 let std_exits =
@@ -158,9 +203,6 @@ let check_cmd =
       & info [ "budget" ]
           ~doc:"Cap on ToR prefixes per packet group (allows over-covering).")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
-  in
   let json =
     Arg.(
       value & flag
@@ -170,8 +212,6 @@ let check_cmd =
              stdout instead of the human report (exit code unchanged).")
   in
   let run fabric seed scale failures budget quiet json =
-    let module D = Peel_check.Diagnostic in
-    let module Json = Peel_util.Json in
     let rng = Rng.create seed in
     if failures > 0.0 then
       ignore (Fabric.fail_random fabric ~rng ~tier:`All ~fraction:failures ());
@@ -179,48 +219,33 @@ let check_cmd =
     let source = List.hd members in
     let dests = List.filter (fun m -> m <> source) members in
     let ds = Peel_check.check_scenario ?budget fabric ~source ~dests in
-    let errs = D.errors ds in
-    if json then begin
-      let finding d =
-        Json.Obj
-          [
-            ("severity", Json.str (D.severity_to_string d.D.severity));
-            ("code", Json.str d.D.code);
-            ("location", Json.str d.D.location);
-            ("message", Json.str d.D.message);
-          ]
-      in
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.str "peel-check/1");
-            ( "meta",
-              Json.Obj
-                [
-                  ("fabric", Json.str (Fabric.describe fabric));
-                  ("seed", Json.int seed);
-                  ("scale", Json.int scale);
-                  ("failures", Json.num failures);
-                  ( "budget",
-                    match budget with
-                    | None -> Json.Null
-                    | Some b -> Json.int b );
-                ] );
-            ("findings", Json.Arr (List.map finding (D.sort ds)));
-            ("errors", Json.int (List.length errs));
-          ]
-      in
-      print_endline (Json.to_string doc)
-    end
-    else begin
-      if not quiet then Format.printf "%a" D.pp_report ds;
-      Printf.printf "%s: %d-GPU group%s: %d finding(s), %d error(s)\n"
-        (Fabric.describe fabric) scale
-        (if failures > 0.0 then Printf.sprintf " (%.0f%% links failed)" (failures *. 100.0)
-         else "")
-        (List.length ds) (List.length errs)
-    end;
-    if errs <> [] then exit 1
+    let doc () =
+      Json.Obj
+        [
+          ("schema", Json.str "peel-check/1");
+          ( "meta",
+            Json.Obj
+              [
+                ("fabric", Json.str (Fabric.describe fabric));
+                ("seed", Json.int seed);
+                ("scale", Json.int scale);
+                ("failures", Json.num failures);
+                ( "budget",
+                  match budget with
+                  | None -> Json.Null
+                  | Some b -> Json.int b );
+              ] );
+          ("findings", Json.Arr (List.map finding_json (D.sort ds)));
+          ("errors", Json.int (List.length (D.errors ds)));
+        ]
+    in
+    report
+      ?json:(if json then Some (doc ()) else None)
+      ~quiet ds
+      (Printf.sprintf "%s: %d-GPU group%s: " (Fabric.describe fabric) scale
+         (if failures > 0.0 then
+            Printf.sprintf " (%.0f%% links failed)" (failures *. 100.0)
+          else ""))
   in
   Cmd.v
     (Cmd.info "check" ~exits:std_exits
@@ -229,7 +254,7 @@ let check_cmd =
           schedules); exit non-zero on errors.")
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ failures $ budget
-      $ quiet $ json)
+      $ quiet_term $ json)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -240,13 +265,7 @@ let scheme_names =
   "ring, tree, dbtree, optimal, orca, peel, peel+cores or peel-mtN (N salted \
    greedy trees, chunks striped across them)"
 
-let scheme_conv =
-  let parse s =
-    match Scheme.of_string s with
-    | Some x -> Ok x
-    | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-  in
-  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Scheme.to_string s))
+let scheme_conv = conv_of ~what:"scheme" Scheme.of_string Scheme.to_string
 
 let simulate_cmd =
   let scheme =
@@ -317,11 +336,11 @@ let simulate_cmd =
               Peel_check.Check_sim.check_shard r1
               @ Peel_check.Check_sim.check_shard rn
             in
-            if (not same) || Peel_check.Diagnostic.has_errors ds then begin
+            if (not same) || D.has_errors ds then begin
               verify_failed := true;
               Printf.printf "par-verify %s: FAILED%s\n" (Scheme.to_string scheme)
                 (if same then "" else " (jobs-1 vs jobs-N diverged)");
-              Format.printf "%a" Peel_check.Diagnostic.pp_report ds
+              Format.printf "%a" D.pp_report ds
             end
             else
               Printf.printf "par-verify %s: ok (%d windows, %d events)\n"
@@ -367,7 +386,6 @@ let simulate_cmd =
 
 let trace_cmd =
   let module Trace = Peel_sim.Trace in
-  let module Json = Peel_util.Json in
   let scheme =
     Arg.(
       value
@@ -409,9 +427,6 @@ let trace_cmd =
       value & opt (some string) None
       & info [ "csv" ] ~docv:"FILE" ~doc:"Also export the event log as CSV.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
-  in
   let level_name = function
     | Trace.Off -> "off" | Trace.Counters -> "counters" | Trace.Full -> "full"
   in
@@ -434,7 +449,6 @@ let trace_cmd =
   in
   let run fabric seed scale scheme size_mb load n chunks level sample out csv
       quiet =
-    let module D = Peel_check.Diagnostic in
     let trace = Trace.create ~level ~sample () in
     let cs =
       Spec.poisson_broadcasts fabric (Rng.create seed) ~n ~scale
@@ -555,12 +569,9 @@ let trace_cmd =
     | Some path ->
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc (Trace.events_csv trace)));
-    if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
-    let errs = D.errors ds in
-    Printf.printf "%s: %d events traced, %d finding(s), %d error(s)%s\n" out
-      (Trace.num_events trace) (List.length ds) (List.length errs)
-      (match csv with None -> "" | Some p -> Printf.sprintf "; CSV: %s" p);
-    if errs <> [] then exit 1
+    report ~quiet ds
+      (Printf.sprintf "%s: %d events traced, " out (Trace.num_events trace))
+      ~tail:(match csv with None -> "" | Some p -> Printf.sprintf "; CSV: %s" p)
   in
   Cmd.v
     (Cmd.info "trace" ~exits:std_exits
@@ -570,7 +581,7 @@ let trace_cmd =
           fails its conservation/consistency lint.")
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_mb
-      $ load $ n $ chunks $ level $ sample $ out $ csv $ quiet)
+      $ load $ n $ chunks $ level $ sample $ out $ csv $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* failover                                                            *)
@@ -579,17 +590,12 @@ let trace_cmd =
 let failover_cmd =
   let module Trace = Peel_sim.Trace in
   let scheme =
-    let parse s =
-      match Failover.scheme_of_string s with
-      | Some x -> Ok x
-      | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-    in
-    let print fmt s =
-      Format.pp_print_string fmt (Failover.scheme_to_string s)
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) Failover.Peel
+      & opt
+          (conv_of ~what:"scheme" Failover.scheme_of_string
+             Failover.scheme_to_string)
+          Failover.Peel
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:"Scheme: peel, ring or tree.")
   in
   let size_mb =
@@ -626,12 +632,8 @@ let failover_cmd =
       value & opt float 1e-3
       & info [ "reaction" ] ~doc:"Controller replan delay after detection (s).")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
-  in
   let run fabric seed scale scheme size_mb chunks fail_frac fail_at
       recover_after detection reaction quiet =
-    let module D = Peel_check.Diagnostic in
     let rng = Rng.create seed in
     let members = Spec.place fabric rng ~scale () in
     let source = List.hd members in
@@ -699,15 +701,12 @@ let failover_cmd =
         ~makespan:out.Runner.makespan out.Runner.telemetry
       @ Peel_check.Check_sim.check_trace ~expected_deliveries trace
     in
-    if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
-    let errs = D.errors ds in
-    Printf.printf
-      "failover %s: CCT %s -> %s (%.2fx), %d replan(s), %d finding(s), %d error(s)\n"
-      (Failover.scheme_to_string scheme)
-      (Peel_util.Table.fsec clean)
-      (Peel_util.Table.fsec failed_cct)
-      (failed_cct /. clean) c.Trace.replans (List.length ds) (List.length errs);
-    if errs <> [] then exit 1
+    report ~quiet ds
+      (Printf.sprintf "failover %s: CCT %s -> %s (%.2fx), %d replan(s), "
+         (Failover.scheme_to_string scheme)
+         (Peel_util.Table.fsec clean)
+         (Peel_util.Table.fsec failed_cct)
+         (failed_cct /. clean) c.Trace.replans)
   in
   Cmd.v
     (Cmd.info "failover" ~exits:std_exits
@@ -719,7 +718,7 @@ let failover_cmd =
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_mb
       $ chunks $ fail_frac $ fail_at $ recover_after $ detection $ reaction
-      $ quiet)
+      $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* refine                                                              *)
@@ -729,15 +728,11 @@ let refine_cmd =
   let module Trace = Peel_sim.Trace in
   let open Peel_ctrl in
   let schemes =
-    let parse s =
-      match Refine.scheme_of_string s with
-      | Some x -> Ok x
-      | None -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
-    in
-    let print fmt s = Format.pp_print_string fmt (Refine.scheme_to_string s) in
     Arg.(
       value
-      & opt (list (conv (parse, print))) Refine.all_schemes
+      & opt
+          (list (conv_of ~what:"scheme" Refine.scheme_of_string Refine.scheme_to_string))
+          Refine.all_schemes
       & info [ "schemes" ] ~docv:"S1,S2"
           ~doc:"Schemes: peel-static, peel-refined, ipmc.")
   in
@@ -780,18 +775,6 @@ let refine_cmd =
       & info [ "capacity" ]
           ~doc:"Per-switch TCAM entry budget (<= 0 disables refinement).")
   in
-  let policy =
-    let parse s =
-      match Tcam.policy_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown eviction policy %S" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Tcam.policy_to_string p) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Tcam.Lru
-      & info [ "policy" ] ~docv:"POLICY" ~doc:"Eviction policy: lru or bytes.")
-  in
   let budget =
     Arg.(
       value & opt int 1
@@ -800,12 +783,8 @@ let refine_cmd =
             "Static-stage ToR-prefix budget (over-covering cover); 0 = exact \
              covers, nothing to refine away.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
-  in
   let run fabric seed scale schemes n size_mb load hold fragmentation chunks
       rpc per_rule capacity policy budget quiet =
-    let module D = Peel_check.Diagnostic in
     let groups =
       Spec.poisson_groups fabric (Rng.create seed) ~n ~scale
         ~bytes:(size_mb *. 1e6) ~load ~hold ~fragmentation ()
@@ -903,11 +882,7 @@ let refine_cmd =
       else []
     in
     let ds = ds @ replay in
-    if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
-    let errs = D.errors ds in
-    Printf.printf "refine: %d scheme(s), %d finding(s), %d error(s)\n"
-      (List.length outs) (List.length ds) (List.length errs);
-    if errs <> [] then exit 1
+    report ~quiet ds (Printf.sprintf "refine: %d scheme(s), " (List.length outs))
   in
   Cmd.v
     (Cmd.info "refine" ~exits:std_exits
@@ -919,7 +894,7 @@ let refine_cmd =
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ schemes $ n $ size_mb
       $ load $ hold $ fragmentation $ chunks $ rpc $ per_rule $ capacity
-      $ policy $ budget $ quiet)
+      $ policy_term $ budget $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -967,30 +942,13 @@ let serve_cmd =
       & info [ "capacity" ]
           ~doc:"Per-switch TCAM entry budget (<= 0 = everything unicast).")
   in
-  let policy =
-    let parse s =
-      match Tcam.policy_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg (Printf.sprintf "unknown eviction policy %S" s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Tcam.policy_to_string p) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Tcam.Lru
-      & info [ "policy" ] ~docv:"POLICY" ~doc:"Eviction policy: lru or bytes.")
-  in
   let admission =
-    let parse s =
-      match Service.admission_of_string s with
-      | Some a -> Ok a
-      | None -> Error (`Msg (Printf.sprintf "unknown admission policy %S" s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt (Service.admission_to_string a)
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) Service.Evict
+      & opt
+          (conv_of ~what:"admission policy" Service.admission_of_string
+             Service.admission_to_string)
+          Service.Evict
       & info [ "admission" ] ~docv:"POLICY"
           ~doc:"Admission under saturation: evict or deny.")
   in
@@ -1004,9 +962,6 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "budget" ] ~doc:"ToR-prefix budget for compiled plans (0 = exact).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
   in
   let json =
     Arg.(
@@ -1023,8 +978,6 @@ let serve_cmd =
   in
   let run fabric seed scale events rate size_mb hold churn sends fragmentation
       capacity policy admission batch budget quiet json no_cache jobs =
-    let module D = Peel_check.Diagnostic in
-    let module Json = Peel_util.Json in
     apply_jobs jobs;
     let cfg =
       {
@@ -1135,11 +1088,7 @@ let serve_cmd =
           ~second:out.Service.o_fingerprint
       @ cache_ds
     in
-    if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
-    let errs = D.errors ds in
-    Printf.printf "serve: %d event(s), %d finding(s), %d error(s)\n"
-      s.Service.events (List.length ds) (List.length errs);
-    if errs <> [] then exit 1
+    report ~quiet ds (Printf.sprintf "serve: %d event(s), " s.Service.events)
   in
   Cmd.v
     (Cmd.info "serve" ~exits:std_exits
@@ -1150,8 +1099,8 @@ let serve_cmd =
           the 1-vs-N-domain replay contract; exit non-zero on errors.")
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ events $ rate
-      $ size_mb $ hold $ churn $ sends $ fragmentation $ capacity $ policy
-      $ admission $ batch $ budget $ quiet $ json $ no_cache $ jobs_term)
+      $ size_mb $ hold $ churn $ sends $ fragmentation $ capacity $ policy_term
+      $ admission $ batch $ budget $ quiet_term $ json $ no_cache $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
@@ -1219,7 +1168,6 @@ let corrupt_compiled (t : Peel_compile.Compile.t) code =
 
 let compile_cmd =
   let module C = Peel_compile.Compile in
-  let module Json = Peel_util.Json in
   let groups =
     Arg.(
       value & opt int 8
@@ -1261,9 +1209,6 @@ let compile_cmd =
             "Testing hook: seed the table corruption CODE (cmp001..cmp005) \
              exists to catch, then run the checker — must exit 1.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
-  in
   let json =
     Arg.(
       value & flag
@@ -1274,7 +1219,6 @@ let compile_cmd =
   in
   let run fabric seed scale groups capacity aggregate fragmentation corrupt
       quiet json =
-    let module D = Peel_check.Diagnostic in
     let rng = Rng.create seed in
     let batch =
       List.init groups (fun gid ->
@@ -1286,23 +1230,13 @@ let compile_cmd =
     let t = C.compile ?capacity ~aggregate fabric batch in
     let t = match corrupt with None -> t | Some c -> corrupt_compiled t c in
     let ds = Peel_compile.Check_compile.check fabric t in
-    let errs = D.errors ds in
     let waste =
       List.fold_left
         (fun acc (gid, _) ->
           acc + List.length (C.group_waste fabric t ~group:gid))
         0 batch
     in
-    if json then begin
-      let finding d =
-        Json.Obj
-          [
-            ("severity", Json.str (D.severity_to_string d.D.severity));
-            ("code", Json.str d.D.code);
-            ("location", Json.str d.D.location);
-            ("message", Json.str d.D.message);
-          ]
-      in
+    let doc () =
       let table_json (sw, entries, bytes) =
         Json.Obj
           [
@@ -1311,66 +1245,61 @@ let compile_cmd =
             ("bytes", Json.int bytes);
           ]
       in
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.str "peel-compile/1");
-            ( "meta",
-              Json.Obj
-                [
-                  ("fabric", Json.str (Fabric.describe fabric));
-                  ("seed", Json.int seed);
-                  ("scale", Json.int scale);
-                  ("groups", Json.int groups);
-                  ( "capacity",
-                    match capacity with
-                    | None -> Json.Null
-                    | Some c -> Json.int c );
-                  ("aggregate", Json.Bool aggregate);
-                  ("fragmentation", Json.num fragmentation);
-                ] );
-            ("tables", Json.Arr (List.map table_json (C.footprint t)));
-            ( "totals",
-              Json.Obj
-                [
-                  ("entries", Json.int (C.total_entries t));
-                  ("max_entries", Json.int (C.max_entries t));
-                  ("merges", Json.int t.C.merges);
-                  ("waste_racks", Json.int waste);
-                  ("fits", Json.Bool (C.fits t));
-                ] );
-            ("findings", Json.Arr (List.map finding ds));
-            ("errors", Json.int (List.length errs));
-          ]
-      in
-      print_endline (Json.to_string doc)
-    end
-    else begin
-      if not quiet then begin
-        Printf.printf "fabric: %s; %d groups of %d GPUs%s%s\n"
-          (Fabric.describe fabric) groups scale
-          (match capacity with
-          | None -> ""
-          | Some c -> Printf.sprintf "; TCAM budget %d" c)
-          (if aggregate then "; aggregation on" else "");
-        Peel_util.Table.print ~header:[ "switch"; "entries"; "bytes" ]
-          (List.map
-             (fun (sw, entries, bytes) ->
-               [
-                 C.switch_to_string sw; string_of_int entries;
-                 string_of_int bytes;
-               ])
-             (C.footprint t));
-        print_newline ();
-        if ds <> [] then Format.printf "%a" D.pp_report ds
-      end;
-      Printf.printf
-        "compile: %d entries (max %d/switch), %d merge(s), %d waste rack \
-         slot(s), fits=%b, %d finding(s), %d error(s)\n"
-        (C.total_entries t) (C.max_entries t) t.C.merges waste (C.fits t)
-        (List.length ds) (List.length errs)
+      Json.Obj
+        [
+          ("schema", Json.str "peel-compile/1");
+          ( "meta",
+            Json.Obj
+              [
+                ("fabric", Json.str (Fabric.describe fabric));
+                ("seed", Json.int seed);
+                ("scale", Json.int scale);
+                ("groups", Json.int groups);
+                ( "capacity",
+                  match capacity with
+                  | None -> Json.Null
+                  | Some c -> Json.int c );
+                ("aggregate", Json.Bool aggregate);
+                ("fragmentation", Json.num fragmentation);
+              ] );
+          ("tables", Json.Arr (List.map table_json (C.footprint t)));
+          ( "totals",
+            Json.Obj
+              [
+                ("entries", Json.int (C.total_entries t));
+                ("max_entries", Json.int (C.max_entries t));
+                ("merges", Json.int t.C.merges);
+                ("waste_racks", Json.int waste);
+                ("fits", Json.Bool (C.fits t));
+              ] );
+          ("findings", Json.Arr (List.map finding_json ds));
+          ("errors", Json.int (List.length (D.errors ds)));
+        ]
+    in
+    if not (quiet || json) then begin
+      Printf.printf "fabric: %s; %d groups of %d GPUs%s%s\n"
+        (Fabric.describe fabric) groups scale
+        (match capacity with
+        | None -> ""
+        | Some c -> Printf.sprintf "; TCAM budget %d" c)
+        (if aggregate then "; aggregation on" else "");
+      Peel_util.Table.print ~header:[ "switch"; "entries"; "bytes" ]
+        (List.map
+           (fun (sw, entries, bytes) ->
+             [
+               C.switch_to_string sw; string_of_int entries;
+               string_of_int bytes;
+             ])
+           (C.footprint t));
+      print_newline ()
     end;
-    if errs <> [] then exit 1
+    report
+      ?json:(if json then Some (doc ()) else None)
+      ~quiet ds
+      (Printf.sprintf
+         "compile: %d entries (max %d/switch), %d merge(s), %d waste rack \
+          slot(s), fits=%b, "
+         (C.total_entries t) (C.max_entries t) t.C.merges waste (C.fits t))
   in
   Cmd.v
     (Cmd.info "compile" ~exits:std_exits
@@ -1380,7 +1309,7 @@ let compile_cmd =
           them equivalent with the CMP static checks; exit 1 on any error.")
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ groups $ capacity
-      $ aggregate $ fragmentation $ corrupt $ quiet $ json)
+      $ aggregate $ fragmentation $ corrupt $ quiet_term $ json)
 
 (* ------------------------------------------------------------------ *)
 (* collective                                                          *)
@@ -1567,11 +1496,7 @@ let zoo_cmd =
             "Testing hook: seed the malformation CODE (topo001..topo004) \
              exists to catch, then run the checkers — must exit 1.")
   in
-  let quiet =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
-  in
   let run topo k da di size degree lift seed group fail_frac corrupt quiet =
-    let module D = Peel_check.Diagnostic in
     let z =
       match topo with
       | Zoo.Abfattree -> Zoo.abfattree ~k ()
@@ -1651,12 +1576,7 @@ let zoo_cmd =
       | _ -> []
     in
     let ds = D.sort (ds @ planner_ds) in
-    if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
-    let errs = D.errors ds in
-    Printf.printf "zoo %s: %d finding(s), %d error(s)\n"
-      (Zoo.cls_to_string (Zoo.cls z))
-      (List.length ds) (List.length errs);
-    if errs <> [] then exit 1
+    report ~quiet ds (Printf.sprintf "zoo %s: " (Zoo.cls_to_string (Zoo.cls z)))
   in
   Cmd.v
     (Cmd.info "zoo" ~exits:std_exits
@@ -1667,7 +1587,7 @@ let zoo_cmd =
           lint battery; exit 1 on any error-severity diagnostic.")
     Term.(
       const run $ topo $ k $ da $ di $ size $ degree $ lift $ seed_term
-      $ group $ fail_frac $ corrupt $ quiet)
+      $ group $ fail_frac $ corrupt $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* state                                                               *)
@@ -1695,34 +1615,22 @@ let state_cmd =
 
 let experiment_cmd =
   let open Peel_experiments in
-  let exps =
-    [
-      ("fig1", Exp_fig1.run); ("fig3", Exp_fig3.run); ("fig4", Exp_fig4.run);
-      ("fig5", Exp_fig5.run); ("fig6", Exp_fig6.run); ("fig7", Exp_fig7.run);
-      ("state", Exp_state.run); ("guard", Exp_guard.run);
-      ("approx", Exp_approx.run); ("frag", Exp_frag.run);
-      ("collectives", Exp_collectives.run); ("multipath", Exp_multipath.run);
-      ("loss", Exp_loss.run); ("tenancy", Exp_tenancy.run);
-      ("rail", Exp_rail.run); ("failover", Exp_failover.run);
-      ("refine", Exp_refine.run); ("compile", Exp_compile.run);
-      ("service", Exp_service.run); ("zoo", Exp_zoo.run);
-    ]
-  in
-  let exp_name =
+  let entry =
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun (n, _) -> (n, n)) exps))) None
+      & pos 0
+          (some (enum (List.map (fun (e : Registry.entry) -> (e.name, e)) Registry.all)))
+          None
       & info [] ~docv:"NAME")
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced trials.") in
-  let run exp_name quick jobs =
+  let run (entry : Registry.entry) quick jobs =
     apply_jobs jobs;
-    let mode = if quick then Common.Quick else Common.Full in
-    (List.assoc exp_name exps) mode
+    entry.run (if quick then Common.Quick else Common.Full)
   in
   Cmd.v
     (Cmd.info "experiment" ~exits:std_exits ~doc:"Regenerate a paper table/figure by name.")
-    Term.(const run $ exp_name $ quick $ jobs_term)
+    Term.(const run $ entry $ quick $ jobs_term)
 
 let () =
   let info =

@@ -92,7 +92,6 @@ let compute_bandwidth () =
   }
 
 let run mode =
-  Common.banner "E9: greedy tree quality and aggregate bandwidth";
   Common.note "greedy vs exact Steiner on random asymmetric leaf-spines (6 dests):";
   let rows = compute_cost mode in
   Peel_util.Table.print

@@ -50,7 +50,6 @@ let compute mode =
          { op; algo; size_mb; mean; p99 })
 
 let run mode =
-  Common.banner "E11 (ext): PEEL inside allgather / reduce / allreduce";
   Common.note "8-ary fat-tree, 1 GPU/server, 64-worker collectives at 30% load";
   let rows = compute mode in
   Peel_util.Table.print

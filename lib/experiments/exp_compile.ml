@@ -140,8 +140,6 @@ let rows_json mode =
        (rows mode))
 
 let run mode =
-  Common.banner
-    "E18: rule compiler — concurrent groups sustained per TCAM budget";
   Common.note
     "512-GPU 16-ary fat-tree; fragmented 16-GPU groups; exact per-group \
      installs vs compiled (dedup) vs compiled + cross-group aggregation";

@@ -109,7 +109,6 @@ let rows_json mode =
        (rows mode))
 
 let run mode =
-  Common.banner "E16 (ext): mid-run link failure and controller re-peeling";
   Common.note
     "32-GPU leaf-spine, 16-member 8 MB broadcast; 25% of fabric links fail \
      mid-run (seeded draw); detection 500 us";

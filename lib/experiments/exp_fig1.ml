@@ -41,8 +41,32 @@ let compute () =
       })
     rows
 
+(* A cheap scheme comparison on the intro fabric, so BENCH.json carries
+   headline CCT numbers even when no CCT experiment was selected. *)
+let headline_json () =
+  let fabric = Common.fig1_fabric () in
+  let open Peel_collective in
+  let module Json = Peel_util.Json in
+  let module Stats = Peel_util.Stats in
+  Json.Arr
+    (List.map
+       (fun scheme ->
+         let cs =
+           Peel_workload.Spec.poisson_broadcasts fabric (Peel_util.Rng.create 7)
+             ~n:4 ~scale:8 ~bytes:(Common.mb 8.0) ~load:0.3 ()
+         in
+         let s = Runner.summarize (Runner.run fabric scheme cs) in
+         Json.Obj
+           [
+             ("scheme", Json.str (Scheme.to_string scheme));
+             ("mean", Json.num s.Stats.mean);
+             ("p50", Json.num s.Stats.p50);
+             ("p99", Json.num s.Stats.p99);
+             ("max", Json.num s.Stats.max);
+           ])
+       Scheme.all)
+
 let run _mode =
-  Common.banner "E1 / Figure 1: Broadcast bandwidth, Ring vs Tree vs Optimal";
   Common.note "2 spines x 2 leaves x 4 hosts, broadcast from host 0";
   let rows = compute () in
   Peel_util.Table.print

@@ -12,4 +12,10 @@ type row = {
 }
 
 val compute : unit -> row list
+
+val headline_json : unit -> Peel_util.Json.t
+(** Mean, p50, p99 and max CCT of every scheme over four seeded 8-GPU,
+    8 MB broadcasts on the intro fabric: the BENCH.json
+    ["headline_cct"] section. *)
+
 val run : Common.mode -> unit

@@ -20,7 +20,6 @@ let compute () =
     ks
 
 let run _mode =
-  Common.banner "E2 / Figure 3: RSBF Bloom-filter header size vs fat-tree degree";
   Common.note "fabric-wide broadcast group; MTU = 1500 B; PEEL column for contrast";
   let rows = compute () in
   let header =

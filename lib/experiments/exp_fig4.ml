@@ -40,7 +40,6 @@ let compute mode =
     (sizes mode)
 
 let run mode =
-  Common.banner "E3 / Figure 4: Orca controller-overhead CCT inflation";
   Common.note "8-ary fat-tree, 1024 GPUs; 64-GPU Broadcasts at 30% load";
   let rows = compute mode in
   Peel_util.Table.print

@@ -49,7 +49,6 @@ let sizes_for mode =
   | Common.Quick -> [ 2.; 32.; 512. ]
 
 let run mode =
-  Common.banner "E4 / Figure 5: CCT vs message size (512-GPU Broadcast, 30% load)";
   let sizes = sizes_for mode in
   let rows = compute mode sizes in
   print_rows rows sizes;

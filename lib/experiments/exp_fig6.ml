@@ -29,7 +29,6 @@ let scales_for mode =
   | Common.Quick -> [ 32; 256 ]
 
 let run mode =
-  Common.banner "E5 / Figure 6: CCT vs scale (64 MB messages, 30% load)";
   let scales = scales_for mode in
   let rows = compute mode scales in
   let find scale scheme =

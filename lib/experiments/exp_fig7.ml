@@ -55,7 +55,6 @@ let compute mode pcts =
          })
 
 let run mode =
-  Common.banner "E6 / Figure 7: robustness to failures (asymmetric leaf-spine)";
   Common.note
     "16x48 leaf-spine, 768 GPUs; streams of 64-GPU 8 MB Broadcasts; random spine-leaf failures";
   let pcts = [ 1; 2; 4; 8; 10 ] in

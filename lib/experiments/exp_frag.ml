@@ -47,7 +47,6 @@ let compute mode =
     [ 0.0; 0.2; 0.4; 0.8 ]
 
 let run mode =
-  Common.banner "E10: placement fragmentation vs prefix aggregation (§3.4)";
   Common.note
     (Printf.sprintf "128-GPU 32 MB Broadcasts; budgeted covers capped at %d prefixes/group"
        budget);

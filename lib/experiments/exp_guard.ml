@@ -31,7 +31,6 @@ let compute mode =
   }
 
 let run mode =
-  Common.banner "E8: DCQCN multicast guard timer (64-GPU, 32 MB, 60% load)";
   let r = compute mode in
   Peel_util.Table.print
     ~header:[ "variant"; "mean CCT"; "p99 CCT" ]

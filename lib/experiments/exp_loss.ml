@@ -41,7 +41,6 @@ let compute mode =
     [ 0.0; 1e-4; 1e-3; 1e-2 ]
 
 let run mode =
-  Common.banner "E13 (ext): chunk loss and selective-repeat recovery";
   Common.note "64-GPU 32 MB Broadcasts at 30% load; RTO 100 us";
   let rows = compute mode in
   Peel_util.Table.print

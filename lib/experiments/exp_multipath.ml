@@ -51,7 +51,6 @@ let compute_chunks mode =
     [ 1; 2; 4; 8; 16; 32 ]
 
 let run mode =
-  Common.banner "E12 (ext): multicast vs multipath (§2.3 open question)";
   Common.note "256-GPU 64 MB Broadcasts at 50% load on the Fig. 5 fat-tree";
   let rows = compute_striping mode in
   Peel_util.Table.print

@@ -26,7 +26,6 @@ let compute mode =
     Scheme.all
 
 let run mode =
-  Common.banner "E15 (ext): rail-optimized fabric (§2.1 future work)";
   let f = fabric () in
   Common.note (Fabric.describe f);
   Common.note

@@ -109,8 +109,6 @@ let rows_json mode =
 let fna x = if Float.is_nan x then "-" else Common.fsec x
 
 let run mode =
-  Common.banner
-    "E17: two-stage refinement vs. install latency and TCAM budget";
   Common.note
     "32-GPU leaf-spine; fragmented 8-GPU groups, 64 MB messages, budget-1 \
      prefix covers (maximal over-cover); 20 us/rule install time";

@@ -155,8 +155,6 @@ let speedup_json mode =
     ]
 
 let run mode =
-  Common.banner
-    "E19: sharded-engine scale sweep (fat-trees beyond fig6, 512-GPU groups, 64 MB)";
   let ks = ks_for mode in
   let rows = compute mode ks in
   Peel_util.Table.print

@@ -193,7 +193,6 @@ let slo_json mode =
        (slo_rows mode))
 
 let run mode =
-  Common.banner "E22: million-group service fast path";
   Common.note
     "32-endpoint leaf-spine; two long-hold Poisson tenants ramp the live \
      population past 10^6 groups; arena-backed group store + (source, \

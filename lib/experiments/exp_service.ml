@@ -170,8 +170,6 @@ let slo_json mode =
        (slo_rows mode))
 
 let run mode =
-  Common.banner
-    "E20: open-loop multicast-as-a-service control plane";
   Common.note
     "32-host leaf-spine; two Poisson tenants (6-GPU aligned + 12-GPU \
      fragmented) streaming create/join/leave/send/depart; delta \

@@ -23,7 +23,6 @@ let compute () =
     [ 4; 8; 16; 32; 64; 128 ]
 
 let run _mode =
-  Common.banner "E7: switch state and header size vs fat-tree degree";
   let rows = compute () in
   Peel_util.Table.print
     ~header:[ "k"; "hosts"; "PEEL rules"; "naive IPMC entries"; "reduction"; "header" ]

@@ -55,7 +55,6 @@ let compute mode =
     checkpoints
 
 let run mode =
-  Common.banner "E14 (ext): concurrent jobs vs switch TCAM (the §1 motivation)";
   Common.note "bin-packed jobs of 16-256 GPUs on the Fig. 5 fat-tree; 4K-entry TCAM";
   let rows = compute mode in
   Peel_util.Table.print

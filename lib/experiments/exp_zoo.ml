@@ -269,7 +269,6 @@ let rows_json mode =
     ]
 
 let run mode =
-  Common.banner "E21 (ext): topology zoo vs the exact-Steiner oracle";
   Common.note
     "general layer-peeling on abfattree / VL2 / Jellyfish / Xpander; measured \
      approximation ratio against pendant-collapsed Dreyfus-Wagner";

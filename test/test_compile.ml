@@ -329,7 +329,11 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "zero prefix budget exits 2" 2
       (code [ "check"; "--budget"; "0" ]);
     Alcotest.(check int) "odd fat-tree degree exits 2" 2
-      (code [ "plan"; "-k"; "7" ])
+      (code [ "plan"; "-k"; "7" ]);
+    Alcotest.(check int) "registry experiment exits 0" 0
+      (code [ "experiment"; "fig3"; "--quick" ]);
+    Alcotest.(check int) "unknown experiment exits 2" 2
+      (code [ "experiment"; "nosuch" ])
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -134,6 +134,43 @@ let test_micro_table_rows () =
     ]
     rows
 
+(* The registry is the one list bench and peel_cli read: every id once
+   and in order, every name reachable (none shadowed by a bench command
+   word), every BENCH.json key written once, and the guarded set is the
+   committed one. *)
+
+let test_registry () =
+  let ids = List.map (fun (e : Registry.entry) -> e.id) Registry.all in
+  Alcotest.(check (list string))
+    "E1..E22 in order"
+    (List.init 22 (fun i -> Printf.sprintf "E%d" (i + 1)))
+    ids;
+  let names = List.map (fun (e : Registry.entry) -> e.name) Registry.all in
+  Alcotest.(check int)
+    "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun word ->
+      Alcotest.(check bool) (word ^ " is not an experiment name") false
+        (List.mem word names))
+    [ "all"; "micro"; "quick"; "guard" ];
+  let sections = List.concat_map (fun (e : Registry.entry) -> e.sections) Registry.all in
+  let keys = List.map (fun (s : Registry.section) -> s.key) sections in
+  Alcotest.(check int)
+    "section keys unique" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  Alcotest.(check (list string))
+    "guarded sections"
+    (List.sort compare
+       [
+         "headline_cct"; "failover_degradation"; "refinement"; "compile";
+         "scale"; "service"; "zoo"; "serve_scale";
+       ])
+    (List.sort compare
+       (List.filter_map
+          (fun (s : Registry.section) -> if s.guarded then Some s.key else None)
+          sections))
+
 let () =
   Alcotest.run "peel_experiments"
     [
@@ -149,4 +186,5 @@ let () =
             test_fig5_jobs_deterministic;
           Alcotest.test_case "micro table rows" `Quick test_micro_table_rows;
         ] );
+      ("registry", [ Alcotest.test_case "one entry per experiment" `Quick test_registry ]);
     ]
