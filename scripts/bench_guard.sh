@@ -1,7 +1,7 @@
 #!/bin/sh
-# Bench drift guard: recompute the deterministic sections of the
-# benchmark record (headline CCTs, the Quick failover and refinement
-# tables, and a jobs=1 vs jobs=4 sweep) and compare them against the
+# Bench drift guard: recompute every section of the benchmark record
+# that the experiment registry (lib/experiments/registry.ml) marks
+# guarded, plus a jobs=1 vs jobs=4 sweep, and compare them against the
 # committed BENCH.json.  The simulator is bit-deterministic, so any
 # numeric drift beyond float round-trip tolerance means a behaviour
 # change slipped in — exits non-zero so CI catches it.
