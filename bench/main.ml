@@ -220,6 +220,27 @@ let micro_tests () =
            ignore
              (Peel_check.Check_tree.symmetric_lower_bound ls ~source:ls_source
                 ~dests:ls_dests)));
+    (* Serve-churn's delta path: the group's first destination, alone
+       on its leaf, leaves and rejoins 50 times per run, each splice on
+       the cached distances the service passes.  Every pair starts from
+       the built tree, and the rejoin restores it edge for edge. *)
+    (let g = Peel_topology.Fabric.graph ls in
+     let dist = Peel_topology.Graph.bfs_dist g ls_source in
+     let member = List.hd ls_dests in
+     let rest = List.tl ls_dests in
+     let built =
+       Option.get (Peel_steiner.Layer_peel.build g ~source:ls_source ~dests:ls_dests)
+     in
+     let splice ~prev ~dests delta =
+       Option.get
+         (Peel_steiner.Layer_peel.splice ~dist g ~prev ~source:ls_source ~dests ~delta)
+     in
+     Test.make ~name:"layer_peel_splice_ls4x8_12_dests_x100"
+       (Staged.stage (fun () ->
+            for _ = 1 to 50 do
+              let left = splice ~prev:built ~dests:rest (Remove member) in
+              ignore (splice ~prev:left ~dests:ls_dests (Add member))
+            done)));
     (* 100 calls per run: a single cover call is too short for the fit
        to resolve on a busy host. *)
     Test.make ~name:"exact_cover_m6_24_targets_x100"
