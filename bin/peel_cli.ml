@@ -78,7 +78,7 @@ let jobs_term =
     & opt (some int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel sweeps (default: \\$(b,PEEL_JOBS) or \
+          "Worker domains for parallel sweeps (default: $(b,PEEL_JOBS) or \
            the hardware count).  Results are bit-identical for any value.")
 
 let apply_jobs jobs = Option.iter Peel_util.Pool.set_default_jobs jobs
@@ -153,7 +153,7 @@ let plan_cmd =
   in
   let run fabric seed scale failures =
     let rng = Rng.create seed in
-    if failures > 0.0 then begin
+    if failures <> 0.0 then begin
       let failed =
         Fabric.fail_random fabric ~rng ~tier:`All ~fraction:failures ()
       in
@@ -213,7 +213,7 @@ let check_cmd =
   in
   let run fabric seed scale failures budget quiet json =
     let rng = Rng.create seed in
-    if failures > 0.0 then
+    if failures <> 0.0 then
       ignore (Fabric.fail_random fabric ~rng ~tier:`All ~fraction:failures ());
     let members = Spec.place fabric rng ~scale () in
     let source = List.hd members in
@@ -1513,7 +1513,7 @@ let zoo_cmd =
     let fabric = Fabric.of_zoo z in
     let g = Fabric.graph fabric in
     let rng = Rng.create seed in
-    if fail_frac > 0.0 then
+    if fail_frac <> 0.0 then
       ignore (Fabric.fail_random fabric ~rng ~tier:`All ~fraction:fail_frac ());
     let hosts = Fabric.hosts fabric in
     let n = Array.length hosts in

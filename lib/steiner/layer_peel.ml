@@ -356,107 +356,79 @@ let port_set_rules g trees =
 
 type delta = Add of int | Remove of int
 
-(* [prev]'s bindings plus [fresh], pruned to the chains the current
-   [dests] need. *)
-let pruned s g ~prev ~source ~dests ~fresh =
-  let add (v, (p, lid)) =
-    ignore (join s v : bool);
-    bind s v ~parent:p ~link:lid
-  in
-  ignore (join s source : bool);
-  List.iter (fun (p, v, lid) -> add (v, (p, lid))) (Tree.edges prev);
-  List.iter add fresh;
-  tree_of s g ~source ~dests ~prune:true
+(* Climb from the new subscriber [v] toward the source along [dist]
+   layers, binding each hop to a previous-layer neighbour over an up
+   link: one already in [prev] if any (where the climb stops), else a
+   fresh one; among either kind the lowest rank, then the first in
+   adjacency order.  [dist] falls by one per hop, so no candidate is a
+   node climbed before.  [fresh] holds the bindings climbed so far;
+   returns them with the rest of the climb, or [None] when some hop
+   has no candidate. *)
+let rec climb ~salt g ~prev ~dist v fresh =
+  if Tree.mem prev v then Some fresh
+  else begin
+    let dv = dist.(v) in
+    let edges = Graph.out_links g v in
+    let tu = ref (-1) and tl = ref (-1) and tr = ref 0 in
+    let fu = ref (-1) and fl = ref (-1) and fr = ref 0 in
+    for k = 0 to Array.length edges - 1 do
+      let u, lid = edges.(k) in
+      let rev = Graph.peer_link lid in
+      if Graph.link_up g rev && dist.(u) = dv - 1 then begin
+        let r = rank ?salt u in
+        if Tree.mem prev u then begin
+          if !tu < 0 || r < !tr then begin
+            tu := u;
+            tl := rev;
+            tr := r
+          end
+        end
+        else if !fu < 0 || r < !fr then begin
+          fu := u;
+          fl := rev;
+          fr := r
+        end
+      end
+    done;
+    if !tu >= 0 then Some ((v, (!tu, !tl)) :: fresh)
+    else if !fu >= 0 then climb ~salt g ~prev ~dist !fu ((v, (!fu, !fl)) :: fresh)
+    else
+      (* A fresh BFS guarantees a shortest-path predecessor at every
+         hop, but a caller-supplied [dist] may be stale and links may
+         have gone down since it was computed: the caller falls back to
+         a full peel. *)
+      None
+  end
 
 let splice ?salt ?dist g ~prev ~source ~dests ~delta =
   if Tree.root prev <> source then
     invalid_arg "Layer_peel.splice: previous tree not rooted at the source";
-  let dests = List.sort_uniq compare (List.filter (fun d -> d <> source) dests) in
-  (match delta with
-  | Add d ->
-      if not (List.mem d dests) then
-        invalid_arg "Layer_peel.splice: added member missing from dests"
-  | Remove d ->
-      if List.mem d dests then
-        invalid_arg "Layer_peel.splice: removed member still in dests");
   match delta with
   | Remove d ->
-      if not (Tree.mem prev d) then Some prev
-      else Some (pruned (scratch g) g ~prev ~source ~dests ~fresh:[])
+      if d <> source && List.mem d dests then
+        invalid_arg "Layer_peel.splice: removed member still in dests";
+      if Tree.mem prev d then Some (Tree.derive g ~prev ~fresh:[] ~dests)
+      else Some prev
   | Add d ->
-      if d = source || Tree.mem prev d then Some prev
+      if d = source || not (List.mem d dests) then
+        invalid_arg "Layer_peel.splice: added member missing from dests";
+      if Tree.mem prev d then Some prev
       else begin
-        let s = scratch g in
         (* Without a cached array, a search bounded by [d] labels every
-           node the climb below reads. *)
+           node the climb reads. *)
         let dist =
           match dist with
           | Some a -> a
-          | None -> Graph.bfs_reach s.bfs ~src:source ~dst:d
+          | None -> Graph.bfs_reach (scratch g).bfs ~src:source ~dst:d
         in
         if dist.(d) = Graph.unreachable then None
-        else begin
-          (* Climb from the new subscriber toward the source along BFS
-             layers, binding each hop to the lowest-ranked previous-layer
-             neighbour — preferring one already in the tree, where the
-             climb stops.  This splices a single-path subtree in without
-             touching any existing binding. *)
-          let fresh = ref [] in
-          let on_path = Hashtbl.create 8 in
-          let exception Climb_failed in
-          let rec climb v =
-            if not (Tree.mem prev v) then begin
-              let dv = dist.(v) in
-              let candidates =
-                Array.to_list (Graph.out_links g v)
-                |> List.filter_map (fun (u, lid) ->
-                       let rev = Graph.peer_link lid in
-                       if
-                         Graph.link_up g rev
-                         && dist.(u) = dv - 1
-                         && not (Hashtbl.mem on_path u)
-                       then Some (u, rev)
-                       else None)
-              in
-              let in_tree, fresh_cands =
-                List.partition (fun (u, _) -> Tree.mem prev u) candidates
-              in
-              let best = function
-                | [] -> None
-                | first :: rest ->
-                    Some
-                      (List.fold_left
-                         (fun (bu, bl) (u, l) ->
-                           if rank ?salt u < rank ?salt bu then (u, l)
-                           else (bu, bl))
-                         first rest)
-              in
-              match best in_tree with
-              | Some (u, lid) -> fresh := (v, (u, lid)) :: !fresh
-              | None -> (
-                  match best fresh_cands with
-                  | Some (u, lid) ->
-                      fresh := (v, (u, lid)) :: !fresh;
-                      Hashtbl.replace on_path v ();
-                      climb u
-                  | None ->
-                      (* A fresh BFS guarantees a shortest-path
-                         predecessor at every hop, but a caller-supplied
-                         [dist] may be stale and links may have gone
-                         down since it was computed — honor the option
-                         contract and let the caller fall back to a
-                         full peel. *)
-                      raise Climb_failed)
-            end
-          in
-          match climb d with
-          | exception Climb_failed -> None
-          | () ->
-              (* The previous tree may carry members the shrinking side
-                 of the churn already removed from [dests]; prune to the
-                 chains the current membership needs. *)
-              Some (pruned s g ~prev ~source ~dests ~fresh:!fresh)
-        end
+        else
+          (* The new tree keeps [prev]'s bindings on the chains the
+             current [dests] need (the shrinking side of the churn may
+             have left dead weight) plus the climbed path. *)
+          match climb ~salt g ~prev ~dist d [] with
+          | None -> None
+          | Some fresh -> Some (Tree.derive g ~prev ~fresh ~dests)
       end
 
 let repeel ?salt g ~prev ~source ~dests =

@@ -27,7 +27,50 @@ let index nodes (v : int) =
 
 let find t v = index t.nodes v
 
+(* The rules every binding [node -> (parent, link)] obeys, whichever
+   constructor [fn] reads it: no binding for the root, one binding per
+   node ([dup] says whether [node] is bound already), and a link that
+   runs parent->node.  A chain that misses the tree is reported with
+   [orphan]. *)
+let reject fn what = invalid_arg (fn ^ ": " ^ what)
+let orphan fn = reject fn "parent chain does not reach the root"
+
+let check_binding fn g ~root ~node ~parent ~link ~dup =
+  if node = root then reject fn "root cannot have a parent";
+  if dup then reject fn "duplicate binding for a node";
+  let l = Graph.link g link in
+  if l.Graph.src <> parent || l.Graph.dst <> node then
+    reject fn "link does not run parent->node"
+
+(* The CSR children of parent column [up]: count, prefix-sum, then
+   place each child at its parent's cursor [off.(p)], which ends on
+   [off.(p+1)]; shifting [off] right by one restores the starts. *)
+let with_children ~root ~nodes ~up ~link =
+  let m = Array.length nodes in
+  let off = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    let p = up.(i) in
+    if p >= 0 then off.(p + 1) <- off.(p + 1) + 1
+  done;
+  for i = 1 to m do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
+  let kids = Array.make (m - 1) 0 in
+  for i = 0 to m - 1 do
+    let p = up.(i) in
+    if p >= 0 then begin
+      kids.(off.(p)) <- i;
+      off.(p) <- off.(p) + 1
+    end
+  done;
+  for i = m downto 1 do
+    off.(i) <- off.(i - 1)
+  done;
+  off.(0) <- 0;
+  { root; nodes; up; link; off; kids }
+
 let of_parents g ~root ~parents =
+  let fn = "Tree.of_parents" in
   (* The bindings go into int columns, sorted through an index
      permutation, so no boxed value is stored into a fresh array. *)
   let b = List.length parents in
@@ -48,12 +91,8 @@ let of_parents g ~root ~parents =
   Array.iteri
     (fun k i ->
       let node = bnode.(i) in
-      if k > 0 && bnode.(order.(k - 1)) = node then
-        invalid_arg "Tree.of_parents: duplicate binding for a node";
-      if node = root then invalid_arg "Tree.of_parents: root cannot have a parent";
-      let l = Graph.link g blink.(i) in
-      if l.Graph.src <> bparent.(i) || l.Graph.dst <> node then
-        invalid_arg "Tree.of_parents: link does not run parent->node";
+      check_binding fn g ~root ~node ~parent:bparent.(i) ~link:blink.(i)
+        ~dup:(k > 0 && bnode.(order.(k - 1)) = node);
       let j = if k < r then k else k + 1 in
       nodes.(j) <- node;
       link.(j) <- blink.(i);
@@ -65,7 +104,7 @@ let of_parents g ~root ~parents =
     (fun j p ->
       if p >= 0 then begin
         let i = index nodes p in
-        if i < 0 then invalid_arg "Tree.of_parents: parent chain does not reach the root";
+        if i < 0 then orphan fn;
         up.(j) <- i
       end)
     up;
@@ -79,35 +118,128 @@ let of_parents g ~root ~parents =
       Bytes.set state !j '\001';
       if up.(!j) >= 0 then j := up.(!j)
     done;
-    if Bytes.get state !j = '\001' && up.(!j) >= 0 then
-      invalid_arg "Tree.of_parents: parent chain does not reach the root";
+    if Bytes.get state !j = '\001' && up.(!j) >= 0 then orphan fn;
     let j = ref i in
     while Bytes.get state !j = '\001' do
       Bytes.set state !j '\002';
       if up.(!j) >= 0 then j := up.(!j)
     done
   done;
-  (* CSR children: count, prefix-sum, then place each child at its
-     parent's cursor [off.(p)], which ends on [off.(p+1)]; shifting
-     [off] right by one restores the starts. *)
-  let off = Array.make (m + 1) 0 in
-  Array.iter (fun p -> if p >= 0 then off.(p + 1) <- off.(p + 1) + 1) up;
-  for i = 1 to m do
-    off.(i) <- off.(i) + off.(i - 1)
+  with_children ~root ~nodes ~up ~link
+
+(* [derive]'s slots number the candidate members: [prev]'s member [i]
+   is slot [i], the [k]-th fresh binding slot [m + k].  Its int column
+   [ix] holds, per slot, -1 until the slot is kept and then its index
+   in the result, followed by the slot of each fresh binding's parent
+   (-1 when the parent is neither a member of [prev] nor fresh).  The
+   helpers are top-level so a call allocates no closure. *)
+
+let rec fresh_slot ~m v k = function
+  | [] -> -1
+  | (u, _) :: rest -> if u = v then m + k else fresh_slot ~m v (k + 1) rest
+
+let slot prev ~fresh v =
+  let i = index prev.nodes v in
+  if i >= 0 then i else fresh_slot ~m:(Array.length prev.nodes) v 0 fresh
+
+(* Keep slot [s] and its chain up to the first slot already kept. *)
+let rec keep prev ix ~f s =
+  if s >= 0 && ix.(s) < 0 then begin
+    ix.(s) <- 0;
+    let m = Array.length prev.nodes in
+    keep prev ix ~f (if s < m then prev.up.(s) else ix.(s + f))
+  end
+
+let derive g ~prev ~fresh ~dests =
+  let fn = "Tree.derive" in
+  let root = prev.root and pnodes = prev.nodes in
+  let m = Array.length pnodes and f = List.length fresh in
+  let ix = Array.make (m + f + f) (-1) in
+  (* [prev] is valid by construction, so only the fresh bindings are
+     checked: each binds a new node once, over a link that runs
+     parent->node, and its chain climbs into [prev] within [f] hops
+     (a longer one cycles among the fresh nodes). *)
+  let rest = ref fresh in
+  for k = 0 to f - 1 do
+    let node, (parent, link) = List.hd !rest in
+    rest := List.tl !rest;
+    check_binding fn g ~root ~node ~parent ~link
+      ~dup:(index pnodes node >= 0 || fresh_slot ~m node 0 fresh <> m + k);
+    ix.(m + f + k) <- slot prev ~fresh parent
   done;
-  let kids = Array.make b 0 in
-  Array.iteri
-    (fun i p ->
-      if p >= 0 then begin
-        kids.(off.(p)) <- i;
-        off.(p) <- off.(p) + 1
-      end)
-    up;
-  for i = m downto 1 do
-    off.(i) <- off.(i - 1)
+  for k = 0 to f - 1 do
+    let s = ref (m + k) and hops = ref 0 in
+    while !s >= m && !hops <= f do
+      s := ix.(!s + f);
+      incr hops
+    done;
+    if !s < 0 || !s >= m then orphan fn
   done;
-  off.(0) <- 0;
-  { root; nodes; up; link; off; kids }
+  (* Keep the root and every slot on a destination's chain to it; a
+     destination that is not a member is skipped. *)
+  keep prev ix ~f (index pnodes root);
+  let rest = ref dests in
+  while !rest != [] do
+    keep prev ix ~f (slot prev ~fresh (List.hd !rest));
+    rest := List.tl !rest
+  done;
+  let n = ref 0 in
+  for s = 0 to m + f - 1 do
+    if ix.(s) = 0 then incr n
+  done;
+  let n = !n in
+  let nodes = Array.make n 0 and up = Array.make n 0 and link = Array.make n (-1) in
+  (* The kept fresh bindings go to the front of the columns, sorted by
+     node (insertion: a climb binds a handful), as node, slot and link. *)
+  let c = ref 0 and rest = ref fresh in
+  for k = 0 to f - 1 do
+    let node, (_, lid) = List.hd !rest in
+    rest := List.tl !rest;
+    if ix.(m + k) = 0 then begin
+      let j = ref !c in
+      while !j > 0 && nodes.(!j - 1) > node do
+        nodes.(!j) <- nodes.(!j - 1);
+        up.(!j) <- up.(!j - 1);
+        link.(!j) <- link.(!j - 1);
+        decr j
+      done;
+      nodes.(!j) <- node;
+      up.(!j) <- m + k;
+      link.(!j) <- lid;
+      incr c
+    end
+  done;
+  (* Merge them from the back with [prev]'s kept members, so no write
+     lands on an unread fresh entry; [up] holds each member's slot and
+     [ix] learns each slot's index. *)
+  let i = ref (m - 1) and j = ref (!c - 1) in
+  for w = n - 1 downto 0 do
+    while !i >= 0 && ix.(!i) < 0 do
+      decr i
+    done;
+    if !j >= 0 && (!i < 0 || nodes.(!j) > pnodes.(!i)) then begin
+      let s = up.(!j) in
+      nodes.(w) <- nodes.(!j);
+      up.(w) <- s;
+      link.(w) <- link.(!j);
+      ix.(s) <- w;
+      decr j
+    end
+    else begin
+      nodes.(w) <- pnodes.(!i);
+      up.(w) <- !i;
+      link.(w) <- prev.link.(!i);
+      ix.(!i) <- w;
+      decr i
+    end
+  done;
+  (* Slots become parent indices in place. *)
+  for w = 0 to n - 1 do
+    let s = up.(w) in
+    let ps = if s < m then prev.up.(s) else ix.(s + f) in
+    up.(w) <- (if ps < 0 then -1 else ix.(ps))
+  done;
+  with_children ~root ~nodes ~up ~link
 
 let members t = Array.to_list t.nodes
 let mem t v = find t v >= 0

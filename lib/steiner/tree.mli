@@ -26,6 +26,29 @@ val of_parents : Graph.t -> root:int -> parents:(int * (int * int)) list -> t
     cycles).  Costs O(b log b) in the [b] bindings, whatever their
     order. *)
 
+val derive :
+  Graph.t -> prev:t -> fresh:(int * (int * int)) list -> dests:int list -> t
+(** [derive g ~prev ~fresh ~dests] is the tree a membership delta
+    leaves: the union of [prev]'s bindings and the [fresh]
+    [(node, (parent, link_id))] bindings, pruned to the root and the
+    members on some destination's chain to it.  It equals
+    {!of_parents} over that pruned union: same root, members and
+    {!edges}.  A destination that is neither a member of [prev] nor
+    fresh is skipped, as is the root; [dests] may repeat a node.
+
+    [prev] is valid by construction, so only the fresh bindings are
+    checked, by the rules {!of_parents} applies (its messages, prefixed
+    [Tree.derive]): a fresh binding for the root, for a node [prev]
+    or an earlier fresh binding already binds, over a link that does
+    not run parent->node, or whose parent chain cycles or ends outside
+    [prev] raises [Invalid_argument].  Every fresh binding is checked,
+    kept or not.
+
+    Costs O(m + f² + (d + f) log m) for [m] members of [prev], [f]
+    fresh bindings and [d] destinations, and allocates the result's
+    columns plus one int column of m + 2f slots.  A splice's climb
+    binds a handful of nodes, so the cost follows [prev]. *)
+
 val members : t -> int list
 (** All nodes in the tree (root included), ascending. *)
 

@@ -171,6 +171,23 @@ let test_registry () =
           (fun (s : Registry.section) -> if s.guarded then Some s.key else None)
           sections))
 
+(* README's bench table has a row for every registry experiment, so a
+   new entry cannot ship without one. *)
+let test_readme_rows () =
+  let candidates = [ "../README.md"; "README.md" ] in
+  match List.find_opt Sys.file_exists candidates with
+  | None -> Alcotest.fail "README.md not found"
+  | Some path ->
+      let lines = In_channel.with_open_text path In_channel.input_lines in
+      List.iter
+        (fun (e : Registry.entry) ->
+          let row = Printf.sprintf "| `%s` |" e.name in
+          Alcotest.(check bool)
+            (e.id ^ " " ^ e.name ^ " has a README row")
+            true
+            (List.exists (String.starts_with ~prefix:row) lines))
+        Registry.all
+
 let () =
   Alcotest.run "peel_experiments"
     [
@@ -186,5 +203,9 @@ let () =
             test_fig5_jobs_deterministic;
           Alcotest.test_case "micro table rows" `Quick test_micro_table_rows;
         ] );
-      ("registry", [ Alcotest.test_case "one entry per experiment" `Quick test_registry ]);
+      ( "registry",
+        [
+          Alcotest.test_case "one entry per experiment" `Quick test_registry;
+          Alcotest.test_case "README row per experiment" `Quick test_readme_rows;
+        ] );
     ]
