@@ -17,10 +17,10 @@ let compile ?capacity ?aggregate fabric batch =
   t
 
 (* Entry count of an unaggregated compile, for callers that discard
-   the tables themselves (the service flush hot path).  In debug mode
-   ([PEEL_CHECK=1]) the full checked compile runs instead, so every
-   flushed batch is still re-proved equivalent — and the counts agree
-   by construction. *)
+   the tables themselves.  In debug mode ([PEEL_CHECK=1]) the full
+   checked compile runs instead, so every counted batch is still
+   re-proved equivalent.  The service counts memoized rule footprints
+   with [Compile.count_footprints] and re-proves each flush itself. *)
 let count_entries fabric batch =
   if Peel_check.enabled () then Compile.total_entries (compile fabric batch)
   else Compile.count_entries fabric batch

@@ -87,6 +87,25 @@ module Bitset = struct
     done;
     Int64.to_int !h land max_int
 
+  let check_slice t b off op =
+    if off < 0 || off > Bytes.length b - Bytes.length t.bits then
+      invalid_arg
+        (Printf.sprintf "Bits.Bitset.%s: %d bytes at %d outside %d" op
+           (Bytes.length t.bits) off (Bytes.length b))
+
+  let write_slice t b off =
+    check_slice t b off "write_slice";
+    Bytes.blit t.bits 0 b off (Bytes.length t.bits)
+
+  let equal_slice t b off =
+    check_slice t b off "equal_slice";
+    let n = Bytes.length t.bits in
+    let i = ref 0 in
+    while !i < n && Bytes.unsafe_get t.bits !i = Bytes.unsafe_get b (off + !i) do
+      incr i
+    done;
+    !i = n
+
   let cardinal t =
     let n = ref 0 in
     Bytes.iter (fun c -> n := !n + popcount (Char.code c)) t.bits;

@@ -57,6 +57,20 @@ module Bitset : sig
   (** FNV-1a over width + backing bytes; non-negative. Equal sets hash
       equal; collisions possible (pair with {!equal}). *)
 
+  val write_slice : t -> Bytes.t -> int -> unit
+  (** [write_slice s b off] copies [s]'s backing store, the
+      [(width s + 7) / 8] bytes that {!equal} and {!hash} read, into
+      [b] at [off]: a set stored in a shared byte arena, which later
+      changes to [s] cannot reach.  Raises [Invalid_argument] if the
+      slice does not fit in [b]. *)
+
+  val equal_slice : t -> Bytes.t -> int -> bool
+  (** [equal_slice s b off] is whether the [(width s + 7) / 8] bytes
+      at [off] in [b] are [s]'s backing store: after
+      [write_slice s' b off], it is [equal s s'] for every [s] of the
+      same width as [s'].  Allocation-free.  Raises [Invalid_argument]
+      if the slice does not fit in [b]. *)
+
   val cardinal : t -> int
 
   val iter : (int -> unit) -> t -> unit
