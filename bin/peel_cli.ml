@@ -977,8 +977,7 @@ let serve_cmd =
              from scratch; the replay fingerprint must not change.")
   in
   let run fabric seed scale events rate size_mb hold churn sends fragmentation
-      capacity policy admission batch budget quiet json no_cache jobs =
-    apply_jobs jobs;
+      capacity policy admission batch budget quiet json no_cache =
     let cfg =
       {
         Service.default_config with
@@ -997,24 +996,23 @@ let serve_cmd =
       ]
     in
     let stream () = Stream.create fabric (Rng.create seed) ~tenants () in
-    let serve ?(cfg = cfg) jobs = Service.run ~cfg ~jobs fabric ~events (stream ()) in
-    (* The SVC005 replay contract: a single-domain run and a pool-sized
-       run must produce byte-identical decision logs — and so must a
-       run with the memo caches disabled (cache neutrality).  The
-       single-domain run also counts the words [Service.run] allocates,
-       all of them on this domain. *)
+    let serve ?(cfg = cfg) () = Service.run ~cfg fabric ~events (stream ()) in
+    (* The SVC005 replay contract: two runs of one seed must produce
+       byte-identical decision logs — and so must a run with the memo
+       caches disabled (cache neutrality).  The first run also counts
+       the words [Service.run] allocates. *)
     let stream1 = stream () in
     let g0 = Gc.quick_stat () in
-    let out1 = Service.run ~cfg ~jobs:1 fabric ~events stream1 in
+    let out1 = Service.run ~cfg fabric ~events stream1 in
     let g1 = Gc.quick_stat () in
     let per_event w = if events > 0 then w /. float_of_int events else 0.0 in
     let minor_words = per_event (g1.Gc.minor_words -. g0.Gc.minor_words) in
     let promoted_words = per_event (g1.Gc.promoted_words -. g0.Gc.promoted_words) in
-    let out = serve (Peel_util.Pool.default_jobs ()) in
+    let out = serve () in
     let cache_ds =
       if not cfg.Service.use_cache then []
       else
-        let nc = serve ~cfg:{ cfg with Service.use_cache = false } 1 in
+        let nc = serve ~cfg:{ cfg with Service.use_cache = false } () in
         Check_service.check_replay ~first:out1.Service.o_fingerprint
           ~second:nc.Service.o_fingerprint
     in
@@ -1038,15 +1036,14 @@ let serve_cmd =
       Printf.printf "fabric: %s; %d-GPU groups at %.0f/s, %.0f MB sends\n"
         (Fabric.describe fabric) scale rate size_mb;
       Printf.printf
-        "service: TCAM %d (%s, %s), batch %d, prefix budget %s, %d domain(s)\n\n"
+        "service: TCAM %d (%s, %s), batch %d, prefix budget %s\n\n"
         capacity
         (Tcam.policy_to_string policy)
         (Service.admission_to_string admission)
         cfg.Service.batch
         (match cfg.Service.budget with
         | None -> "exact"
-        | Some b -> string_of_int b)
-        (Peel_util.Pool.default_jobs ());
+        | Some b -> string_of_int b);
       Peel_util.Table.print
         ~header:[ "counter"; "value" ]
         [
@@ -1079,7 +1076,7 @@ let serve_cmd =
           memo_row "tree memo" s.Service.tree_memo;
           memo_row "plan memo" s.Service.plan_memo;
           memo_row "bound memo" s.Service.bound_memo;
-          [ "minor / promoted words per event (1 domain)";
+          [ "minor / promoted words per event";
             Printf.sprintf "%.1f / %.1f" minor_words promoted_words ];
           [ "events/sec"; Printf.sprintf "%.0f" s.Service.events_per_sec ];
           [ "fingerprint"; out.Service.o_fingerprint ];
@@ -1126,12 +1123,12 @@ let serve_cmd =
        ~doc:
          "Run the open-loop multicast-as-a-service controller over a Poisson \
           create/join/leave/send/depart stream (delta re-peeling, batched \
-          pod-sharded installs, TCAM admission), lint the SVC invariants and \
-          the 1-vs-N-domain replay contract; exit non-zero on errors.")
+          installs, TCAM admission), lint the SVC invariants and the \
+          same-seed replay contract; exit non-zero on errors.")
     Term.(
       const run $ fabric_term $ seed_term $ scale_term $ events $ rate
       $ size_mb $ hold $ churn $ sends $ fragmentation $ capacity $ policy_term
-      $ admission $ batch $ budget $ quiet_term $ json $ no_cache $ jobs_term)
+      $ admission $ batch $ budget $ quiet_term $ json $ no_cache)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)

@@ -39,14 +39,14 @@ let check_refined_cover fabric ~group ~members ~tree =
         racks);
   List.rev !ds
 
-let check_budget tcam =
+let check_budget ?(code = "CTRL002") tcam =
   let cap = Tcam.capacity tcam in
   let ds =
     List.filter_map
       (fun (sw, used) ->
         if used > cap then
           Some
-            (D.errorf ~code:"CTRL002"
+            (D.errorf ~code
                ~loc:(Printf.sprintf "switch %d" sw)
                "%d entries exceed the TCAM budget of %d" used cap)
         else None)
@@ -55,7 +55,7 @@ let check_budget tcam =
   if Tcam.max_used tcam > cap then
     ds
     @ [
-        D.errorf ~code:"CTRL002" ~loc:"tcam"
+        D.errorf ~code ~loc:"tcam"
           "high-water occupancy %d exceeded the budget of %d"
           (Tcam.max_used tcam) cap;
       ]

@@ -30,8 +30,8 @@ val check_refined_cover :
     plus (when [tree] is given) that the refined tree's ToRs are
     exactly the member racks. *)
 
-val check_budget : Tcam.t -> Peel_check.Diagnostic.t list
-(** CTRL002. *)
+val check_budget : ?code:string -> Tcam.t -> Peel_check.Diagnostic.t list
+(** CTRL002, or the same walk under [code] (SVC002 passes its own). *)
 
 type handoff = {
   h_gid : int;

@@ -42,27 +42,7 @@ let check_group_cover (out : Service.outcome) slot =
 let check_budget (out : Service.outcome) =
   match out.Service.o_tcam with
   | None -> []
-  | Some tc ->
-      let cap = Tcam.capacity tc in
-      let over =
-        List.filter_map
-          (fun (sw, used) ->
-            if used > cap then
-              Some
-                (D.errorf ~code:"SVC002"
-                   ~loc:(Printf.sprintf "switch %d" sw)
-                   "%d entries exceed the TCAM budget of %d" used cap)
-            else None)
-          (Tcam.occupancy tc)
-      in
-      if Tcam.max_used tc > cap then
-        over
-        @ [
-            D.errorf ~code:"SVC002" ~loc:"tcam"
-              "high-water occupancy %d exceeded the budget of %d"
-              (Tcam.max_used tc) cap;
-          ]
-      else over
+  | Some tc -> Check_ctrl.check_budget ~code:"SVC002" tc
 
 let check_stages (out : Service.outcome) =
   match out.Service.o_tcam with

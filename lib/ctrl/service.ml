@@ -5,7 +5,6 @@ module Layer_peel = Peel_steiner.Layer_peel
 module Memo = Peel_steiner.Memo
 module Plan = Peel.Plan
 module Compile = Peel_compile.Compile
-module Pool = Peel_util.Pool
 module Bitset = Peel_util.Bits.Bitset
 module Trace = Peel_sim.Trace
 module G = Group_table
@@ -98,8 +97,8 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic digest: FNV-1a over the decision log, so replays at  *)
-(* any worker count can be compared byte-for-byte (SVC005).           *)
+(* Deterministic digest: FNV-1a over the decision log, so two runs of *)
+(* one stream can be compared byte-for-byte (SVC005).                 *)
 (* ------------------------------------------------------------------ *)
 
 let fnv_offset = 0xcbf29ce484222325L
@@ -150,7 +149,6 @@ type state = {
   fabric : Fabric.t;
   graph : Graph.t;
   tcam : Tcam.t option;
-  pool : Pool.t;
   groups : G.t;
   departed : (int, unit) Hashtbl.t;
   digest : digest;
@@ -377,10 +375,10 @@ let plan_of st slot =
   Plan.build ?budget:st.cfg.budget st.fabric ~source:(G.source st.groups slot)
     ~dests:(dests_of st slot)
 
-(* The [PEEL_CHECK=1] proof of one shard's count: rebuild its plans and
+(* The [PEEL_CHECK=1] proof of one pod's count: rebuild its plans and
    run the checked compile, which must install exactly [n] entries. *)
 let recheck_count st cells n =
-  let batch = List.map (fun (gid, slot, _) -> (gid, plan_of st slot)) cells in
+  let batch = List.map (fun (gid, slot, _, _) -> (gid, plan_of st slot)) cells in
   let want = Compile.total_entries (Peel_compile.compile st.fabric batch) in
   if want <> n then
     failwith
@@ -390,14 +388,11 @@ let recheck_count st cells n =
          n want)
 
 (* Flush the pending batch: count the entries an unaggregated compile
-   of every live pending group's prefix plan installs — from the plans'
-   rule footprints, memo hits skipping Plan.build and misses building
-   in parallel across pool domains — then claim TCAM space for the
-   exact per-group entries under the admission policy.  When the
-   whole batch provably fits ([Tcam.batch_fits]), installs commute and
-   go shard-parallel; otherwise the exact sequential admission loop of
-   the reference implementation runs (evictions at one switch feed
-   back into later decisions, so order is semantics there). *)
+   of every live pending group's prefix plan installs, from the plans'
+   rule footprints (a memo hit skips Plan.build), then claim TCAM space
+   for each group's exact entries under the admission policy, in batch
+   order — an eviction at one switch feeds back into later decisions,
+   so the order is the semantics. *)
 let flush st ~now =
   let backlog = st.pending_live in
   if backlog > st.max_backlog then st.max_backlog <- backlog;
@@ -418,112 +413,87 @@ let flush st ~now =
   st.pending_live <- 0;
   if live <> [] then begin
     st.batches <- st.batches + 1;
-    (* Rule footprints, memoized by (source, member set).  Only this
-       domain touches the memo. *)
-    let find (gid, slot) =
-      let i =
-        if st.cfg.use_cache then
-          Memo.find st.plans ~source:(G.source st.groups slot)
-            (G.members_bitset st.groups slot)
-        else -1
-      in
-      (gid, slot, i)
-    in
-    let lookup = List.map find live in
-    let misses = List.filter (fun (_, _, i) -> i < 0) lookup in
-    let built =
-      Pool.par_map ~pool:st.pool
-        (fun (gid, slot, _) ->
-          Compile.plan_footprint st.fabric ~group:gid (plan_of st slot))
-        misses
+    (* Rule footprints, memoized by (source, member set).  Misses are
+       inserted only after every lookup, so two groups of one batch
+       with the same key both miss. *)
+    let footprints =
+      List.map
+        (fun (gid, slot) ->
+          let i =
+            if st.cfg.use_cache then
+              Memo.find st.plans ~source:(G.source st.groups slot)
+                (G.members_bitset st.groups slot)
+            else -1
+          in
+          let fp =
+            if i >= 0 then Memo.get st.plans i
+            else Compile.plan_footprint st.fabric ~group:gid (plan_of st slot)
+          in
+          (gid, slot, i, fp))
+        live
     in
     if st.cfg.use_cache then
-      List.iter2
-        (fun (_, slot, _) fp ->
-          Memo.add st.plans ~source:(G.source st.groups slot)
-            (G.members_bitset st.groups slot) fp)
-        misses built;
-    let footprints =
-      let remaining = ref built in
-      List.map
-        (fun (gid, slot, i) ->
-          if i >= 0 then (gid, slot, Memo.get st.plans i)
-          else
-            match !remaining with
-            | fp :: rest ->
-                remaining := rest;
-                (gid, slot, fp)
-            | [] -> assert false)
-        lookup
-    in
-    (* Count per source pod, the shards the install path partitions
-       the batch into. *)
-    let shard_of (_, slot, _) =
+      List.iter
+        (fun (_, slot, i, fp) ->
+          if i < 0 then
+            Memo.add st.plans ~source:(G.source st.groups slot)
+              (G.members_bitset st.groups slot) fp)
+        footprints;
+    (* Count per source pod: a (switch, prefix) use shared by groups of
+       different pods counts once per pod, and the fingerprint pins
+       that total. *)
+    let pod_of (_, slot, _, _) =
       Fabric.pod_of_tor st.fabric
         (Fabric.attach_tor st.fabric (G.source st.groups slot))
     in
     let check = Peel_check.enabled () in
     List.iter
       (fun pod ->
-        let cells = List.filter (fun c -> shard_of c = pod) footprints in
-        let n = Compile.count_footprints (List.map (fun (_, _, fp) -> fp) cells) in
+        let cells = List.filter (fun c -> pod_of c = pod) footprints in
+        let n = Compile.count_footprints (List.map (fun (_, _, _, fp) -> fp) cells) in
         if check then recheck_count st cells n;
         st.compiled_entries <- st.compiled_entries + n)
-      (List.sort_uniq compare (List.map shard_of footprints));
+      (List.sort_uniq compare (List.map pod_of footprints));
     (* Admission, in batch order. *)
     match st.tcam with
     | None -> ()
     | Some tc ->
-        let items =
-          List.concat_map
-            (fun (gid, slot) ->
-              List.map (fun sw -> (sw, gid)) (G.switches st.groups slot))
-            live
-        in
-        if Tcam.batch_fits tc ~items then begin
-          (* No switch can overflow: zero evictions, zero denials, so
-             both admission policies reduce to plain installs and the
-             batch commutes — apply it shard-parallel. *)
-          Tcam.install_batch ~pool:st.pool tc ~now ~items;
-          List.iter (fun (_gid, slot) -> G.set_stage st.groups slot Installed) live
-        end
-        else
-          List.iter
-            (fun (gid, slot) ->
-              match st.cfg.admission with
-              | Evict ->
+        List.iter
+          (fun (gid, slot) ->
+            match st.cfg.admission with
+            | Evict ->
+                List.iter
+                  (fun sw ->
+                    let victims = Tcam.install tc ~now ~switch:sw ~group:gid in
+                    List.iter (demote st) victims)
+                  (G.switches st.groups slot);
+                G.set_stage st.groups slot Installed
+            | Deny ->
+                (* All-or-nothing: probe every switch first so a denied
+                   group never leaves partial entries behind. *)
+                let fits =
+                  List.for_all
+                    (fun sw ->
+                      Tcam.holds tc ~switch:sw ~group:gid
+                      || Tcam.used tc ~switch:sw < Tcam.capacity tc)
+                    (G.switches st.groups slot)
+                in
+                if fits then begin
                   List.iter
                     (fun sw ->
-                      let victims = Tcam.install tc ~now ~switch:sw ~group:gid in
-                      List.iter (demote st) victims)
+                      ignore (Tcam.install_strict tc ~now ~switch:sw ~group:gid))
                     (G.switches st.groups slot);
                   G.set_stage st.groups slot Installed
-              | Deny ->
-                  (* All-or-nothing: probe every switch first so a denied
-                     group never leaves partial entries behind. *)
-                  let fits =
-                    List.for_all
-                      (fun sw ->
-                        Tcam.holds tc ~switch:sw ~group:gid
-                        || Tcam.used tc ~switch:sw < Tcam.capacity tc)
-                      (G.switches st.groups slot)
-                  in
-                  if fits then begin
-                    List.iter
-                      (fun sw ->
-                        ignore (Tcam.install_strict tc ~now ~switch:sw ~group:gid))
-                      (G.switches st.groups slot);
-                    G.set_stage st.groups slot Installed
-                  end
-                  else begin
-                    (* The group may still hold entries from a previous
-                       install (membership deltas only free removed
-                       switches); reclaim them all so a denied group
-                       never keeps a partial entry set (SVC003). *)
-                    demote st gid;
-                    st.denials <- st.denials + 1
-                  end)
-            live
+                end
+                else begin
+                  (* The group may still hold entries from a previous
+                     install (membership deltas only free removed
+                     switches); reclaim them all so a denied group
+                     never keeps a partial entry set (SVC003). *)
+                  demote st gid;
+                  st.denials <- st.denials + 1
+                end)
+          live
   end
 
 let maybe_flush st ~now =
@@ -767,17 +737,15 @@ let percentile a p =
 
 (* Shard switches for the TCAM: by pod where the fabric has pods, by
    the node's index within its kind otherwise (leaf-spine spines and
-   zoo cores carry pod = -1).  Pure storage partitioning — results are
-   identical to a single shard; it only decides which Pool domain owns
-   which switch during commuting batched installs. *)
+   zoo cores carry pod = -1).  Pure storage partitioning: results are
+   identical to a single shard. *)
 let tcam_shards = 8
 
 let tcam_shard_of graph sw =
   let nd = Graph.node graph sw in
   (if nd.Graph.pod >= 0 then nd.Graph.pod else nd.Graph.idx) mod tcam_shards
 
-let run_body cfg jobs trace fabric ~events stream =
-  let pool = Pool.create ?jobs () in
+let run_body cfg trace fabric ~events stream =
   let graph = Fabric.graph fabric in
   let memo () = Memo.create ~capacity:cfg.cache_capacity ~width:(Graph.num_nodes graph) () in
   let st =
@@ -791,7 +759,6 @@ let run_body cfg jobs trace fabric ~events stream =
              (Tcam.create_sharded ~capacity:cfg.capacity ~policy:cfg.policy
                 ~shards:tcam_shards ~shard_of:(tcam_shard_of graph))
          else None);
-      pool;
       groups = G.create ~width:(Graph.num_nodes graph) ();
       departed = Hashtbl.create 64;
       digest = digest_create ();
@@ -918,6 +885,10 @@ let run_body cfg jobs trace fabric ~events stream =
 
 let run ?(cfg = default_config) ?jobs ?(trace = Trace.null) fabric ~events
     stream =
+  if events < 0 then invalid_arg "Service.run: events must be >= 0";
+  (match jobs with
+  | Some j when j < 1 -> invalid_arg "Service.run: jobs must be >= 1"
+  | Some _ | None -> ());
   if cfg.batch < 1 then invalid_arg "Service.run: batch must be >= 1";
   if cfg.install_delay < 0.0 || not (Float.is_finite cfg.install_delay) then
     invalid_arg "Service.run: install_delay must be finite and >= 0";
@@ -927,7 +898,7 @@ let run ?(cfg = default_config) ?jobs ?(trace = Trace.null) fabric ~events
   | Some b when b < 1 -> invalid_arg "Service.run: budget must be >= 1"
   | Some _ | None -> ());
   match cfg.gc_space_overhead with
-  | None -> run_body cfg jobs trace fabric ~events stream
+  | None -> run_body cfg trace fabric ~events stream
   | Some o ->
       (* Million-group runs keep a ~100 Mw live heap; the default
          space_overhead (120) re-marks it constantly for little
@@ -940,4 +911,4 @@ let run ?(cfg = default_config) ?jobs ?(trace = Trace.null) fabric ~events
       Fun.protect
         ~finally:(fun () ->
           Gc.set { (Gc.get ()) with Gc.space_overhead = prev })
-        (fun () -> run_body cfg jobs trace fabric ~events stream)
+        (fun () -> run_body cfg trace fabric ~events stream)

@@ -13,11 +13,10 @@
       peel only when the splice breaks tree validity or leaves the
       Theorem 2.5 cost envelope (both are counted, so the
       delta-planning hit rate is an SLO);
-    - {b batched, sharded installs}: pending installs flush through
-      {!Peel_compile.compile} once [batch] requests queue up or
-      [install_delay] elapses, sharded across {!Peel_util.Pool}
-      domains by source pod — the fan-out is bit-deterministic at any
-      worker count, the SVC005 replay contract;
+    - {b batched installs}: pending installs flush once [batch]
+      requests queue up or [install_delay] elapses; a flush counts the
+      entries {!Peel_compile.compile} would lower, per source pod, and
+      claims TCAM space group by group in batch order;
     - {b admission/eviction}: exact per-group entries claim bounded
       {!Tcam} space; under saturation the [admission] policy either
       evicts victims (policy-chosen, they degrade to the unicast
@@ -26,20 +25,21 @@
 
     The million-group fast path: group state lives in an arena-backed
     SoA {!Group_table} with member bitsets and recycled slots; the TCAM
-    is split into per-pod shards so a batch that provably fits installs
-    with one {!Peel_util.Pool} domain per shard; and full peels, prefix
-    plans' rule footprints and Theorem 2.5 lower bounds are memoized by
-    (source, member set) — identical groups, the common case in the
-    multi-tenant Poisson mix, skip [Layer_peel] and [Plan.build]
-    entirely.  A memo hit returns a value identical to recomputing, so
-    cache-on and cache-off runs produce the same decision log; the
-    differential oracle for all of this is {!Service_ref}, the PR 8
-    implementation kept verbatim.
+    stores its switches in per-pod shards ({!tcam_shard_of}); and full
+    peels, prefix plans' rule footprints and Theorem 2.5 lower bounds
+    are memoized by (source, member set) — identical groups, the common
+    case in the multi-tenant Poisson mix, skip [Layer_peel] and
+    [Plan.build] entirely.  A memo hit returns a value identical to
+    recomputing, so cache-on and cache-off runs produce the same
+    decision log; the differential oracle for all of this is
+    {!Service_ref}, the PR 8 implementation kept verbatim.  Everything
+    runs on the calling domain.
 
     Determinism: for a fixed config, fabric and event stream the
-    decision log is byte-identical at any pool size and either cache
-    setting; wall-clock SLOs (plan latency percentiles, events/sec)
-    are measured but excluded from the {!outcome} fingerprint. *)
+    decision log is byte-identical from run to run and under either
+    cache setting; wall-clock SLOs (plan latency percentiles,
+    events/sec) are measured but excluded from the {!outcome}
+    fingerprint. *)
 
 open Peel_topology
 open Peel_workload
@@ -168,11 +168,16 @@ val run :
   outcome
 (** Consume [events] events from the stream and return the quiescent
     state (the backlog is flushed after the final event; its depth at
-    stop time is recorded first).  [jobs] sizes the install-compile
-    pool (default {!Peel_util.Pool.default_jobs}); the outcome is
-    bit-identical for every value, and for either [use_cache] setting.
+    stop time is recorded first).  The run uses the calling domain
+    only; [jobs] is checked to be at least 1 and has no other effect.
+    The outcome is bit-identical for either [use_cache] setting.
     [trace] (default {!Peel_sim.Trace.null}) receives the planning-
-    cache hit/miss counters.  Raises [Invalid_argument] on a
-    non-positive [batch], negative [install_delay], non-positive
-    [cache_capacity] or a [budget] of [Some b] with [b < 1], before the
-    first event. *)
+    cache hit/miss counters.  Raises [Invalid_argument] on a negative
+    [events], a [jobs] below 1, a non-positive [batch], a negative
+    [install_delay], a non-positive [cache_capacity] or a [budget] of
+    [Some b] with [b < 1], before the first event. *)
+
+val tcam_shard_of : Graph.t -> int -> int
+(** [tcam_shard_of g sw] is switch [sw]'s shard in the service's
+    8-shard TCAM: its pod where it has one, else its index within its
+    kind (leaf-spine spines and zoo cores carry pod [-1]), modulo 8. *)

@@ -1,5 +1,3 @@
-module Pool = Peel_util.Pool
-
 type policy = Lru | Bytes_weighted
 
 let policy_to_string = function Lru -> "lru" | Bytes_weighted -> "bytes"
@@ -30,10 +28,10 @@ type table = {
   mutable hsize : int;
 }
 
-(* A shard owns a disjoint set of switches (tables + counters), so a
-   batched install can hand each shard to its own Pool domain without
-   sharing any mutable state.  The single-shard [create] is the
-   degenerate case. *)
+(* A shard owns a disjoint set of switches: their tables, reverse
+   index and counters.  The aggregate counters are sums (and a max for
+   the high-water mark) over shards, so every answer is the one a
+   single-shard table gives.  [create] is the one-shard case. *)
 type shard = {
   tables : (int, table) Hashtbl.t;
   (* group -> switches holding its entry, within this shard: makes
@@ -310,52 +308,3 @@ let groups_at t ~switch =
   | None -> []
   | Some tbl ->
       Hashtbl.fold (fun g _ l -> g :: l) tbl.entries [] |> List.sort compare
-
-(* ---------------- batched installs ---------------- *)
-
-let batch_fits t ~items =
-  (* Count prospective new entries per switch; the batch commutes with
-     itself iff no switch would exceed capacity (then neither [install]
-     nor [install_strict] can evict or deny). *)
-  let adds = Hashtbl.create 64 in
-  List.iter
-    (fun (sw, g) ->
-      if not (holds t ~switch:sw ~group:g) then
-        Hashtbl.replace adds sw
-          (1 + Option.value (Hashtbl.find_opt adds sw) ~default:0))
-    items;
-  Hashtbl.fold
-    (fun sw n ok -> ok && used t ~switch:sw + n <= t.capacity)
-    adds true
-
-let install_batch ?pool t ~now ~items =
-  (* Precondition: [batch_fits t ~items] — every install fits without
-     eviction, so per-switch (hence per-shard) installs are independent
-     and each shard can run on its own Pool domain.  Shard counters are
-     only ever touched by their owner; aggregate reads ([installs],
-     [max_used]) are sums/maxes over shards, so the merged totals are
-     identical to the sequential order. *)
-  let nsh = Array.length t.shards in
-  if nsh = 1 || List.length items < 2 then
-    List.iter (fun (sw, g) -> ignore (install t ~now ~switch:sw ~group:g)) items
-  else begin
-    let per_shard = Array.make nsh [] in
-    (* Keep per-shard item order = batch order (install order within a
-       switch affects nothing here, but determinism is free). *)
-    List.iter
-      (fun (sw, g) ->
-        let i = t.shard_of sw in
-        per_shard.(i) <- (sw, g) :: per_shard.(i))
-      items;
-    let work = ref [] in
-    for i = nsh - 1 downto 0 do
-      if per_shard.(i) <> [] then work := (i, List.rev per_shard.(i)) :: !work
-    done;
-    ignore
-      (Pool.par_map ?pool
-         (fun (_i, its) ->
-           List.iter
-             (fun (sw, g) -> ignore (install t ~now ~switch:sw ~group:g))
-             its)
-         !work)
-  end

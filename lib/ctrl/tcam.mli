@@ -17,12 +17,11 @@
     bookkeeping.
 
     Tables can be split into shards (disjoint switch sets, chosen by a
-    caller-supplied [shard_of]).  Every point operation routes through
-    the owning shard, so single-shard behaviour is unchanged; a batch
-    of installs that provably fits ({!batch_fits}) can be applied with
-    one Pool domain per shard ({!install_batch}), and the aggregate
-    counters merge deterministically (sums, and a max for the
-    high-water mark). *)
+    caller-supplied [shard_of]).  Sharding is storage partitioning
+    only: every operation routes through the owning shard on the
+    calling domain, and the aggregate counters are sums over shards
+    (a max for the high-water mark), so a sharded table returns
+    exactly what a single-shard table returns. *)
 
 (** Eviction-victim selection (see the module header for the rules). *)
 type policy = Lru | Bytes_weighted
@@ -107,17 +106,3 @@ val evictions : t -> int
 val max_used : t -> int
 (** High-water occupancy across all switches — the CTRL002 witness.
     With shards, the max over per-shard high-water marks. *)
-
-val batch_fits : t -> items:(int * int) list -> bool
-(** [batch_fits t ~items] with [(switch, group)] pairs: would installing
-    every item leave each switch within capacity, with no evictions and
-    no strict-install refusals?  When true, the installs commute — the
-    final table state and counters are independent of install order —
-    so {!install_batch} may apply them shard-parallel. *)
-
-val install_batch : ?pool:Peel_util.Pool.t -> t -> now:float -> items:(int * int) list -> unit
-(** Install every [(switch, group)] item, fanning shards out across
-    [pool] domains.  MUST only be called when [batch_fits t ~items]
-    holds (checked by the caller; violating it loses the eviction
-    notifications {!install} would have returned).  Equivalent to
-    [List.iter] of {!install} over [items] in order. *)

@@ -8,7 +8,7 @@
 #                @compile-smoke, diagnostic-code suites)
 #   4. serve   — dune build @serve-smoke @serve-scale-smoke (the
 #                open-loop service controller under the SVC lint
-#                battery and the 1-vs-N-domain replay contract, plus
+#                battery and the same-seed replay contract, plus
 #                the million-group fast path at a 10^5-group cell)
 #   5. docs    — scripts/docs.sh (@doc build; when odoc is installed
 #                the rendering must be warning-free)

@@ -411,7 +411,8 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "unknown experiment exits 2" 2
       (code [ "experiment"; "nosuch" ]);
     (* A failure fraction outside [0,1], NaN included, is a usage
-       error on every flag that takes one, not "no failures". *)
+       error on every flag that takes one, not "no failures"; so is a
+       negative event count. *)
     List.iter
       (fun args ->
         Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 (code args))
@@ -422,6 +423,7 @@ let test_cli_exit_codes () =
         [ "check"; "--failures=-0.5" ];
         [ "zoo"; "--fail"; "nan" ];
         [ "zoo"; "--fail=-0.5" ];
+        [ "serve"; "--events=-3" ];
       ]
 
 (* The --help text renders cmdliner's markup instead of printing it. *)

@@ -475,8 +475,8 @@ let run_service ?(capacity = 64) ?(admission = Service.Evict) ?(events = 800)
   Service.run ~cfg ~jobs fabric ~events stream
 
 let test_service_replay_across_pools () =
-  (* The SVC005 contract: the decision log is byte-identical whether
-     the install compiles run on one domain or four. *)
+  (* The SVC005 contract: two runs of one stream log byte-identical
+     decisions, and [jobs] changes nothing. *)
   let o1 = run_service ~jobs:1 () in
   let o4 = run_service ~jobs:4 () in
   Alcotest.(check string) "fingerprints agree" o1.Service.o_fingerprint
@@ -566,6 +566,19 @@ let test_service_budget_below_one () =
   Alcotest.check_raises "budget 0"
     (Invalid_argument "Service.run: budget must be >= 1") (fun () ->
       ignore (Service.run ~cfg ~jobs:1 fabric ~events:800 s));
+  Alcotest.(check int) "no event consumed" 0 (Stream.next s).Stream.ev_seq
+
+(* A negative event count and a [jobs] below 1 are rejected before the
+   first event is taken from the stream. *)
+let test_service_events_below_zero () =
+  let fabric = ls48 () in
+  let s = Stream.create fabric (Rng.create 11) ~tenants:service_tenants () in
+  Alcotest.check_raises "events -3"
+    (Invalid_argument "Service.run: events must be >= 0") (fun () ->
+      ignore (Service.run fabric ~events:(-3) s));
+  Alcotest.check_raises "jobs 0"
+    (Invalid_argument "Service.run: jobs must be >= 1") (fun () ->
+      ignore (Service.run ~jobs:0 fabric ~events:800 s));
   Alcotest.(check int) "no event consumed" 0 (Stream.next s).Stream.ev_seq
 
 let test_service_deny_fat_tree_reclaims () =
@@ -788,6 +801,75 @@ let test_tcam_heap_matches_naive_scan () =
         (Tcam.used t ~switch:0))
     [ Tcam.Lru; Tcam.Bytes_weighted ]
 
+(* [create_sharded] is storage partitioning only.  Under the service's
+   8-shard map on a leaf-spine and on a fat-tree, a random mix of every
+   mutating operation gets the same return values from a sharded and a
+   single-shard table, and after each step the two agree on occupancy,
+   every switch's groups and the install, eviction and high-water
+   counters — under both eviction policies.  Ops land on two switches
+   per shard the map uses (all eight on the k=8 fat-tree), and the
+   capacities are small enough that installs evict. *)
+let prop_tcam_shards_match_single =
+  let fabrics =
+    [| ls48 (); Fabric.fat_tree ~k:8 ~hosts_per_tor:1 ~gpus_per_host:1 () |]
+  in
+  let switches =
+    Array.map
+      (fun f ->
+        let g = Fabric.graph f in
+        let sws =
+          List.init (Graph.num_nodes g) Fun.id
+          |> List.filter (fun v -> Graph.kind_is_switch (Graph.node g v).Graph.kind)
+        in
+        List.init 8 (fun k ->
+            List.filter (fun v -> Service.tcam_shard_of g v = k) sws
+            |> List.filteri (fun i _ -> i < 2))
+        |> List.concat |> Array.of_list)
+      fabrics
+  in
+  QCheck.Test.make ~name:"tcam: 8 shards return what one shard returns"
+    ~count:100
+    QCheck.(
+      quad bool bool (int_range 1 3)
+        (list_of_size
+           Gen.(int_range 1 200)
+           (quad (int_range 0 4) (int_range 0 15) (int_range 0 11) (int_range 0 4))))
+    (fun (fat, lru, capacity, ops) ->
+      let f = if fat then 1 else 0 in
+      let sws = switches.(f) in
+      let policy = if lru then Tcam.Lru else Tcam.Bytes_weighted in
+      let one = Tcam.create ~capacity ~policy in
+      let eight =
+        Tcam.create_sharded ~capacity ~policy ~shards:8
+          ~shard_of:(Service.tcam_shard_of (Fabric.graph fabrics.(f)))
+      in
+      let reads t =
+        ( Tcam.occupancy t,
+          Array.map (fun switch -> Tcam.groups_at t ~switch) sws,
+          (Tcam.installs t, Tcam.evictions t, Tcam.max_used t) )
+      in
+      List.for_all
+        (fun (i, (op, s, group, b)) ->
+          let switch = sws.(s mod Array.length sws) in
+          (* coarse stamps, so LRU ties occur *)
+          let now = float_of_int (i / 4) in
+          let same =
+            match op with
+            | 0 -> Tcam.install one ~now ~switch ~group = Tcam.install eight ~now ~switch ~group
+            | 1 ->
+                Tcam.install_strict one ~now ~switch ~group
+                = Tcam.install_strict eight ~now ~switch ~group
+            | 2 ->
+                let bytes = float_of_int b *. 100.0 in
+                Tcam.touch one ~now ~switch ~group ~bytes;
+                Tcam.touch eight ~now ~switch ~group ~bytes;
+                true
+            | 3 -> Tcam.remove_at one ~switch ~group = Tcam.remove_at eight ~switch ~group
+            | _ -> Tcam.remove_group one ~group = Tcam.remove_group eight ~group
+          in
+          same && reads one = reads eight)
+        (List.mapi (fun i op -> (i, op)) ops))
+
 (* Departures of still-pending groups are O(1) tombstones in the
    install queue, not a List.filter over the whole backlog: with the
    flush pinned past the horizon, 10^4 pending departs complete
@@ -885,6 +967,7 @@ let () =
             test_tcam_tie_breaks_on_group_id;
           Alcotest.test_case "remove group" `Quick test_tcam_remove_group;
           Alcotest.test_case "high-water mark" `Quick test_tcam_max_used;
+          qt prop_tcam_shards_match_single;
         ] );
       ( "controller",
         [
@@ -938,6 +1021,8 @@ let () =
             test_service_deny_fat_tree_reclaims;
           Alcotest.test_case "budget below 1" `Quick
             test_service_budget_below_one;
+          Alcotest.test_case "events below 0" `Quick
+            test_service_events_below_zero;
           Alcotest.test_case "svc001 corruption" `Quick
             test_service_svc001_seeded_corruption;
           Alcotest.test_case "svc002 silent" `Quick
