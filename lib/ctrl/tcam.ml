@@ -75,7 +75,6 @@ let create ~capacity ~policy =
 
 let capacity t = t.capacity
 let policy t = t.policy
-let shards t = Array.length t.shards
 
 let installs t =
   Array.fold_left (fun acc s -> acc + s.installs) 0 t.shards

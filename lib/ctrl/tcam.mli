@@ -46,9 +46,6 @@ val create_sharded :
     operation.  Sharding is storage partitioning only; results of every
     operation are identical to the single-shard table. *)
 
-val shards : t -> int
-(** Number of shards ([1] for {!create}). *)
-
 val capacity : t -> int
 (** The per-switch entry budget. *)
 
