@@ -966,7 +966,10 @@ let serve_cmd =
   let json =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Print the SLO record as JSON instead of a table.")
+      & info [ "json" ]
+          ~doc:
+            "Print the SLO record and the findings as one JSON document \
+             instead of the table and the verdict line.")
   in
   let no_cache =
     Arg.(
@@ -1000,13 +1003,17 @@ let serve_cmd =
     (* The SVC005 replay contract: two runs of one seed must produce
        byte-identical decision logs — and so must a run with the memo
        caches disabled (cache neutrality).  The first run also counts
-       the words [Service.run] allocates. *)
+       the words [Service.run] allocates: [Gc.minor_words] reads the
+       allocation pointer, where [quick_stat]'s minor count moves only
+       at minor collections. *)
     let stream1 = stream () in
     let g0 = Gc.quick_stat () in
+    let m0 = Gc.minor_words () in
     let out1 = Service.run ~cfg fabric ~events stream1 in
+    let m1 = Gc.minor_words () in
     let g1 = Gc.quick_stat () in
     let per_event w = if events > 0 then w /. float_of_int events else 0.0 in
-    let minor_words = per_event (g1.Gc.minor_words -. g0.Gc.minor_words) in
+    let minor_words = per_event (m1 -. m0) in
     let promoted_words = per_event (g1.Gc.promoted_words -. g0.Gc.promoted_words) in
     let out = serve () in
     let cache_ds =
@@ -1083,40 +1090,44 @@ let serve_cmd =
         ];
       print_newline ()
     end;
-    if json then
-      print_endline
-        (Json.to_string
-           (Json.Obj
-              [
-                ("events", Json.int s.Service.events);
-                ("delta_repeels", Json.int s.Service.delta_repeels);
-                ("full_repeels", Json.int s.Service.full_repeels);
-                ("splice_fallbacks", Json.int s.Service.splice_fallbacks);
-                ("installs", Json.int s.Service.installs);
-                ("evictions", Json.int s.Service.evictions);
-                ("denials", Json.int s.Service.denials);
-                ("multicast_chunks", Json.int s.Service.multicast_chunks);
-                ("unicast_chunks", Json.int s.Service.unicast_chunks);
-                ("max_backlog", Json.int s.Service.max_backlog);
-                ("plan_p50_s", Json.num s.Service.plan_p50_s);
-                ("plan_p99_s", Json.num s.Service.plan_p99_s);
-                ("cache_hits", Json.int s.Service.cache_hits);
-                ("cache_misses", Json.int s.Service.cache_misses);
-                ("tree_memo", memo_json s.Service.tree_memo);
-                ("plan_memo", memo_json s.Service.plan_memo);
-                ("bound_memo", memo_json s.Service.bound_memo);
-                ("minor_words_per_event", Json.num minor_words);
-                ("promoted_words_per_event", Json.num promoted_words);
-                ("events_per_sec", Json.num s.Service.events_per_sec);
-                ("fingerprint", Json.str out.Service.o_fingerprint);
-              ]));
     let ds =
       Check_service.check_state out
       @ Check_service.check_replay ~first:out1.Service.o_fingerprint
           ~second:out.Service.o_fingerprint
       @ cache_ds
     in
-    report ~quiet ds (Printf.sprintf "serve: %d event(s), " s.Service.events)
+    let doc () =
+      Json.Obj
+        [
+          ("events", Json.int s.Service.events);
+          ("delta_repeels", Json.int s.Service.delta_repeels);
+          ("full_repeels", Json.int s.Service.full_repeels);
+          ("splice_fallbacks", Json.int s.Service.splice_fallbacks);
+          ("installs", Json.int s.Service.installs);
+          ("evictions", Json.int s.Service.evictions);
+          ("denials", Json.int s.Service.denials);
+          ("multicast_chunks", Json.int s.Service.multicast_chunks);
+          ("unicast_chunks", Json.int s.Service.unicast_chunks);
+          ("max_backlog", Json.int s.Service.max_backlog);
+          ("plan_p50_s", Json.num s.Service.plan_p50_s);
+          ("plan_p99_s", Json.num s.Service.plan_p99_s);
+          ("cache_hits", Json.int s.Service.cache_hits);
+          ("cache_misses", Json.int s.Service.cache_misses);
+          ("tree_memo", memo_json s.Service.tree_memo);
+          ("plan_memo", memo_json s.Service.plan_memo);
+          ("bound_memo", memo_json s.Service.bound_memo);
+          ("minor_words_per_event", Json.num minor_words);
+          ("promoted_words_per_event", Json.num promoted_words);
+          ("events_per_sec", Json.num s.Service.events_per_sec);
+          ("fingerprint", Json.str out.Service.o_fingerprint);
+          ("findings", Json.Arr (List.map finding_json ds));
+          ("errors", Json.int (List.length (D.errors ds)));
+        ]
+    in
+    report
+      ?json:(if json then Some (doc ()) else None)
+      ~quiet ds
+      (Printf.sprintf "serve: %d event(s), " s.Service.events)
   in
   Cmd.v
     (Cmd.info "serve" ~exits:std_exits

@@ -2,7 +2,8 @@ open Peel_topology
 module D = Peel_check.Diagnostic
 module T = Peel_sim.Trace
 
-let check_refined_cover fabric ~group ~members ~tree =
+let check_refined_cover ?(code = "CTRL001") ?(what = "refined tree") fabric
+    ~group ~members ~tree =
   let ds = ref [] in
   let add d = ds := d :: !ds in
   let loc = Printf.sprintf "group %d" group in
@@ -13,7 +14,7 @@ let check_refined_cover fabric ~group ~members ~tree =
   let entry = Peel.Dataplane.exact_entry fabric ~group ~members in
   (match Peel.Dataplane.verify_exact fabric entry ~members with
   | Ok () -> ()
-  | Error msg -> add (D.errorf ~code:"CTRL001" ~loc "%s" msg));
+  | Error msg -> add (D.errorf ~code ~loc "%s" msg));
   (match tree with
   | None -> ()
   | Some t ->
@@ -27,15 +28,13 @@ let check_refined_cover fabric ~group ~members ~tree =
         (fun tor ->
           if not (List.mem tor racks) then
             add
-              (D.errorf ~code:"CTRL001" ~loc
-                 "refined tree touches rack %d, which houses no member" tor))
+              (D.errorf ~code ~loc "%s touches rack %d, which houses no member"
+                 what tor))
         tors;
       List.iter
         (fun rack ->
           if not (List.mem rack tors) then
-            add
-              (D.errorf ~code:"CTRL001" ~loc
-                 "refined tree misses member rack %d" rack))
+            add (D.errorf ~code ~loc "%s misses member rack %d" what rack))
         racks);
   List.rev !ds
 

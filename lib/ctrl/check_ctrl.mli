@@ -21,6 +21,8 @@
 open Peel_topology
 
 val check_refined_cover :
+  ?code:string ->
+  ?what:string ->
   Fabric.t ->
   group:int ->
   members:int list ->
@@ -28,7 +30,9 @@ val check_refined_cover :
   Peel_check.Diagnostic.t list
 (** CTRL001: {!Peel.Dataplane.verify_exact} on the group's entries,
     plus (when [tree] is given) that the refined tree's ToRs are
-    exactly the member racks. *)
+    exactly the member racks.  The same walk runs under [code], with
+    [what] (default ["refined tree"]) naming the tree in its texts:
+    SVC001 passes its own code and ["tree"]. *)
 
 val check_budget : ?code:string -> Tcam.t -> Peel_check.Diagnostic.t list
 (** CTRL002, or the same walk under [code] (SVC002 passes its own). *)

@@ -1,43 +1,12 @@
-open Peel_topology
 module D = Peel_check.Diagnostic
 module G = Group_table
 
-let member_racks fabric members =
-  List.sort_uniq compare (List.map (Fabric.attach_tor fabric) members)
-
 let check_group_cover (out : Service.outcome) slot =
-  let fabric = out.Service.o_fabric in
-  let g = Fabric.graph fabric in
   let groups = out.Service.o_groups in
-  let gid = G.gid groups slot in
-  let members = G.member_list groups slot in
-  let loc = Printf.sprintf "group %d" gid in
-  let ds = ref [] in
-  let add d = ds := d :: !ds in
-  let racks = member_racks fabric members in
-  let entry = Peel.Dataplane.exact_entry fabric ~group:gid ~members in
-  (match Peel.Dataplane.verify_exact fabric entry ~members with
-  | Ok () -> ()
-  | Error msg -> add (D.errorf ~code:"SVC001" ~loc "%s" msg));
-  let tree_tors =
-    List.filter
-      (fun v -> (Graph.node g v).Graph.kind = Graph.Tor)
-      (Peel_steiner.Tree.members (G.tree groups slot))
-  in
-  List.iter
-    (fun tor ->
-      if not (List.mem tor racks) then
-        add
-          (D.errorf ~code:"SVC001" ~loc
-             "tree touches rack %d, which houses no member" tor))
-    tree_tors;
-  List.iter
-    (fun rack ->
-      if not (List.mem rack tree_tors) then
-        add
-          (D.errorf ~code:"SVC001" ~loc "tree misses member rack %d" rack))
-    racks;
-  List.rev !ds
+  Check_ctrl.check_refined_cover ~code:"SVC001" ~what:"tree"
+    out.Service.o_fabric ~group:(G.gid groups slot)
+    ~members:(G.member_list groups slot)
+    ~tree:(Some (G.tree groups slot))
 
 let check_budget (out : Service.outcome) =
   match out.Service.o_tcam with
@@ -110,9 +79,8 @@ let check_departed (out : Service.outcome) =
         else None)
       out.Service.o_pending
   in
-  (* Generation honesty: a departed gid must not resolve to a live
-     arena slot — its slot was freed (and possibly recycled under a
-     different gid, which is fine). *)
+  (* A departed gid must resolve to no live slot: its slot was freed
+     (and possibly reused under a different gid, which is fine). *)
   let recycled =
     Hashtbl.fold
       (fun gid () acc ->

@@ -12,14 +12,15 @@
       holds no entry anywhere; an [Installed] group holds a complete
       entry set (one per tree switch).
     - [SVC004] — no rule for a departed group survives, at any switch
-      or in the install backlog, and no departed gid still resolves to
-      a live {!Group_table} arena slot (generation honesty).
+      or in the install backlog, and a departed gid resolves to no
+      live {!Group_table} slot.
     - [SVC005] — two runs with the same seed and event stream produce
-      byte-identical decision-log fingerprints (at any pool size). *)
+      byte-identical decision-log fingerprints. *)
 
 val check_group_cover :
   Service.outcome -> int -> Peel_check.Diagnostic.t list
-(** SVC001 for the live group at the given {!Group_table} slot. *)
+(** SVC001 for the live group at the given {!Group_table} slot: the
+    {!Check_ctrl.check_refined_cover} walk under its own code. *)
 
 val check_budget : Service.outcome -> Peel_check.Diagnostic.t list
 (** SVC002. *)

@@ -1,6 +1,6 @@
 module Bitset = Peel_util.Bits.Bitset
-module Arena = Peel_util.Arena
 module Tree = Peel_steiner.Tree
+module Graph = Peel_topology.Graph
 
 type stage = Pending | Installed | Fallback
 
@@ -9,79 +9,79 @@ let stage_to_string = function
   | Installed -> "installed"
   | Fallback -> "fallback"
 
-(* SoA arena of live group state (in the style of Peel_sim.Soa): every
-   per-group field is a column indexed by an Arena slot, member sets
-   are fixed-width bitsets over the fabric's node ids, and departed
-   slots are recycled through the arena free list with a generation
-   bump — a holder of a stale (slot, gen) handle can prove the group it
-   knew is gone (SVC004).  Columns grow geometrically in lock-step with
-   the arena. *)
+(* SoA store of live group state (in the style of Peel_sim.Soa): every
+   per-group field is a column indexed by a slot, and member sets are
+   fixed-width bitsets over the fabric's node ids.  Slots [0, used)
+   have held a group; a free one has gid -1 and sits on [free], most
+   recently freed first.  Columns grow geometrically in lock-step. *)
 type t = {
   width : int; (* bitset universe: fabric node count *)
-  arena : Arena.t;
   index : (int, int) Hashtbl.t; (* gid -> slot *)
-  mutable gids : int array;
+  mutable gids : int array; (* -1 on a free slot *)
   mutable sources : int array;
   mutable stages : Bytes.t;
-  mutable replans : int array;
   mutable in_pending : Bytes.t;
-  mutable members : Bitset.t option array;
-  mutable trees : Tree.t option array;
+  mutable members : Bitset.t array;
+  mutable trees : Tree.t array;
   mutable switches : int list array;
   mutable dists : int array array;
+  mutable free : int list;
+  mutable used : int;
+  mutable live : int;
 }
+
+(* Fillers, told apart by address: the bitset of a slot that never held
+   a group and the tree of a free slot. *)
+let no_members = Bitset.create 0
+
+let no_tree =
+  Tree.of_parents (Graph.Builder.finish (Graph.Builder.create ())) ~root:0
+    ~parents:[]
 
 let create ?(initial = 1024) ~width () =
   let cap = max 1 initial in
   {
     width;
-    arena = Arena.create ~initial:cap ();
     index = Hashtbl.create cap;
     gids = Array.make cap (-1);
     sources = Array.make cap (-1);
     stages = Bytes.make cap '\000';
-    replans = Array.make cap 0;
     in_pending = Bytes.make cap '\000';
-    members = Array.make cap None;
-    trees = Array.make cap None;
+    members = Array.make cap no_members;
+    trees = Array.make cap no_tree;
     switches = Array.make cap [];
     dists = Array.make cap [||];
+    free = [];
+    used = 0;
+    live = 0;
   }
 
 let width t = t.width
-let live t = Arena.live_count t.arena
-let capacity t = Array.length t.gids
+let live t = t.live
 
-let ensure t want =
+let grow t =
   let cap = Array.length t.gids in
-  if want > cap then begin
-    let cap' = ref cap in
-    while !cap' < want do
-      cap' := !cap' * 2
-    done;
-    let grow_arr a fill =
-      let a' = Array.make !cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    let grow_bytes b =
-      let b' = Bytes.make !cap' '\000' in
-      Bytes.blit b 0 b' 0 cap;
-      b'
-    in
-    t.gids <- grow_arr t.gids (-1);
-    t.sources <- grow_arr t.sources (-1);
-    t.stages <- grow_bytes t.stages;
-    t.replans <- grow_arr t.replans 0;
-    t.in_pending <- grow_bytes t.in_pending;
-    t.members <- grow_arr t.members None;
-    t.trees <- grow_arr t.trees None;
-    t.switches <- grow_arr t.switches [];
-    t.dists <- grow_arr t.dists [||]
-  end
+  let cap' = 2 * cap in
+  let grow_arr a fill =
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 cap;
+    a'
+  in
+  let grow_bytes b =
+    let b' = Bytes.make cap' '\000' in
+    Bytes.blit b 0 b' 0 cap;
+    b'
+  in
+  t.gids <- grow_arr t.gids (-1);
+  t.sources <- grow_arr t.sources (-1);
+  t.stages <- grow_bytes t.stages;
+  t.in_pending <- grow_bytes t.in_pending;
+  t.members <- grow_arr t.members no_members;
+  t.trees <- grow_arr t.trees no_tree;
+  t.switches <- grow_arr t.switches [];
+  t.dists <- grow_arr t.dists [||]
 
 let find t ~gid = Hashtbl.find_opt t.index gid
-let mem t ~gid = Hashtbl.mem t.index gid
 
 let stage_code = function Pending -> '\000' | Installed -> '\001' | Fallback -> '\002'
 
@@ -91,29 +91,40 @@ let stage_of_code = function
   | _ -> Fallback
 
 let add t ~gid ~source ~members ~tree ~switches ~dist ~stage =
+  if gid < 0 then invalid_arg "Group_table.add: gid must be >= 0";
   if Hashtbl.mem t.index gid then
     invalid_arg "Group_table.add: gid already present";
-  let slot, _gen = Arena.alloc t.arena in
-  ensure t (slot + 1);
+  let slot =
+    match t.free with
+    | s :: rest ->
+        t.free <- rest;
+        s
+    | [] ->
+        let s = t.used in
+        if s = Array.length t.gids then grow t;
+        t.used <- s + 1;
+        s
+  in
+  t.live <- t.live + 1;
   t.gids.(slot) <- gid;
   t.sources.(slot) <- source;
   Bytes.set t.stages slot (stage_code stage);
-  t.replans.(slot) <- 0;
   Bytes.set t.in_pending slot '\000';
-  (* Recycle the previous tenant's bitset when the slot comes off the
-     free list — clearing is a short memset, allocating is garbage. *)
+  (* Recycle the previous tenant's bitset — clearing is a short
+     memset, allocating is garbage. *)
   let bs =
-    match t.members.(slot) with
-    | Some bs ->
-        Bitset.clear bs;
-        bs
-    | None ->
-        let bs = Bitset.create t.width in
-        t.members.(slot) <- Some bs;
-        bs
+    if t.members.(slot) != no_members then begin
+      Bitset.clear t.members.(slot);
+      t.members.(slot)
+    end
+    else begin
+      let bs = Bitset.create t.width in
+      t.members.(slot) <- bs;
+      bs
+    end
   in
   List.iter (fun m -> Bitset.add bs m) members;
-  t.trees.(slot) <- Some tree;
+  t.trees.(slot) <- tree;
   t.switches.(slot) <- switches;
   t.dists.(slot) <- dist;
   Hashtbl.replace t.index gid slot;
@@ -125,10 +136,11 @@ let remove t ~gid =
   | Some slot ->
       Hashtbl.remove t.index gid;
       t.gids.(slot) <- -1;
-      t.trees.(slot) <- None;
+      t.trees.(slot) <- no_tree;
       t.switches.(slot) <- [];
       t.dists.(slot) <- [||];
-      Arena.free t.arena slot;
+      t.free <- slot :: t.free;
+      t.live <- t.live - 1;
       true
 
 (* ---------------- slot accessors ---------------- *)
@@ -137,27 +149,26 @@ let gid t slot = t.gids.(slot)
 let source t slot = t.sources.(slot)
 let stage t slot = stage_of_code (Bytes.get t.stages slot)
 let set_stage t slot s = Bytes.set t.stages slot (stage_code s)
-let replans t slot = t.replans.(slot)
-let bump_replans t slot = t.replans.(slot) <- t.replans.(slot) + 1
 let in_pending t slot = Bytes.get t.in_pending slot <> '\000'
 
 let set_in_pending t slot b =
   Bytes.set t.in_pending slot (if b then '\001' else '\000')
 
 let tree t slot =
-  match t.trees.(slot) with
-  | Some tr -> tr
-  | None -> invalid_arg "Group_table.tree: slot not live"
+  let tr = t.trees.(slot) in
+  if tr == no_tree then invalid_arg "Group_table.tree: slot not live";
+  tr
 
-let set_tree t slot tr = t.trees.(slot) <- Some tr
+let set_tree t slot tr = t.trees.(slot) <- tr
 let switches t slot = t.switches.(slot)
 let set_switches t slot l = t.switches.(slot) <- l
 let dist t slot = t.dists.(slot)
 
 let members_bitset t slot =
-  match t.members.(slot) with
-  | Some bs -> bs
-  | None -> invalid_arg "Group_table.members_bitset: slot never used"
+  let bs = t.members.(slot) in
+  if bs == no_members then
+    invalid_arg "Group_table.members_bitset: slot never used";
+  bs
 
 let member_list t slot = Bitset.to_list (members_bitset t slot)
 let add_member t slot m = Bitset.add (members_bitset t slot) m
@@ -168,16 +179,9 @@ let set_members t slot ms =
   Bitset.clear bs;
   List.iter (fun m -> Bitset.add bs m) ms
 
-let generation t slot = Arena.generation t.arena slot
-let slot_live t slot = Arena.is_live t.arena slot
-let valid t ~slot ~gen = Arena.valid t.arena ~slot ~gen
-
-let iter f t = Arena.iter_live (fun slot -> f slot) t.arena
-
 let fold f t init =
   let acc = ref init in
-  iter (fun slot -> acc := f !acc slot) t;
+  for slot = 0 to t.used - 1 do
+    if t.gids.(slot) >= 0 then acc := f !acc slot
+  done;
   !acc
-
-let gids_sorted t =
-  fold (fun l slot -> t.gids.(slot) :: l) t [] |> List.sort compare

@@ -1,13 +1,15 @@
-(** Arena-backed SoA store of live multicast-group state.
+(** SoA store of live multicast-group state.
 
     Replaces the service's [(gid, gstate) Hashtbl] + member lists:
-    every per-group field is a column indexed by a {!Peel_util.Arena}
-    slot, member sets are {!Peel_util.Bits.Bitset}s over the fabric's
-    node ids (membership deltas are single-bit flips), and departed
-    slots are recycled through the arena free list.  Each recycle bumps
-    the slot's generation, so a stale [(slot, gen)] handle held from
-    before a departure is detectable — the SVC004 "no stale rules"
-    lint is built on this.
+    every per-group field is a column indexed by a dense integer slot,
+    and member sets are {!Peel_util.Bits.Bitset}s over the fabric's
+    node ids (membership deltas are single-bit flips).  A departed
+    group's slot goes on a stack of free slots, and the most recently
+    freed slot is the next one handed out.  A free slot has gid [-1].
+    It keeps its bitset for the next tenant and drops its tree, entry
+    switches and distance array, so a departed group's state can be
+    collected.  Holders of a group (the install queue, the TCAM, the
+    lints) name it by gid and resolve it with {!find}.
 
     Trees and distance arrays are stored by reference and may be shared
     across slots (trees are immutable; distance arrays are per-source
@@ -31,9 +33,6 @@ val width : t -> int
 val live : t -> int
 (** Live group count — O(1). *)
 
-val capacity : t -> int
-(** Current column capacity (diagnostics). *)
-
 val add :
   t ->
   gid:int ->
@@ -45,26 +44,20 @@ val add :
   stage:stage ->
   int
 (** Insert a new group, returning its slot.  Raises [Invalid_argument]
-    if [gid] is already present. *)
+    if [gid] is negative or already present. *)
 
 val remove : t -> gid:int -> bool
-(** Free the group's slot (generation bump + recycle); [false] if the
-    gid is unknown. *)
+(** Free the group's slot for reuse; [false] if the gid is unknown. *)
 
 val find : t -> gid:int -> int option
 (** Slot of a live gid. *)
 
-val mem : t -> gid:int -> bool
-
-(** {2 Per-slot accessors} — valid only for live slots (or, for
-    {!generation}, any slot ever allocated). *)
+(** {2 Per-slot accessors} — valid only for live slots. *)
 
 val gid : t -> int -> int
 val source : t -> int -> int
 val stage : t -> int -> stage
 val set_stage : t -> int -> stage -> unit
-val replans : t -> int -> int
-val bump_replans : t -> int -> unit
 
 val in_pending : t -> int -> bool
 (** Whether the group currently sits in the service's pending-install
@@ -72,7 +65,10 @@ val in_pending : t -> int -> bool
     O(pending) filter at departure. *)
 
 val set_in_pending : t -> int -> bool -> unit
+
 val tree : t -> int -> Peel_steiner.Tree.t
+(** Raises [Invalid_argument] on a free slot. *)
+
 val set_tree : t -> int -> Peel_steiner.Tree.t -> unit
 
 val switches : t -> int -> int list
@@ -84,7 +80,8 @@ val dist : t -> int -> int array
 (** BFS distance array from the group's source (shared per source). *)
 
 val members_bitset : t -> int -> Peel_util.Bits.Bitset.t
-(** The live member set itself (mutations write through). *)
+(** The live member set itself (mutations write through).  Raises
+    [Invalid_argument] on a slot that never held a group. *)
 
 val member_list : t -> int -> int list
 (** Members ascending. *)
@@ -95,19 +92,5 @@ val remove_member : t -> int -> int -> unit
 val set_members : t -> int -> int list -> unit
 (** Replace the member set (test corruption hook). *)
 
-val generation : t -> int -> int
-(** Generation of a slot (live or freed). *)
-
-val slot_live : t -> int -> bool
-
-val valid : t -> slot:int -> gen:int -> bool
-(** [true] iff [slot] is live and still on generation [gen]. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Live slots, ascending slot order. *)
-
 val fold : ('a -> int -> 'a) -> t -> 'a -> 'a
-
-val gids_sorted : t -> int list
-(** Live gids ascending — the deterministic iteration order for lints
-    and reports. *)
+(** Over live slots, ascending slot order. *)

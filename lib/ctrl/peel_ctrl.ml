@@ -8,13 +8,13 @@
     - {!Controller} — install scheduling, stage tracking, departures.
     - {!Refine} — the stage-switching launcher and the
       static/refined/IPMC schemes.
-    - {!Group_table} — the arena-backed SoA store of live group state
-      (member bitsets, slot recycling with generation counters).
+    - {!Group_table} — the SoA store of live group state (member
+      bitsets, freed slots reused most recently freed first).
     - {!Service} — the long-running open-loop multicast-as-a-service
       controller (delta re-peeling, batched sharded installs,
       admission/eviction, peel/plan memoization).
-    - {!Service_ref} — the pre-arena reference implementation kept as
-      the differential oracle for the fast path.
+    - {!Service_ref} — the hashtable-backed reference implementation
+      kept as the differential oracle for the fast path.
     - {!Check_ctrl} — the CTRL invariant lints.
     - {!Check_service} — the SVC invariant lints for service mode. *)
 

@@ -546,9 +546,7 @@ let replan st slot ~delta =
           full ()
         end)
   in
-  G.set_tree st.groups slot tree;
-  G.bump_replans st.groups slot;
-  tree
+  G.set_tree st.groups slot tree
 
 (* Free [gid]'s entries on the switches of ascending [prev] that
    ascending [next] lacks, in ascending order, in one merge; [added]
@@ -626,8 +624,7 @@ let handle st (ev : Stream.event) =
       | Some slot ->
           G.add_member st.groups slot endpoint;
           let deltas_before = st.delta_repeels in
-          ignore
-            (timed st (fun () -> replan st slot ~delta:(Layer_peel.Add endpoint)));
+          timed st (fun () -> replan st slot ~delta:(Layer_peel.Add endpoint));
           update_entries st ~now slot;
           log_event st ~ev
             (if st.delta_repeels > deltas_before then "d" else "f"))
@@ -638,9 +635,7 @@ let handle st (ev : Stream.event) =
       | Some slot ->
           G.remove_member st.groups slot endpoint;
           let deltas_before = st.delta_repeels in
-          ignore
-            (timed st (fun () ->
-                 replan st slot ~delta:(Layer_peel.Remove endpoint)));
+          timed st (fun () -> replan st slot ~delta:(Layer_peel.Remove endpoint));
           update_entries st ~now slot;
           log_event st ~ev
             (if st.delta_repeels > deltas_before then "d" else "f"))

@@ -23,12 +23,13 @@
       fallback path) or denies the newcomer.  Groups whose entries are
       pending or gone ride unicast — one copy per subscriber.
 
-    The million-group fast path: group state lives in an arena-backed
-    SoA {!Group_table} with member bitsets and recycled slots; the TCAM
-    stores its switches in per-pod shards ({!tcam_shard_of}); and full
-    peels, prefix plans' rule footprints and Theorem 2.5 lower bounds
-    are memoized by (source, member set) — identical groups, the common
-    case in the multi-tenant Poisson mix, skip [Layer_peel] and
+    The million-group fast path: group state lives in the SoA
+    {!Group_table}, with member bitsets and reused slots, and every
+    holder names a group by gid; the TCAM stores its switches in
+    per-pod shards ({!tcam_shard_of}); and full peels, prefix plans'
+    rule footprints and Theorem 2.5 lower bounds are memoized by
+    (source, member set) — identical groups, the common case in the
+    multi-tenant Poisson mix, skip [Layer_peel] and
     [Plan.build] entirely.  A memo hit returns a value identical to
     recomputing, so cache-on and cache-off runs produce the same
     decision log; the differential oracle for all of this is

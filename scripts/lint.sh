@@ -13,7 +13,7 @@
 # layer-peeling on every topology-zoo class and proves each seeded
 # TOPO corruption is caught by its code (TOPO001-004), the
 # @serve-scale-smoke alias certifies the million-group service fast
-# path at a 10^5-group cell (jobs=1 vs jobs=4 vs cache-off replay
+# path at a 10^5-group cell (same-seed replay and cache-off replay
 # equality, a clean SVC001-004 state lint at scale, and a seeded
 # member-set corruption that must be diagnosed), and the unit suite
 # exercises every diagnostic code. The experiment-harness

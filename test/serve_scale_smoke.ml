@@ -3,13 +3,13 @@
 
    Default mode drives the E22 stream parameters for 120k events —
    enough for the long-hold tenants to ramp past 10^5 concurrent
-   groups — three times: jobs=1 with the gc_space_overhead knob set
-   (it must be fingerprint-neutral), jobs=4, and jobs=1 with the
-   peel/plan memo caches disabled.  All three replay fingerprints must
-   be byte-identical (SVC005 + cache neutrality), the memo must
-   actually fire, and the SVC001-004 state lint must come back clean
-   over the full 10^5-group arena.  Exits 1 on any divergence or
-   finding.
+   groups — three times: with the gc_space_overhead knob set (it must
+   be fingerprint-neutral), a same-seed replay at the default GC, and
+   a run with the peel/plan memo caches disabled.  All three replay
+   fingerprints must be byte-identical (SVC005 + cache neutrality),
+   the memo must actually fire, and the SVC001-004 state lint must
+   come back clean over all 10^5 live groups.  Exits 1 on any
+   divergence or finding.
 
    [corrupt] mode seeds one member-set corruption through the
    {!Group_table.set_members} test hook and exits 1 when the SVC001
@@ -33,7 +33,7 @@ let tenants () =
       ~sends:1e-3 ~fragmentation:0.25 ();
   ]
 
-let serve ?(use_cache = true) ?gc ~jobs events =
+let serve ?(use_cache = true) ?gc events =
   let fabric = fabric () in
   let stream = Stream.create fabric (Rng.create 4200) ~tenants:(tenants ()) () in
   let cfg =
@@ -44,7 +44,7 @@ let serve ?(use_cache = true) ?gc ~jobs events =
       gc_space_overhead = gc;
     }
   in
-  Service.run ~cfg ~jobs fabric ~events stream
+  Service.run ~cfg fabric ~events stream
 
 let die fmt =
   Printf.ksprintf
@@ -61,9 +61,9 @@ let expect_clean what ds =
 
 let scale_cell () =
   let events = 120_000 in
-  let out = serve ~gc:256 ~jobs:1 events in
-  let out4 = serve ~jobs:4 events in
-  let outnc = serve ~use_cache:false ~jobs:1 events in
+  let out = serve ~gc:256 events in
+  let replay = serve events in
+  let outnc = serve ~use_cache:false events in
   let s = out.Service.o_slo in
   if s.Service.groups_live < 100_000 then
     die "only %d live groups; the cell is supposed to hold >= 10^5"
@@ -72,22 +72,22 @@ let scale_cell () =
   if outnc.Service.o_slo.Service.cache_hits <> 0 then
     die "cache-off run reported %d cache hits"
       outnc.Service.o_slo.Service.cache_hits;
-  expect_clean "jobs=1 vs jobs=4 replay diverged (SVC005)"
+  expect_clean "same-seed replay diverged (SVC005)"
     (Check_service.check_replay ~first:out.Service.o_fingerprint
-       ~second:out4.Service.o_fingerprint);
+       ~second:replay.Service.o_fingerprint);
   expect_clean "cache-on vs cache-off replay diverged"
     (Check_service.check_replay ~first:out.Service.o_fingerprint
        ~second:outnc.Service.o_fingerprint);
   expect_clean "state lint findings at scale" (Check_service.check_state out);
   Printf.printf
     "serve-scale-smoke: ok (%d events, %d live groups, %d hits / %d misses, \
-     fingerprint %s at jobs 1/4 and cache on/off)\n"
+     fingerprint %s on the same-seed replay and cache on/off)\n"
     events s.Service.groups_live s.Service.cache_hits s.Service.cache_misses
     out.Service.o_fingerprint
 
 (* Small cell: plenty of Installed groups, instant lint. *)
 let corrupt_cell () =
-  let out = serve ~jobs:1 2_000 in
+  let out = serve 2_000 in
   let fabric = out.Service.o_fabric in
   let groups = out.Service.o_groups in
   let racks_of slot =

@@ -11,6 +11,7 @@ module Check_compile = Peel_compile.Check_compile
 module Cover = Peel_prefix.Cover
 module Plan = Peel.Plan
 module Rng = Peel_util.Rng
+module Json = Peel_util.Json
 
 let ft8 () = Fabric.fat_tree ~k:8 ~hosts_per_tor:2 ~gpus_per_host:2 ()
 let ls () = Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:2 ~gpus_per_host:2 ()
@@ -449,6 +450,48 @@ let test_cli_help_markup () =
       Alcotest.(check bool) "names PEEL_JOBS" true (contains "PEEL_JOBS");
       Alcotest.(check bool) "no raw $(b, markup" false (contains "$(b,")
 
+(* [serve --json] prints one JSON document, its findings included, and
+   its allocation row counts what the run allocates: 50 events take
+   more minor words than 20. *)
+let test_cli_serve_json () =
+  match cli_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      let serve events =
+        let out = Filename.temp_file "peel_serve" ".json" in
+        let status =
+          Sys.command
+            (Filename.quote_command exe
+               [ "serve"; "--json"; "--events"; string_of_int events ]
+               ~stdout:out)
+        in
+        let text = In_channel.with_open_text out In_channel.input_all in
+        Sys.remove out;
+        Alcotest.(check int) "serve exits 0" 0 status;
+        match Json.parse text with
+        | Ok doc -> doc
+        | Error e -> Alcotest.failf "stdout is not one JSON document: %s" e
+      in
+      let num doc key =
+        match Option.bind (Json.member key doc) Json.get_num with
+        | Some x -> x
+        | None -> Alcotest.failf "no number under %S" key
+      in
+      let minor_total events =
+        let doc = serve events in
+        Alcotest.(check (option int)) "no findings" (Some 0)
+          (Option.map List.length
+             (Option.bind (Json.member "findings" doc) Json.get_arr));
+        Alcotest.(check (float 0.0)) "no errors" 0.0 (num doc "errors");
+        num doc "minor_words_per_event" *. float_of_int events
+      in
+      let m20 = minor_total 20 in
+      let m50 = minor_total 50 in
+      Alcotest.(check bool)
+        (Printf.sprintf "50 events allocate more than 20 (%.0f > %.0f words)"
+           m50 m20)
+        true (m50 > m20)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "peel_compile"
@@ -483,5 +526,7 @@ let () =
         [
           Alcotest.test_case "exit codes 0/1/2" `Quick test_cli_exit_codes;
           Alcotest.test_case "help renders markup" `Quick test_cli_help_markup;
+          Alcotest.test_case "serve json is one document" `Quick
+            test_cli_serve_json;
         ] );
     ]

@@ -209,6 +209,28 @@ let test_check_refined_cover_catches_mismatch () =
     (ds <> []
     && List.for_all (fun d -> d.D.code = "CTRL001") ds)
 
+(* Every text CTRL001 can emit, pinned with its location: a tree over
+   six member racks checked against four of them plus a seventh.  The
+   exact-entry check cannot fail here, because the checker builds the
+   entry from the very members it verifies it against. *)
+let test_check_refined_cover_texts () =
+  let f = ls48 () in
+  let members = some_members f in
+  let tree =
+    Peel.multicast_tree f ~source:(List.hd members)
+      ~dests:(List.filteri (fun i _ -> i >= 1 && i < 6) members)
+  in
+  let claimed = List.filteri (fun i _ -> i < 4 || i = 6) members in
+  Alcotest.(check (list string)) "CTRL001 texts"
+    [
+      "error[CTRL001] group 3: refined tree touches rack 4, which houses no \
+       member";
+      "error[CTRL001] group 3: refined tree touches rack 5, which houses no \
+       member";
+      "error[CTRL001] group 3: refined tree misses member rack 6";
+    ]
+    (strings_of (Check_ctrl.check_refined_cover f ~group:3 ~members:claimed ~tree))
+
 let test_check_budget () =
   let t = Tcam.create ~capacity:2 ~policy:Tcam.Lru in
   ignore (Tcam.install t ~now:0.0 ~switch:0 ~group:1);
@@ -630,6 +652,30 @@ let test_service_svc001_seeded_corruption () =
   Alcotest.(check bool) "SVC001 diagnosed" true
     (D.has_code "SVC001" (Check_service.check_group_cover out slot))
 
+(* Every text SVC001 can emit, pinned with its location: an installed
+   group's member set replaced by its source plus one endpoint in a
+   rack its tree misses. *)
+let test_service_svc001_texts () =
+  let out = run_service () in
+  let _gid, slot = find_group out ~stage:Service.Installed in
+  let groups = out.Service.o_groups in
+  let fabric = out.Service.o_fabric in
+  let tree_members = Peel_steiner.Tree.members (Group_table.tree groups slot) in
+  let outside =
+    List.find
+      (fun e -> not (List.mem (Fabric.attach_tor fabric e) tree_members))
+      (Array.to_list (Fabric.endpoints fabric))
+  in
+  Group_table.set_members groups slot [ Group_table.source groups slot; outside ];
+  Alcotest.(check (list string)) "SVC001 texts"
+    (List.map
+       (fun r ->
+         Printf.sprintf
+           "error[SVC001] group 1: tree touches rack %d, which houses no member" r)
+       [ 0; 1; 3; 5; 7 ]
+    @ [ "error[SVC001] group 1: tree misses member rack 4" ])
+    (strings_of (Check_service.check_group_cover out slot))
+
 let test_service_svc002_silent_by_construction () =
   (* The TCAM enforces its own budget on every install path, so the
      defensive SVC002 lint stays silent even on a saturated run. *)
@@ -673,11 +719,11 @@ let test_service_svc005_replay_codes () =
 (* Million-group fast path: arena store, victim heap, memo neutrality  *)
 (* ------------------------------------------------------------------ *)
 
-(* The arena recycles freed slots under a bumped generation, so stale
-   (slot, generation) handles never resolve to the new tenant. *)
+(* The group store reuses the most recently freed slot first, and a
+   removed gid no longer resolves to any slot. *)
 let test_group_table_recycles_slots () =
   (* Borrow a real tree/switches/dist triple from a live run — the
-     arena stores them opaquely. *)
+     store keeps them opaquely. *)
   let out = run_service ~events:50 () in
   let src = out.Service.o_groups in
   let slot0 =
@@ -697,32 +743,69 @@ let test_group_table_recycles_slots () =
     Group_table.add t ~gid ~source:0 ~members:[ 0; 1 ] ~tree ~switches ~dist
       ~stage:Service.Pending
   in
-  let _s1 = add 1 in
+  let s1 = add 1 in
   let s2 = add 2 in
-  let _s3 = add 3 in
+  let s3 = add 3 in
   Alcotest.(check int) "three live" 3 (Group_table.live t);
-  let gen2 = Group_table.generation t s2 in
-  Alcotest.(check bool) "handle valid while live" true
-    (Group_table.valid t ~slot:s2 ~gen:gen2);
   Alcotest.(check bool) "removed" true (Group_table.remove t ~gid:2);
   Alcotest.(check bool) "remove is not idempotent" false
     (Group_table.remove t ~gid:2);
   Alcotest.(check int) "two live" 2 (Group_table.live t);
-  Alcotest.(check bool) "slot dead" false (Group_table.slot_live t s2);
-  Alcotest.(check bool) "stale handle invalid" false
-    (Group_table.valid t ~slot:s2 ~gen:gen2);
+  Alcotest.(check (option int)) "removed gid no longer resolves" None
+    (Group_table.find t ~gid:2);
   let s9 = add 9 in
   Alcotest.(check int) "freed slot recycled" s2 s9;
-  Alcotest.(check bool) "generation bumped" true
-    (Group_table.generation t s9 > gen2);
-  Alcotest.(check bool) "old handle still invalid" false
-    (Group_table.valid t ~slot:s2 ~gen:gen2);
+  Alcotest.(check (option int)) "new gid resolves to the slot" (Some s9)
+    (Group_table.find t ~gid:9);
+  Alcotest.(check (option int)) "old gid still gone" None
+    (Group_table.find t ~gid:2);
   Alcotest.(check int) "slot resolves to the new gid" 9 (Group_table.gid t s9);
-  Alcotest.(check (list int)) "gids sorted" [ 1; 3; 9 ]
-    (Group_table.gids_sorted t);
+  ignore (Group_table.remove t ~gid:1);
+  ignore (Group_table.remove t ~gid:3);
+  Alcotest.(check int) "most recently freed slot first" s3 (add 10);
+  Alcotest.(check int) "then the one freed before it" s1 (add 11);
+  Alcotest.(check (list int)) "gids in slot order" [ 11; 9; 10 ]
+    (List.rev (Group_table.fold (fun l s -> Group_table.gid t s :: l) t []));
   Alcotest.(check bool) "duplicate gid rejected" true
     (try
-       ignore (add 1);
+       ignore (add 9);
+       false
+     with Invalid_argument _ -> true);
+  (* A free slot's gid is -1, so no group may carry a negative one. *)
+  Alcotest.(check bool) "negative gid rejected" true
+    (try
+       ignore (add (-1));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "still three live" 3 (Group_table.live t)
+
+(* Adds group 1 with a tree built here, so the table and [w] hold its
+   only references once this returns. *)
+let[@inline never] add_fresh_tree t w =
+  let f = ls48 () in
+  let members = some_members f in
+  let source = List.hd members in
+  let tree = Option.get (Peel.multicast_tree f ~source ~dests:(List.tl members)) in
+  Weak.set w 0 (Some tree);
+  ignore
+    (Group_table.add t ~gid:1 ~source ~members ~tree ~switches:[]
+       ~dist:[||] ~stage:Service.Pending)
+
+(* A removed group's tree is garbage: the freed slot keeps no pointer
+   to it. *)
+let test_group_table_releases_trees () =
+  let t = Group_table.create ~width:(Graph.num_nodes (Fabric.graph (ls48 ()))) () in
+  let w = Weak.create 1 in
+  add_fresh_tree t w;
+  Gc.full_major ();
+  Alcotest.(check bool) "a live group's tree is kept" true (Weak.check w 0);
+  Alcotest.(check bool) "removed" true (Group_table.remove t ~gid:1);
+  Gc.full_major ();
+  Alcotest.(check bool) "a removed group's tree is collected" false
+    (Weak.check w 0);
+  Alcotest.(check bool) "the freed slot has no tree" true
+    (try
+       ignore (Group_table.tree t 0);
        false
      with Invalid_argument _ -> true)
 
@@ -991,6 +1074,8 @@ let () =
             test_check_refined_cover_clean;
           Alcotest.test_case "refined cover mismatch" `Quick
             test_check_refined_cover_catches_mismatch;
+          Alcotest.test_case "refined cover texts" `Quick
+            test_check_refined_cover_texts;
           Alcotest.test_case "budget" `Quick test_check_budget;
           Alcotest.test_case "handoff conservation" `Quick test_check_handoff;
           Alcotest.test_case "replay digest" `Quick test_check_replay_mismatch;
@@ -1025,6 +1110,7 @@ let () =
             test_service_events_below_zero;
           Alcotest.test_case "svc001 corruption" `Quick
             test_service_svc001_seeded_corruption;
+          Alcotest.test_case "svc001 texts" `Quick test_service_svc001_texts;
           Alcotest.test_case "svc002 silent" `Quick
             test_service_svc002_silent_by_construction;
           Alcotest.test_case "svc003 corruptions" `Quick
@@ -1036,8 +1122,10 @@ let () =
         ] );
       ( "fast-path",
         [
-          Alcotest.test_case "arena recycles slots" `Quick
+          Alcotest.test_case "group table recycles slots" `Quick
             test_group_table_recycles_slots;
+          Alcotest.test_case "group table releases trees" `Quick
+            test_group_table_releases_trees;
           Alcotest.test_case "victim heap matches naive scan" `Quick
             test_tcam_heap_matches_naive_scan;
           Alcotest.test_case "pending departs tombstoned" `Quick
