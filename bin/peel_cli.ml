@@ -1,19 +1,8 @@
 (* peel-cli: command-line front end for the PEEL library.
 
-   Subcommands:
-     plan       — compute a multicast tree + prefix send plan for a group
-     compile    — lower a batch of group plans to per-switch rule tables
-     simulate   — run Broadcast workloads through the simulator
-     trace      — run one workload with tracing on; export JSON/CSV
-     failover   — inject a scheduled mid-run link failure and re-peel
-     refine     — two-stage refinement control plane under group churn
-     serve      — open-loop multicast-as-a-service controller (SVC lints)
-     zoo        — generate a zoo topology, plan with the generalized
-                  peeler, compare against the exact-Steiner oracle
-     state      — switch-state and header accounting for a fat-tree degree
-     experiment — regenerate a paper table/figure by name
-
-   Every subcommand uses the same exit-code convention:
+   Each subcommand is a term below and one row (name, doc, term) of the
+   table at the bottom, which builds the command group.  Every
+   subcommand uses the same exit-code convention:
      0 — success, no error-severity diagnostics
      1 — the run completed but a checker diagnosed errors
      2 — command-line usage error                                        *)
@@ -89,6 +78,43 @@ let scale_term =
 let quiet_term =
   Arg.(value & flag & info [ "quiet" ] ~doc:"Only print the verdict line.")
 
+(* The flags several subcommands share, each defined once: a subcommand
+   gives its own default, and [-n] and [--json] their own doc. *)
+let opt_arg conv name doc default =
+  Arg.value (Arg.opt conv default (Arg.info [ name ] ~doc))
+
+let size_term = opt_arg Arg.float "size" "Message size in MB."
+let load_term = opt_arg Arg.float "load" "Offered load (0,1]."
+let n_term ?(doc = "Number of collectives.") = opt_arg Arg.int "n" doc
+let chunks_term = opt_arg Arg.int "chunks" "Pipelined chunks per message."
+let hold_term = opt_arg Arg.float "hold" "Mean group lifetime after arrival (s)."
+
+let fragmentation_term =
+  opt_arg Arg.float "fragmentation"
+    "Fraction of servers relocated off the contiguous placement."
+
+let failures_term =
+  opt_arg Arg.float "failures" "Fraction of fabric links to fail first." 0.0
+
+let json_term doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* The one group plan, check, failover and collective work on, drawn
+   from [rng].  With [failures], that share of the fabric's links fails
+   first, from the same stream, and [on_failed] sees the failed ids. *)
+let place_group ?(failures = 0.0) ?(on_failed = ignore) ?(size_mb = 0.0) fabric
+    rng ~scale =
+  if failures <> 0.0 then
+    on_failed (Fabric.fail_random fabric ~rng ~tier:`All ~fraction:failures ());
+  Spec.single fabric rng ~scale ~bytes:(size_mb *. 1e6)
+
+(* The simulation lint trace, failover and refine share: the outcome's
+   checks for [expected] collectives, then its trace's conservation
+   (against [expected_deliveries]) and consistency. *)
+let sim_lint ~expected ~expected_deliveries (o : Runner.outcome) =
+  Peel_check.Check_sim.check_outcome ~expected ~ccts:o.Runner.ccts
+    ~makespan:o.Runner.makespan o.Runner.telemetry
+  @ Peel_check.Check_sim.check_trace ~expected_deliveries o.Runner.trace
+
 (* A flag value parsed by a library's [of_string]; [what] names it in
    the usage error. *)
 let conv_of ~what of_string to_string =
@@ -109,26 +135,36 @@ let policy_term =
 
 module D = Peel_check.Diagnostic
 module Json = Peel_util.Json
+module Trace = Peel_sim.Trace
 
-let finding_json d =
-  Json.Obj
-    [
-      ("severity", Json.str (D.severity_to_string d.D.severity));
-      ("code", Json.str d.D.code);
-      ("location", Json.str d.D.location);
-      ("message", Json.str d.D.message);
-    ]
-
-(* The tail of every linting subcommand: [json] when given, else the
+(* The tail of every linting subcommand: with [json], one JSON
+   document, [fields] then the findings and the error count; else the
    findings (unless [quiet]) and one verdict line, [head] then the
-   finding and error counts then [tail]; exit 1 on any error. *)
-let report ?json ?(tail = "") ~quiet ds head =
-  (match json with
-  | Some doc -> print_endline (Json.to_string doc)
-  | None ->
-      if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
-      Printf.printf "%s%d finding(s), %d error(s)%s\n" head (List.length ds)
-        (List.length (D.errors ds)) tail);
+   finding and error counts then [tail].  Exit 1 on any error. *)
+let report ?(json = false) ?(fields = fun () -> []) ?(tail = "") ~quiet ds head =
+  let finding d =
+    Json.Obj
+      [
+        ("severity", Json.str (D.severity_to_string d.D.severity));
+        ("code", Json.str d.D.code);
+        ("location", Json.str d.D.location);
+        ("message", Json.str d.D.message);
+      ]
+  in
+  if json then
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            (fields ()
+            @ [
+                ("findings", Json.Arr (List.map finding ds));
+                ("errors", Json.int (List.length (D.errors ds)));
+              ])))
+  else begin
+    if ds <> [] && not quiet then Format.printf "%a" D.pp_report ds;
+    Printf.printf "%s%d finding(s), %d error(s)%s\n" head (List.length ds)
+      (List.length (D.errors ds)) tail
+  end;
   if D.has_errors ds then exit 1
 
 (* The uniform exit-code contract, documented in every subcommand's man
@@ -145,23 +181,13 @@ let std_exits =
 (* plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let plan_cmd =
-  let failures =
-    Arg.(
-      value & opt float 0.0
-      & info [ "failures" ] ~doc:"Fraction of fabric links to fail first.")
-  in
+let plan =
   let run fabric seed scale failures =
-    let rng = Rng.create seed in
-    if failures <> 0.0 then begin
-      let failed =
-        Fabric.fail_random fabric ~rng ~tier:`All ~fraction:failures ()
-      in
-      Printf.printf "failed %d cables\n" (List.length failed)
-    end;
-    let members = Spec.place fabric rng ~scale () in
-    let source = List.hd members in
-    let dests = List.filter (fun m -> m <> source) members in
+    let { Spec.source; dests; _ } =
+      place_group ~failures
+        ~on_failed:(fun ids -> Printf.printf "failed %d cables\n" (List.length ids))
+        fabric (Rng.create seed) ~scale
+    in
     Printf.printf "fabric: %s\ngroup: %d GPUs, source node %d\n"
       (Fabric.describe fabric) scale source;
     (match Peel.multicast_tree fabric ~source ~dests with
@@ -184,19 +210,13 @@ let plan_cmd =
           | w -> Printf.sprintf ", %d rack(s) over-covered" (List.length w)))
       plan.Peel.Plan.packets
   in
-  Cmd.v (Cmd.info "plan" ~exits:std_exits ~doc:"Compute a multicast tree and prefix send plan.")
-    Term.(const run $ fabric_term $ seed_term $ scale_term $ failures)
+  Term.(const run $ fabric_term $ seed_term $ scale_term $ failures_term)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_cmd =
-  let failures =
-    Arg.(
-      value & opt float 0.0
-      & info [ "failures" ] ~doc:"Fraction of fabric links to fail first.")
-  in
+let check =
   let budget =
     Arg.(
       value & opt (some int) None
@@ -204,57 +224,41 @@ let check_cmd =
           ~doc:"Cap on ToR prefixes per packet group (allows over-covering).")
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print the diagnostics as a machine-readable JSON document on \
-             stdout instead of the human report (exit code unchanged).")
+    json_term
+      "Print the diagnostics as a machine-readable JSON document on stdout \
+       instead of the human report (exit code unchanged)."
   in
   let run fabric seed scale failures budget quiet json =
-    let rng = Rng.create seed in
-    if failures <> 0.0 then
-      ignore (Fabric.fail_random fabric ~rng ~tier:`All ~fraction:failures ());
-    let members = Spec.place fabric rng ~scale () in
-    let source = List.hd members in
-    let dests = List.filter (fun m -> m <> source) members in
-    let ds = Peel_check.check_scenario ?budget fabric ~source ~dests in
-    let doc () =
-      Json.Obj
-        [
-          ("schema", Json.str "peel-check/1");
-          ( "meta",
-            Json.Obj
-              [
-                ("fabric", Json.str (Fabric.describe fabric));
-                ("seed", Json.int seed);
-                ("scale", Json.int scale);
-                ("failures", Json.num failures);
-                ( "budget",
-                  match budget with
-                  | None -> Json.Null
-                  | Some b -> Json.int b );
-              ] );
-          ("findings", Json.Arr (List.map finding_json (D.sort ds)));
-          ("errors", Json.int (List.length (D.errors ds)));
-        ]
+    let { Spec.source; dests; _ } =
+      place_group ~failures fabric (Rng.create seed) ~scale
     in
-    report
-      ?json:(if json then Some (doc ()) else None)
-      ~quiet ds
+    let ds = Peel_check.check_scenario ?budget fabric ~source ~dests in
+    let fields () =
+      [
+        ("schema", Json.str "peel-check/1");
+        ( "meta",
+          Json.Obj
+            [
+              ("fabric", Json.str (Fabric.describe fabric));
+              ("seed", Json.int seed);
+              ("scale", Json.int scale);
+              ("failures", Json.num failures);
+              ( "budget",
+                match budget with
+                | None -> Json.Null
+                | Some b -> Json.int b );
+            ] );
+      ]
+    in
+    report ~json ~fields ~quiet ds
       (Printf.sprintf "%s: %d-GPU group%s: " (Fabric.describe fabric) scale
          (if failures > 0.0 then
             Printf.sprintf " (%.0f%% links failed)" (failures *. 100.0)
           else ""))
   in
-  Cmd.v
-    (Cmd.info "check" ~exits:std_exits
-       ~doc:
-         "Statically lint a scenario's invariants (tree, plan, rules, \
-          schedules); exit non-zero on errors.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ failures $ budget
-      $ quiet_term $ json)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ failures_term $ budget
+    $ quiet_term $ json)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -267,21 +271,12 @@ let scheme_names =
 
 let scheme_conv = conv_of ~what:"scheme" Scheme.of_string Scheme.to_string
 
-let simulate_cmd =
+let simulate =
   let scheme =
     Arg.(
       value
       & opt (list scheme_conv) Scheme.all
       & info [ "schemes" ] ~docv:"S1,S2" ~doc:("Schemes: " ^ scheme_names ^ "."))
-  in
-  let size_mb =
-    Arg.(value & opt float 64.0 & info [ "size" ] ~doc:"Message size in MB.")
-  in
-  let load =
-    Arg.(value & opt float 0.3 & info [ "load" ] ~doc:"Offered load (0,1].")
-  in
-  let n =
-    Arg.(value & opt int 40 & info [ "n" ] ~doc:"Number of collectives.")
   in
   let par_sim =
     Arg.(
@@ -375,34 +370,20 @@ let simulate_cmd =
     Peel_util.Table.print ~header:[ "scheme"; "mean"; "p50"; "p99"; "max" ] rows;
     if !verify_failed then exit 1
   in
-  Cmd.v (Cmd.info "simulate" ~exits:std_exits ~doc:"Simulate Broadcast workloads.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_mb $ load
-      $ n $ jobs_term $ par_sim $ par_verify)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_term 64.0
+    $ load_term 0.3 $ n_term 40 $ jobs_term $ par_sim $ par_verify)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let trace_cmd =
-  let module Trace = Peel_sim.Trace in
+let trace =
   let scheme =
     Arg.(
       value
       & opt scheme_conv Scheme.Peel
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:("Scheme to trace: " ^ scheme_names ^ "."))
-  in
-  let size_mb =
-    Arg.(value & opt float 64.0 & info [ "size" ] ~doc:"Message size in MB.")
-  in
-  let load =
-    Arg.(value & opt float 0.3 & info [ "load" ] ~doc:"Offered load (0,1].")
-  in
-  let n =
-    Arg.(value & opt int 8 & info [ "n" ] ~doc:"Number of collectives.")
-  in
-  let chunks =
-    Arg.(value & opt int 8 & info [ "chunks" ] ~doc:"Pipelined chunks per message.")
   in
   let level =
     Arg.(
@@ -461,11 +442,7 @@ let trace_cmd =
           (fun acc (c : Spec.collective) -> acc + List.length c.Spec.dests)
           0 cs
     in
-    let ds =
-      Peel_check.Check_sim.check_outcome ~expected:n ~ccts:outcome.Runner.ccts
-        ~makespan:outcome.Runner.makespan outcome.Runner.telemetry
-      @ Peel_check.Check_sim.check_trace ~expected_deliveries trace
-    in
+    let ds = sim_lint ~expected:n ~expected_deliveries outcome in
     let s = Runner.summarize outcome in
     let c = Trace.counters trace in
     let flows = Trace.flow_stats trace in
@@ -573,22 +550,16 @@ let trace_cmd =
       (Printf.sprintf "%s: %d events traced, " out (Trace.num_events trace))
       ~tail:(match csv with None -> "" | Some p -> Printf.sprintf "; CSV: %s" p)
   in
-  Cmd.v
-    (Cmd.info "trace" ~exits:std_exits
-       ~doc:
-         "Run one Broadcast workload with structured tracing on and export \
-          the trace as JSON (and optionally CSV); exit non-zero if the trace \
-          fails its conservation/consistency lint.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_mb
-      $ load $ n $ chunks $ level $ sample $ out $ csv $ quiet_term)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_term 64.0
+    $ load_term 0.3 $ n_term 8 $ chunks_term 8 $ level $ sample $ out $ csv
+    $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* failover                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let failover_cmd =
-  let module Trace = Peel_sim.Trace in
+let failover =
   let scheme =
     Arg.(
       value
@@ -597,12 +568,6 @@ let failover_cmd =
              Failover.scheme_to_string)
           Failover.Peel
       & info [ "scheme" ] ~docv:"SCHEME" ~doc:"Scheme: peel, ring or tree.")
-  in
-  let size_mb =
-    Arg.(value & opt float 16.0 & info [ "size" ] ~doc:"Message size in MB.")
-  in
-  let chunks =
-    Arg.(value & opt int 8 & info [ "chunks" ] ~doc:"Pipelined chunks per message.")
   in
   let fail_frac =
     Arg.(
@@ -635,18 +600,7 @@ let failover_cmd =
   let run fabric seed scale scheme size_mb chunks fail_frac fail_at
       recover_after detection reaction quiet =
     let rng = Rng.create seed in
-    let members = Spec.place fabric rng ~scale () in
-    let source = List.hd members in
-    let spec =
-      {
-        Spec.id = 0;
-        arrival = 0.0;
-        source;
-        dests = List.filter (fun m -> m <> source) members;
-        members;
-        bytes = size_mb *. 1e6;
-      }
-    in
+    let spec = place_group ~size_mb fabric rng ~scale in
     let ctrl = { Failover.default_ctrl with detection; reaction } in
     (* Clean run first: the failure instant is a fraction of its CCT. *)
     let clean =
@@ -696,11 +650,7 @@ let failover_cmd =
       print_newline ()
     end;
     let expected_deliveries = chunks * List.length spec.Spec.dests in
-    let ds =
-      Peel_check.Check_sim.check_outcome ~expected:1 ~ccts:out.Runner.ccts
-        ~makespan:out.Runner.makespan out.Runner.telemetry
-      @ Peel_check.Check_sim.check_trace ~expected_deliveries trace
-    in
+    let ds = sim_lint ~expected:1 ~expected_deliveries out in
     report ~quiet ds
       (Printf.sprintf "failover %s: CCT %s -> %s (%.2fx), %d replan(s), "
          (Failover.scheme_to_string scheme)
@@ -708,24 +658,16 @@ let failover_cmd =
          (Peel_util.Table.fsec failed_cct)
          (failed_cct /. clean) c.Trace.replans)
   in
-  Cmd.v
-    (Cmd.info "failover" ~exits:std_exits
-       ~doc:
-         "Run one broadcast with a scheduled mid-run link failure; the \
-          controller re-peels around the cut (PEEL) or repairs end to end \
-          (ring/tree). Exits non-zero if the trace fails its lint, including \
-          SIM007: no traffic through a down link.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_mb
-      $ chunks $ fail_frac $ fail_at $ recover_after $ detection $ reaction
-      $ quiet_term)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ scheme $ size_term 16.0
+    $ chunks_term 8 $ fail_frac $ fail_at $ recover_after $ detection $ reaction
+    $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* refine                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let refine_cmd =
-  let module Trace = Peel_sim.Trace in
+let refine =
   let open Peel_ctrl in
   let schemes =
     Arg.(
@@ -735,29 +677,6 @@ let refine_cmd =
           Refine.all_schemes
       & info [ "schemes" ] ~docv:"S1,S2"
           ~doc:"Schemes: peel-static, peel-refined, ipmc.")
-  in
-  let n =
-    Arg.(value & opt int 6 & info [ "n" ] ~doc:"Number of multicast groups.")
-  in
-  let size_mb =
-    Arg.(value & opt float 64.0 & info [ "size" ] ~doc:"Message size in MB.")
-  in
-  let load =
-    Arg.(value & opt float 0.5 & info [ "load" ] ~doc:"Offered load (0,1].")
-  in
-  let hold =
-    Arg.(
-      value & opt float 0.05
-      & info [ "hold" ] ~doc:"Mean group lifetime after arrival (s).")
-  in
-  let fragmentation =
-    Arg.(
-      value & opt float 0.6
-      & info [ "fragmentation" ]
-          ~doc:"Fraction of servers relocated off the contiguous placement.")
-  in
-  let chunks =
-    Arg.(value & opt int 16 & info [ "chunks" ] ~doc:"Pipelined chunks per message.")
   in
   let rpc =
     Arg.(
@@ -859,11 +778,7 @@ let refine_cmd =
               0 out.Refine.reports
           in
           List.map tag
-            (Peel_check.Check_sim.check_outcome ~expected:n
-               ~ccts:out.Refine.run.Runner.ccts
-               ~makespan:out.Refine.run.Runner.makespan
-               out.Refine.run.Runner.telemetry
-            @ Peel_check.Check_sim.check_trace ~expected_deliveries trace
+            (sim_lint ~expected:n ~expected_deliveries out.Refine.run
             @ Check_ctrl.check_handoff out.Refine.handoffs
             @ (match Controller.tcam out.Refine.controller with
               | Some tc -> Check_ctrl.check_budget tc
@@ -884,23 +799,18 @@ let refine_cmd =
     let ds = ds @ replay in
     report ~quiet ds (Printf.sprintf "refine: %d scheme(s), " (List.length outs))
   in
-  Cmd.v
-    (Cmd.info "refine" ~exits:std_exits
-       ~doc:
-         "Run a churning multicast group schedule through the two-stage \
-          refinement control plane (static prefix rules, then exact \
-          per-group rules once installs land) and lint the CTRL \
-          invariants; exit non-zero on errors.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ schemes $ n $ size_mb
-      $ load $ hold $ fragmentation $ chunks $ rpc $ per_rule $ capacity
-      $ policy_term $ budget $ quiet_term)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ schemes
+    $ n_term ~doc:"Number of multicast groups." 6
+    $ size_term 64.0 $ load_term 0.5 $ hold_term 0.05 $ fragmentation_term 0.6
+    $ chunks_term 16 $ rpc $ per_rule $ capacity $ policy_term $ budget
+    $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let serve_cmd =
+let serve =
   let open Peel_ctrl in
   let events =
     Arg.(
@@ -912,14 +822,6 @@ let serve_cmd =
       value & opt float 400.0
       & info [ "rate" ] ~doc:"Group arrivals per second (Poisson).")
   in
-  let size_mb =
-    Arg.(value & opt float 1.0 & info [ "size" ] ~doc:"Message size in MB.")
-  in
-  let hold =
-    Arg.(
-      value & opt float 0.5
-      & info [ "hold" ] ~doc:"Mean group lifetime after arrival (s).")
-  in
   let churn =
     Arg.(
       value & opt float 80.0
@@ -929,12 +831,6 @@ let serve_cmd =
     Arg.(
       value & opt float 40.0
       & info [ "sends" ] ~doc:"Multicast sends per group per second.")
-  in
-  let fragmentation =
-    Arg.(
-      value & opt float 0.0
-      & info [ "fragmentation" ]
-          ~doc:"Fraction of servers relocated off the contiguous placement.")
   in
   let capacity =
     Arg.(
@@ -964,12 +860,9 @@ let serve_cmd =
       & info [ "budget" ] ~doc:"ToR-prefix budget for compiled plans (0 = exact).")
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print the SLO record and the findings as one JSON document \
-             instead of the table and the verdict line.")
+    json_term
+      "Print the SLO record and the findings as one JSON document instead of \
+       the table and the verdict line."
   in
   let no_cache =
     Arg.(
@@ -1096,116 +989,45 @@ let serve_cmd =
           ~second:out.Service.o_fingerprint
       @ cache_ds
     in
-    let doc () =
-      Json.Obj
-        [
-          ("events", Json.int s.Service.events);
-          ("delta_repeels", Json.int s.Service.delta_repeels);
-          ("full_repeels", Json.int s.Service.full_repeels);
-          ("splice_fallbacks", Json.int s.Service.splice_fallbacks);
-          ("installs", Json.int s.Service.installs);
-          ("evictions", Json.int s.Service.evictions);
-          ("denials", Json.int s.Service.denials);
-          ("multicast_chunks", Json.int s.Service.multicast_chunks);
-          ("unicast_chunks", Json.int s.Service.unicast_chunks);
-          ("max_backlog", Json.int s.Service.max_backlog);
-          ("plan_p50_s", Json.num s.Service.plan_p50_s);
-          ("plan_p99_s", Json.num s.Service.plan_p99_s);
-          ("cache_hits", Json.int s.Service.cache_hits);
-          ("cache_misses", Json.int s.Service.cache_misses);
-          ("tree_memo", memo_json s.Service.tree_memo);
-          ("plan_memo", memo_json s.Service.plan_memo);
-          ("bound_memo", memo_json s.Service.bound_memo);
-          ("minor_words_per_event", Json.num minor_words);
-          ("promoted_words_per_event", Json.num promoted_words);
-          ("events_per_sec", Json.num s.Service.events_per_sec);
-          ("fingerprint", Json.str out.Service.o_fingerprint);
-          ("findings", Json.Arr (List.map finding_json ds));
-          ("errors", Json.int (List.length (D.errors ds)));
-        ]
+    let fields () =
+      [
+        ("events", Json.int s.Service.events);
+        ("delta_repeels", Json.int s.Service.delta_repeels);
+        ("full_repeels", Json.int s.Service.full_repeels);
+        ("splice_fallbacks", Json.int s.Service.splice_fallbacks);
+        ("installs", Json.int s.Service.installs);
+        ("evictions", Json.int s.Service.evictions);
+        ("denials", Json.int s.Service.denials);
+        ("multicast_chunks", Json.int s.Service.multicast_chunks);
+        ("unicast_chunks", Json.int s.Service.unicast_chunks);
+        ("max_backlog", Json.int s.Service.max_backlog);
+        ("plan_p50_s", Json.num s.Service.plan_p50_s);
+        ("plan_p99_s", Json.num s.Service.plan_p99_s);
+        ("cache_hits", Json.int s.Service.cache_hits);
+        ("cache_misses", Json.int s.Service.cache_misses);
+        ("tree_memo", memo_json s.Service.tree_memo);
+        ("plan_memo", memo_json s.Service.plan_memo);
+        ("bound_memo", memo_json s.Service.bound_memo);
+        ("minor_words_per_event", Json.num minor_words);
+        ("promoted_words_per_event", Json.num promoted_words);
+        ("events_per_sec", Json.num s.Service.events_per_sec);
+        ("fingerprint", Json.str out.Service.o_fingerprint);
+      ]
     in
-    report
-      ?json:(if json then Some (doc ()) else None)
-      ~quiet ds
+    report ~json ~fields ~quiet ds
       (Printf.sprintf "serve: %d event(s), " s.Service.events)
   in
-  Cmd.v
-    (Cmd.info "serve" ~exits:std_exits
-       ~doc:
-         "Run the open-loop multicast-as-a-service controller over a Poisson \
-          create/join/leave/send/depart stream (delta re-peeling, batched \
-          installs, TCAM admission), lint the SVC invariants and the \
-          same-seed replay contract; exit non-zero on errors.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ events $ rate
-      $ size_mb $ hold $ churn $ sends $ fragmentation $ capacity $ policy_term
-      $ admission $ batch $ budget $ quiet_term $ json $ no_cache)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ events $ rate
+    $ size_term 1.0 $ hold_term 0.5 $ churn $ sends $ fragmentation_term 0.0
+    $ capacity $ policy_term $ admission $ batch $ budget $ quiet_term $ json
+    $ no_cache)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Testing hook behind --corrupt: seed exactly the table corruption a
-   given CMP code exists to catch, so the lint alias can prove the
-   checker fails loudly end to end. *)
-let corrupt_compiled (t : Peel_compile.Compile.t) code =
-  let module C = Peel_compile.Compile in
-  let map_nth n f l = List.mapi (fun i x -> if i = n then f x else x) l in
-  let map_first_table f = { t with C.tables = map_nth 0 f t.C.tables } in
-  match code with
-  | `Cmp001 ->
-      (* Drop the last table's final (shortest-prefix) entry: its
-         headers have no installed ancestor left, so the packets that
-         selected it are silently dropped. *)
-      let n = List.length t.C.tables - 1 in
-      {
-        t with
-        C.tables =
-          map_nth n
-            (fun (tb : C.table) ->
-              {
-                tb with
-                C.entries =
-                  (match List.rev tb.C.entries with
-                  | [] -> []
-                  | _ :: rest -> List.rev rest);
-              })
-            t.C.tables;
-      }
-  | `Cmp002 ->
-      (* Append a duplicate of the highest-priority entry at the lowest
-         priority: shadowed dead weight. *)
-      map_first_table (fun (tb : C.table) ->
-          match tb.C.entries with
-          | [] -> tb
-          | e :: _ -> { tb with C.entries = tb.C.entries @ [ e ] })
-  | `Cmp003 ->
-      (* Knock one port off an entry: it no longer replicates to its
-         whole block, conflicting with the static rule for the prefix. *)
-      map_first_table (fun (tb : C.table) ->
-          {
-            tb with
-            C.entries =
-              map_nth 0
-                (fun (e : C.entry) ->
-                  { e with C.ports = List.tl e.C.ports })
-                tb.C.entries;
-          })
-  | `Cmp004 ->
-      (* Rewrite the budget below the busiest table: the proof fails. *)
-      { t with C.capacity = Some (C.max_entries t - 1) }
-  | `Cmp005 ->
-      (* Erase an entry's provenance: soundness becomes unprovable. *)
-      map_first_table (fun (tb : C.table) ->
-          {
-            tb with
-            C.entries =
-              map_nth 0
-                (fun (e : C.entry) -> { e with C.sources = [] })
-                tb.C.entries;
-          })
-
-let compile_cmd =
+let compile =
   let module C = Peel_compile.Compile in
   let groups =
     Arg.(
@@ -1228,12 +1050,6 @@ let compile_cmd =
             "Merge sibling/nested prefix entries across groups when a table \
              exceeds the budget (trades over-delivery for entries).")
   in
-  let fragmentation =
-    Arg.(
-      value & opt float 0.5
-      & info [ "fragmentation" ]
-          ~doc:"Fraction of servers relocated off the contiguous placement.")
-  in
   let corrupt =
     Arg.(
       value
@@ -1249,12 +1065,9 @@ let compile_cmd =
              exists to catch, then run the checker — must exit 1.")
   in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print the compiled tables and diagnostics as JSON on stdout \
-             (schema peel-compile/1) instead of the human report.")
+    json_term
+      "Print the compiled tables and diagnostics as JSON on stdout (schema \
+       peel-compile/1) instead of the human report."
   in
   let run fabric seed scale groups capacity aggregate fragmentation corrupt
       quiet json =
@@ -1267,7 +1080,11 @@ let compile_cmd =
           (gid, Peel.plan fabric ~source ~dests))
     in
     let t = C.compile ?capacity ~aggregate fabric batch in
-    let t = match corrupt with None -> t | Some c -> corrupt_compiled t c in
+    let t =
+      match corrupt with
+      | None -> t
+      | Some c -> Peel_compile.Check_compile.corrupt c t
+    in
     let ds = Peel_compile.Check_compile.check fabric t in
     let waste =
       List.fold_left
@@ -1275,7 +1092,7 @@ let compile_cmd =
           acc + List.length (C.group_waste fabric t ~group:gid))
         0 batch
     in
-    let doc () =
+    let fields () =
       let table_json (sw, entries, bytes) =
         Json.Obj
           [
@@ -1284,36 +1101,33 @@ let compile_cmd =
             ("bytes", Json.int bytes);
           ]
       in
-      Json.Obj
-        [
-          ("schema", Json.str "peel-compile/1");
-          ( "meta",
-            Json.Obj
-              [
-                ("fabric", Json.str (Fabric.describe fabric));
-                ("seed", Json.int seed);
-                ("scale", Json.int scale);
-                ("groups", Json.int groups);
-                ( "capacity",
-                  match capacity with
-                  | None -> Json.Null
-                  | Some c -> Json.int c );
-                ("aggregate", Json.Bool aggregate);
-                ("fragmentation", Json.num fragmentation);
-              ] );
-          ("tables", Json.Arr (List.map table_json (C.footprint t)));
-          ( "totals",
-            Json.Obj
-              [
-                ("entries", Json.int (C.total_entries t));
-                ("max_entries", Json.int (C.max_entries t));
-                ("merges", Json.int t.C.merges);
-                ("waste_racks", Json.int waste);
-                ("fits", Json.Bool (C.fits t));
-              ] );
-          ("findings", Json.Arr (List.map finding_json ds));
-          ("errors", Json.int (List.length (D.errors ds)));
-        ]
+      [
+        ("schema", Json.str "peel-compile/1");
+        ( "meta",
+          Json.Obj
+            [
+              ("fabric", Json.str (Fabric.describe fabric));
+              ("seed", Json.int seed);
+              ("scale", Json.int scale);
+              ("groups", Json.int groups);
+              ( "capacity",
+                match capacity with
+                | None -> Json.Null
+                | Some c -> Json.int c );
+              ("aggregate", Json.Bool aggregate);
+              ("fragmentation", Json.num fragmentation);
+            ] );
+        ("tables", Json.Arr (List.map table_json (C.footprint t)));
+        ( "totals",
+          Json.Obj
+            [
+              ("entries", Json.int (C.total_entries t));
+              ("max_entries", Json.int (C.max_entries t));
+              ("merges", Json.int t.C.merges);
+              ("waste_racks", Json.int waste);
+              ("fits", Json.Bool (C.fits t));
+            ] );
+      ]
     in
     if not (quiet || json) then begin
       Printf.printf "fabric: %s; %d groups of %d GPUs%s%s\n"
@@ -1332,29 +1146,21 @@ let compile_cmd =
            (C.footprint t));
       print_newline ()
     end;
-    report
-      ?json:(if json then Some (doc ()) else None)
-      ~quiet ds
+    report ~json ~fields ~quiet ds
       (Printf.sprintf
          "compile: %d entries (max %d/switch), %d merge(s), %d waste rack \
           slot(s), fits=%b, "
          (C.total_entries t) (C.max_entries t) t.C.merges waste (C.fits t))
   in
-  Cmd.v
-    (Cmd.info "compile" ~exits:std_exits
-       ~doc:
-         "Compile a batch of concurrent group plans into concrete per-switch \
-          rule tables (dedup + optional cross-group aggregation) and prove \
-          them equivalent with the CMP static checks; exit 1 on any error.")
-    Term.(
-      const run $ fabric_term $ seed_term $ scale_term $ groups $ capacity
-      $ aggregate $ fragmentation $ corrupt $ quiet_term $ json)
+  Term.(
+    const run $ fabric_term $ seed_term $ scale_term $ groups $ capacity
+    $ aggregate $ fragmentation_term 0.5 $ corrupt $ quiet_term $ json)
 
 (* ------------------------------------------------------------------ *)
 (* collective                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let collective_cmd =
+let collective =
   let op =
     Arg.(
       value
@@ -1365,23 +1171,8 @@ let collective_cmd =
           `Allreduce
       & info [ "op" ] ~docv:"OP" ~doc:"Collective: allgather, reduce, allreduce.")
   in
-  let size_mb =
-    Arg.(value & opt float 64.0 & info [ "size" ] ~doc:"Message size in MB.")
-  in
   let run fabric seed scale op size_mb =
-    let rng = Rng.create seed in
-    let members = Spec.place fabric rng ~scale () in
-    let source = List.hd members in
-    let spec =
-      {
-        Spec.id = 0;
-        arrival = 0.0;
-        source;
-        dests = List.filter (fun m -> m <> source) members;
-        members;
-        bytes = size_mb *. 1e6;
-      }
-    in
+    let spec = place_group ~size_mb fabric (Rng.create seed) ~scale in
     Printf.printf "fabric: %s; %d workers x %.0f MB\n\n" (Fabric.describe fabric)
       scale size_mb;
     let rows =
@@ -1408,66 +1199,13 @@ let collective_cmd =
     Peel_util.Table.print ~header:[ "algorithm"; "CCT" ]
       (List.map (fun (name, cct) -> [ name; Peel_util.Table.fsec cct ]) rows)
   in
-  Cmd.v
-    (Cmd.info "collective" ~exits:std_exits ~doc:"Simulate allgather / reduce / allreduce.")
-    Term.(const run $ fabric_term $ seed_term $ scale_term $ op $ size_mb)
+  Term.(const run $ fabric_term $ seed_term $ scale_term $ op $ size_term 64.0)
 
 (* ------------------------------------------------------------------ *)
 (* zoo                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Testing hook behind --corrupt: seed exactly the malformation a given
-   TOPO code exists to catch, so the lint alias can prove the zoo
-   checkers fail loudly end to end (same pattern as compile's CMP
-   hook). topo001/topo002 corrupt the fabric before the battery runs;
-   topo003/topo004 corrupt the planner's outputs and run the dedicated
-   checker directly. *)
-let corrupt_zoo_fabric z code =
-  match code with
-  | `Topo001 ->
-      (* Drag a switch down to the endpoint layer: the layering is no
-         longer well formed (switches live on layers >= 1). *)
-      z.Zoo.layer_of.(z.Zoo.tors.(0)) <- 0;
-      z
-  | `Topo002 ->
-      (* Drop the last ToR from the roster: the class's size invariant
-         (ToR count derived from the parameters) breaks. *)
-      { z with Zoo.tors = Array.sub z.Zoo.tors 0 (Array.length z.Zoo.tors - 1) }
-
-(* Attach one extra node to the tree through an up link that does not
-   descend the BFS layering — valid by every TREE check (live link,
-   right direction, reached once), caught only by TOPO003. *)
-let corrupt_zoo_tree g tree ~source =
-  let module Tree = Peel_steiner.Tree in
-  let dist = Graph.bfs_dist g source in
-  let nodes = Graph.num_nodes g in
-  let found = ref None in
-  for u = 0 to nodes - 1 do
-    if !found = None && Tree.mem tree u then
-      Array.iter
-        (fun (v, lid) ->
-          if
-            !found = None && Graph.link_up g lid
-            && (not (Tree.mem tree v))
-            && dist.(v) <> Graph.unreachable
-            && dist.(u) >= dist.(v)
-          then found := Some (v, (u, lid)))
-        (Graph.out_links g u)
-  done;
-  match !found with
-  | None ->
-      failwith
-        "topo003 corruption: no non-descending attachment exists (try a \
-         different seed or topology)"
-  | Some binding ->
-      let parents =
-        binding
-        :: List.map (fun (p, c, lid) -> (c, (p, lid))) (Tree.edges tree)
-      in
-      Tree.of_parents g ~root:source ~parents
-
-let zoo_cmd =
-  let module Zoo = Peel_topology.Zoo in
+let zoo =
   let module Layer_peel = Peel_steiner.Layer_peel in
   let module Tree = Peel_steiner.Tree in
   let topo =
@@ -1544,10 +1282,10 @@ let zoo_cmd =
           Zoo.jellyfish ~switches:size ~net_degree:degree ~seed ()
       | Zoo.Xpander -> Zoo.xpander ~net_degree:degree ~lift ~seed ()
     in
-    let z =
+    let z, seeded =
       match corrupt with
-      | Some ((`Topo001 | `Topo002) as c) -> corrupt_zoo_fabric z c
-      | _ -> z
+      | None -> (z, fun ~source:_ ~dests:_ -> [])
+      | Some c -> Peel_check.Check_topology.corrupt c z
     in
     let fabric = Fabric.of_zoo z in
     let g = Fabric.graph fabric in
@@ -1588,51 +1326,20 @@ let zoo_cmd =
             (List.length rules)
             (List.fold_left (fun a (_, c) -> a + c) 0 rules))
     end;
-    let ds = Peel_check.check_scenario fabric ~source ~dests in
-    let planner_ds =
-      match corrupt with
-      | Some `Topo003 -> (
-          match Layer_peel.peel_general g ~source ~dests with
-          | None -> []
-          | Some tree ->
-              Peel_check.Check_topology.check_general_tree g
-                (corrupt_zoo_tree g tree ~source)
-                ~source ~dests)
-      | Some `Topo004 -> (
-          match Layer_peel.peel_general g ~source ~dests with
-          | None -> []
-          | Some tree -> (
-              match Layer_peel.farthest_layer g ~source ~dests with
-              | None -> []
-              | Some far ->
-                  (* An "oracle" one link better than the greedy: the
-                     inconsistency TOPO004 exists to catch. *)
-                  Peel_check.Check_topology.check_ratio
-                    ~cost:(Tree.cost tree)
-                    ~opt:(Tree.cost tree + 1)
-                    ~far
-                    ~ndests:(List.length dests)))
-      | _ -> []
+    let ds =
+      D.sort (Peel_check.check_scenario fabric ~source ~dests @ seeded ~source ~dests)
     in
-    let ds = D.sort (ds @ planner_ds) in
     report ~quiet ds (Printf.sprintf "zoo %s: " (Zoo.cls_to_string (Zoo.cls z)))
   in
-  Cmd.v
-    (Cmd.info "zoo" ~exits:std_exits
-       ~doc:
-         "Generate a zoo topology (abfattree, VL2, Jellyfish, Xpander), plan \
-          a multicast group with the generalized layer-peeling planner, \
-          measure it against the exact-Steiner oracle and run the TOPO \
-          lint battery; exit 1 on any error-severity diagnostic.")
-    Term.(
-      const run $ topo $ k $ da $ di $ size $ degree $ lift $ seed_term
-      $ group $ fail_frac $ corrupt $ quiet_term)
+  Term.(
+    const run $ topo $ k $ da $ di $ size $ degree $ lift $ seed_term $ group
+    $ fail_frac $ corrupt $ quiet_term)
 
 (* ------------------------------------------------------------------ *)
 (* state                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let state_cmd =
+let state =
   let k = Arg.(value & pos 0 int 64 & info [] ~docv:"K") in
   let run k =
     Printf.printf
@@ -1644,15 +1351,13 @@ let state_cmd =
       (Peel_prefix.Header.header_bits ~k)
       (Peel_prefix.Header.header_bytes ~k)
   in
-  Cmd.v
-    (Cmd.info "state" ~exits:std_exits ~doc:"Switch-state and header accounting for degree K.")
-    Term.(const run $ k)
+  Term.(const run $ k)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let experiment_cmd =
+let experiment =
   let open Peel_experiments in
   let entry =
     Arg.(
@@ -1667,15 +1372,61 @@ let experiment_cmd =
     apply_jobs jobs;
     entry.run (if quick then Common.Quick else Common.Full)
   in
-  Cmd.v
-    (Cmd.info "experiment" ~exits:std_exits ~doc:"Regenerate a paper table/figure by name.")
-    Term.(const run $ entry $ quick $ jobs_term)
+  Term.(const run $ entry $ quick $ jobs_term)
+
+(* ------------------------------------------------------------------ *)
+(* The command table                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let commands =
+  [
+    ("plan", "Compute a multicast tree and prefix send plan.", plan);
+    ( "check",
+      "Statically lint a scenario's invariants (tree, plan, rules, \
+       schedules); exit non-zero on errors.",
+      check );
+    ( "compile",
+      "Compile a batch of concurrent group plans into concrete per-switch \
+       rule tables (dedup + optional cross-group aggregation) and prove \
+       them equivalent with the CMP static checks; exit 1 on any error.",
+      compile );
+    ("simulate", "Simulate Broadcast workloads.", simulate);
+    ( "trace",
+      "Run one Broadcast workload with structured tracing on and export \
+       the trace as JSON (and optionally CSV); exit non-zero if the trace \
+       fails its conservation/consistency lint.",
+      trace );
+    ( "failover",
+      "Run one broadcast with a scheduled mid-run link failure; the \
+       controller re-peels around the cut (PEEL) or repairs end to end \
+       (ring/tree). Exits non-zero if the trace fails its lint, including \
+       SIM007: no traffic through a down link.",
+      failover );
+    ( "refine",
+      "Run a churning multicast group schedule through the two-stage \
+       refinement control plane (static prefix rules, then exact \
+       per-group rules once installs land) and lint the CTRL \
+       invariants; exit non-zero on errors.",
+      refine );
+    ( "serve",
+      "Run the open-loop multicast-as-a-service controller over a Poisson \
+       create/join/leave/send/depart stream (delta re-peeling, batched \
+       installs, TCAM admission), lint the SVC invariants and the \
+       same-seed replay contract; exit non-zero on errors.",
+      serve );
+    ("collective", "Simulate allgather / reduce / allreduce.", collective);
+    ( "zoo",
+      "Generate a zoo topology (abfattree, VL2, Jellyfish, Xpander), plan \
+       a multicast group with the generalized layer-peeling planner, \
+       measure it against the exact-Steiner oracle and run the TOPO \
+       lint battery; exit 1 on any error-severity diagnostic.",
+      zoo );
+    ("state", "Switch-state and header accounting for degree K.", state);
+    ("experiment", "Regenerate a paper table/figure by name.", experiment);
+  ]
 
 let () =
-  let info =
-    Cmd.info "peel-cli" ~version:"0.1.0" ~exits:std_exits
-      ~doc:"Scalable datacenter multicast for AI collectives (PEEL)."
-  in
+  let info ?version name doc = Cmd.info name ?version ~exits:std_exits ~doc in
   (* Map cmdliner's evaluation outcome onto the documented convention:
      usage errors exit 2 rather than cmdliner's default 124.  The
      library rejects an out-of-range flag value (a scale beyond the
@@ -1684,12 +1435,10 @@ let () =
      error.  Checker diagnostics exit 1 from within the subcommand
      itself. *)
   let cmd =
-    Cmd.group info
-      [
-        plan_cmd; check_cmd; compile_cmd; simulate_cmd; trace_cmd;
-        failover_cmd; refine_cmd; serve_cmd; collective_cmd; zoo_cmd;
-        state_cmd; experiment_cmd;
-      ]
+    Cmd.group
+      (info "peel-cli" ~version:"0.1.0"
+         "Scalable datacenter multicast for AI collectives (PEEL).")
+      (List.map (fun (name, doc, term) -> Cmd.v (info name doc) term) commands)
   in
   exit
     (match Cmd.eval_value ~catch:false cmd with

@@ -15,11 +15,8 @@ let () =
   in
   let g = Fabric.graph fabric in
   Printf.printf "%s\n\n" (Fabric.describe fabric);
-  let rng = Rng.create 7 in
-  let members = Spec.place fabric rng ~scale:64 () in
-  let source = List.hd members in
-  let dests = List.filter (fun m -> m <> source) members in
-  let spec = { Spec.id = 0; arrival = 0.0; source; dests; members; bytes = 8e6 } in
+  let spec = Spec.single fabric (Rng.create 7) ~scale:64 ~bytes:8e6 in
+  let source = spec.Spec.source and dests = spec.Spec.dests in
   List.iter
     (fun pct ->
       Graph.restore_all g;

@@ -12,19 +12,7 @@ module Rng = Peel_util.Rng
 
 let () =
   let fabric = Fabric.fat_tree ~k:8 ~hosts_per_tor:4 ~gpus_per_host:8 () in
-  let rng = Rng.create 2024 in
-  let members = Spec.place fabric rng ~scale:512 () in
-  let source = List.hd members in
-  let spec =
-    {
-      Spec.id = 0;
-      arrival = 0.0;
-      source;
-      dests = List.filter (fun m -> m <> source) members;
-      members;
-      bytes = 512e6;
-    }
-  in
+  let spec = Spec.single fabric (Rng.create 2024) ~scale:512 ~bytes:512e6 in
   Printf.printf "%s — broadcasting 512 MB to 512 GPUs\n\n"
     (Fabric.describe fabric);
   let rows =
@@ -51,12 +39,14 @@ let () =
   (* The punchline the paper opens with: unicast schedules move the same
      bytes many times; multicast moves them once. *)
   let g = Fabric.graph fabric in
-  let ring = Peel_baselines.Ring.schedule fabric ~source ~members in
+  let ring =
+    Peel_baselines.Ring.schedule fabric ~source:spec.source ~members:spec.members
+  in
   let ring_links =
     Peel_baselines.Traffic.total g
       (Peel_baselines.Traffic.link_loads g ring.Peel_baselines.Ring.hops)
   in
-  let tree = Option.get (Peel.multicast_tree fabric ~source ~dests:spec.dests) in
+  let tree = Option.get (Peel.multicast_tree fabric ~source:spec.source ~dests:spec.dests) in
   let tree_links =
     Peel_baselines.Traffic.total g (Peel_baselines.Traffic.tree_loads g tree)
   in

@@ -10,18 +10,7 @@ open Peel_workload
 open Peel_collective
 module Rng = Peel_util.Rng
 
-let collective fabric ~scale ~bytes =
-  let rng = Rng.create 99 in
-  let members = Spec.place fabric rng ~scale () in
-  let source = List.hd members in
-  {
-    Spec.id = 0;
-    arrival = 0.0;
-    source;
-    dests = List.filter (fun m -> m <> source) members;
-    members;
-    bytes;
-  }
+let collective fabric ~scale ~bytes = Spec.single fabric (Rng.create 99) ~scale ~bytes
 
 let () =
   (* One NIC'd GPU per server: every hop crosses the fabric, the regime

@@ -83,3 +83,71 @@ let check_scenario z ~source ~dests =
                   ~ndests:(List.length dests))
       in
       structural @ tree_ds @ ratio_ds
+
+(* ------------------------------------------------------------------ *)
+(* Seeded corruptions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Attach one extra node to the tree through an up link that does not
+   descend the BFS layering — valid by every TREE check (live link,
+   right direction, reached once), caught only by TOPO003. *)
+let climbing_tree g tree ~source =
+  let dist = Graph.bfs_dist g source in
+  let found = ref None in
+  for u = 0 to Graph.num_nodes g - 1 do
+    if !found = None && Tree.mem tree u then
+      Array.iter
+        (fun (v, lid) ->
+          if
+            !found = None && Graph.link_up g lid
+            && (not (Tree.mem tree v))
+            && dist.(v) <> Graph.unreachable
+            && dist.(u) >= dist.(v)
+          then found := Some (v, (u, lid)))
+        (Graph.out_links g u)
+  done;
+  match !found with
+  | None ->
+      failwith
+        "topo003 corruption: no non-descending attachment exists (try a \
+         different seed or topology)"
+  | Some binding ->
+      let parents =
+        binding :: List.map (fun (p, c, lid) -> (c, (p, lid))) (Tree.edges tree)
+      in
+      Tree.of_parents g ~root:source ~parents
+
+let corrupt code z =
+  let g = z.Zoo.graph in
+  let planned f ~source ~dests =
+    match Layer_peel.peel_general g ~source ~dests with
+    | None -> []
+    | Some tree -> f tree ~source ~dests
+  in
+  match code with
+  | `Topo001 ->
+      (* Drag a switch down to the endpoint layer: the layering is no
+         longer well formed (switches live on layers >= 1). *)
+      z.Zoo.layer_of.(z.Zoo.tors.(0)) <- 0;
+      (z, fun ~source:_ ~dests:_ -> [])
+  | `Topo002 ->
+      (* Drop the last ToR from the roster: the class's size invariant
+         (ToR count derived from the parameters) breaks. *)
+      let tors = Array.sub z.Zoo.tors 0 (Array.length z.Zoo.tors - 1) in
+      ({ z with Zoo.tors }, fun ~source:_ ~dests:_ -> [])
+  | `Topo003 ->
+      ( z,
+        planned (fun tree ~source ~dests ->
+            check_general_tree g (climbing_tree g tree ~source) ~source ~dests) )
+  | `Topo004 ->
+      (* An "optimum" one link dearer than the greedy's tree: the greedy
+         beats the exact oracle, the inconsistency TOPO004 exists to
+         catch. *)
+      ( z,
+        planned (fun tree ~source ~dests ->
+            match Layer_peel.farthest_layer g ~source ~dests with
+            | None -> []
+            | Some far ->
+                let cost = Tree.cost tree in
+                check_ratio ~cost ~opt:(cost + 1) ~far
+                  ~ndests:(List.length dests)) )

@@ -48,3 +48,24 @@ val check_scenario : Zoo.t -> source:int -> dests:int list -> Diagnostic.t list
     when the oracle can afford the instance, the measured-ratio bound.
     Runs automatically inside {!Peel_check.check_scenario} whenever the
     fabric is a zoo fabric. *)
+
+val corrupt :
+  [< `Topo001 | `Topo002 | `Topo003 | `Topo004 ] ->
+  Zoo.t ->
+  Zoo.t * (source:int -> dests:int list -> Diagnostic.t list)
+(** [corrupt code z] seeds the malformation the TOPO code [code] exists
+    to catch, for the CLI's [--corrupt] hook (and so the [@zoo-smoke]
+    alias) and the unit tests.  It returns the zoo to build the fabric
+    from and the planner findings of a group on it.
+
+    TOPO001 and TOPO002 corrupt the fabric, and their planner findings
+    are empty: TOPO001 drags [z]'s first ToR down to the endpoint layer,
+    in place; TOPO002 returns a copy of [z] without its last ToR.
+
+    TOPO003 and TOPO004 return [z] as it is and corrupt the planner's
+    outputs: the general peel of the group, with one node attached
+    through a link that does not descend the BFS layering, goes through
+    {!check_general_tree} (TOPO003; raises [Failure] when no such link
+    exists); or the peel's cost goes through {!check_ratio} against an
+    optimum one link dearer than the greedy (TOPO004).  An unreachable
+    group finds nothing. *)

@@ -278,3 +278,42 @@ let check fabric t =
   D.sort
     (check_reachability t @ check_conflicts t @ check_budget t
    @ check_aggregation t @ check_equivalence fabric t)
+
+(* ------------------------------------------------------------------ *)
+(* Seeded corruptions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let corrupt code (t : Compile.t) =
+  let map_nth n f l = List.mapi (fun i x -> if i = n then f x else x) l in
+  let map_table n f = { t with Compile.tables = map_nth n f t.Compile.tables } in
+  let map_first_entry f =
+    map_table 0 (fun (tb : Compile.table) ->
+        { tb with Compile.entries = map_nth 0 f tb.Compile.entries })
+  in
+  match code with
+  | `Cmp001 ->
+      (* Drop the last table's final (shortest-prefix) entry: its
+         headers have no installed ancestor left, so the packets that
+         selected it are silently dropped. *)
+      map_table (List.length t.Compile.tables - 1) (fun (tb : Compile.table) ->
+          match List.rev tb.Compile.entries with
+          | [] -> tb
+          | _ :: rest -> { tb with Compile.entries = List.rev rest })
+  | `Cmp002 ->
+      (* Append a duplicate of the highest-priority entry at the lowest
+         priority: shadowed dead weight. *)
+      map_table 0 (fun (tb : Compile.table) ->
+          match tb.Compile.entries with
+          | [] -> tb
+          | e :: _ -> { tb with Compile.entries = tb.Compile.entries @ [ e ] })
+  | `Cmp003 ->
+      (* Knock one port off an entry: it no longer replicates to its
+         whole block, conflicting with the static rule for the prefix. *)
+      map_first_entry (fun (e : Compile.entry) ->
+          { e with Compile.ports = List.tl e.Compile.ports })
+  | `Cmp004 ->
+      (* Rewrite the budget below the busiest table: the proof fails. *)
+      { t with Compile.capacity = Some (Compile.max_entries t - 1) }
+  | `Cmp005 ->
+      (* Erase an entry's provenance: soundness becomes unprovable. *)
+      map_first_entry (fun (e : Compile.entry) -> { e with Compile.sources = [] })

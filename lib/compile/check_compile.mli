@@ -44,3 +44,13 @@ val check_aggregation : Compile.t -> Peel_check.Diagnostic.t list
 val check : Fabric.t -> Compile.t -> Peel_check.Diagnostic.t list
 (** All of the above, sorted errors-first (CMP codes ascending within a
     severity). *)
+
+val corrupt :
+  [< `Cmp001 | `Cmp002 | `Cmp003 | `Cmp004 | `Cmp005 ] -> Compile.t -> Compile.t
+(** [corrupt code t] seeds into [t] the table corruption the CMP code
+    [code] exists to catch, for the CLI's [--corrupt] hook (and so the
+    [@compile-smoke] alias) and the unit tests: CMP001 drops the last
+    table's shortest-prefix entry, CMP002 appends a duplicate of the
+    first table's first entry, CMP003 drops a port from that entry,
+    CMP004 sets the budget one below the busiest table, and CMP005
+    erases that entry's sources. *)

@@ -87,7 +87,7 @@ let check_departed (out : Service.outcome) =
         match G.find out.Service.o_groups ~gid with
         | Some _ ->
             D.errorf ~code:"SVC004" ~loc:(Printf.sprintf "group %d" gid)
-              "departed group still occupies a live arena slot"
+              "departed group still occupies a live slot"
             :: acc
         | None -> acc)
       out.Service.o_departed []

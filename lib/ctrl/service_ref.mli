@@ -1,6 +1,6 @@
 (** Reference implementation of the multicast service controller — the
     PR 8 Hashtbl/list code path, kept verbatim as the differential
-    oracle for {!Service}'s arena/memoization fast path.
+    oracle for {!Service}'s slot-table/memoization fast path.
 
     The QCheck battery and E22 replay random streams through both
     implementations and require bit-identical SVC005 fingerprints; the

@@ -17,17 +17,7 @@ type row = {
 let fabric () =
   Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:2 ~gpus_per_host:2 ()
 
-let spec_for fabric =
-  let members = Spec.place fabric (Rng.create 1600) ~scale:16 () in
-  let source = List.hd members in
-  {
-    Spec.id = 0;
-    arrival = 0.0;
-    source;
-    dests = List.filter (fun m -> m <> source) members;
-    members;
-    bytes = Common.mb 8.0;
-  }
+let spec_for fabric = Spec.single fabric (Rng.create 1600) ~scale:16 ~bytes:(Common.mb 8.0)
 
 (* One seeded failure draw shared by every (scheme, fail_at, reaction)
    combination: draw the duplex ids with connectivity ensured, then put

@@ -39,7 +39,7 @@ let fabric () = Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:4 ()
 
 (* Long-hold tenants: groups effectively never depart, so the live
    population ramps linearly with the event count — the create-heavy
-   regime the arena + memo fast path is built for.  The aligned 3-GPU
+   regime the slot table + memo fast path is built for.  The aligned 3-GPU
    tenant dominates arrivals; the fragmented 8-GPU tenant keeps the
    prefix covers and the TCAM honest. *)
 let tenants () =
@@ -195,7 +195,7 @@ let slo_json mode =
 let run mode =
   Common.note
     "32-endpoint leaf-spine; two long-hold Poisson tenants ramp the live \
-     population past 10^6 groups; arena-backed group store + (source, \
+     population past 10^6 groups; slot-table group store + (source, \
      member-set) peel/plan/bound memos vs the PR 8 reference \
      implementation on the byte-identical stream";
   let rs = rows mode in
@@ -244,7 +244,7 @@ let run mode =
          ])
        (slo_rows mode));
   Common.note
-    "the arena + memo fast path turns the create-heavy regime into cache \
+    "the slot table + memo fast path turns the create-heavy regime into cache \
      hits (one full peel per distinct (source, member set)); the \
      reference recomputes every peel, scans for eviction victims and \
      filters the pending queue per departure"

@@ -1,5 +1,5 @@
 (** E22 (ext): the million-group service fast path —
-    {!Peel_ctrl.Service} (arena-backed group store, per-shard TCAM
+    {!Peel_ctrl.Service} (slot-table group store, per-shard TCAM
     views, (source, member-set) peel/plan/bound memoization) driven
     past 10^6 concurrent groups by two long-hold Poisson tenants, and
     raced against the PR 8 reference implementation

@@ -163,19 +163,7 @@ let rules_rows () =
 let reconfig_row cls =
   let z = build cls ~seed:57 in
   let f = Fabric.of_zoo z in
-  let rng = Rng.create 5700 in
-  let members = Spec.place f rng ~scale:8 () in
-  let source = List.hd members in
-  let spec =
-    {
-      Spec.id = 0;
-      arrival = 0.0;
-      source;
-      dests = List.filter (fun m -> m <> source) members;
-      members;
-      bytes = Common.mb 4.0;
-    }
-  in
+  let spec = Spec.single f (Rng.create 5700) ~scale:8 ~bytes:(Common.mb 4.0) in
   let clean = List.hd (Failover.run f Failover.Peel [ spec ]).Runner.ccts in
   let epochs = 3 in
   let period = 0.25 *. clean in

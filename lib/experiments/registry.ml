@@ -94,7 +94,7 @@ let all =
        jobs-invariant object. *)
     entry "E21" "zoo" "E21 (ext): topology zoo vs the exact-Steiner oracle" Exp_zoo.run
       ~sections:[ section ~guarded:true "zoo" Exp_zoo.rows_json ];
-    (* The rows pin the arena-backed service's counters and all three
+    (* The rows pin the slot-table service's counters and all three
        replay fingerprints (jobs=1 / jobs=4 / cache-off) at the
        10^6-group cell; the wall-clock "serve_scale_slo" section, where
        the reference baseline runs, is not guarded. *)

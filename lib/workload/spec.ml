@@ -86,6 +86,12 @@ let place fabric rng ~scale ?(fragmentation = 0.0) () =
   in
   List.sort compare (List.map (fun i -> endpoints.(i)) members)
 
+let single fabric rng ~scale ~bytes =
+  let members = place fabric rng ~scale () in
+  let source = List.hd members in
+  let dests = List.filter (fun m -> m <> source) members in
+  { id = 0; arrival = 0.0; source; dests; members; bytes }
+
 let nic_bandwidth = 12.5e9
 
 let mean_interarrival fabric ~scale ~bytes ~load =

@@ -30,6 +30,10 @@ val place :
     [scale] exceeds the endpoint count or is < 2, or if
     [fragmentation] is outside [0, 1]. *)
 
+val single : Fabric.t -> Peel_util.Rng.t -> scale:int -> bytes:float -> collective
+(** One group {!place}d at [scale], as collective 0 arriving at time 0
+    with its lowest member as source.  Its only draws are [place]'s. *)
+
 val mean_interarrival :
   Fabric.t -> scale:int -> bytes:float -> load:float -> float
 (** Interarrival time such that delivered bytes ([bytes * scale] per

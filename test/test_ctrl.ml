@@ -706,7 +706,11 @@ let test_service_svc004_seeded_corruption () =
   let gid, _ = find_group out ~stage:Service.Installed in
   Hashtbl.replace out.Service.o_departed gid ();
   Alcotest.(check bool) "SVC004 diagnosed" true
-    (D.has_code "SVC004" (Check_service.check_departed out))
+    (D.has_code "SVC004" (Check_service.check_departed out));
+  Alcotest.(check bool) "the live slot is named" true
+    (List.mem
+       (Printf.sprintf "error[SVC004] group %d: departed group still occupies a live slot" gid)
+       (strings_of (Check_service.check_departed out)))
 
 let test_service_svc005_replay_codes () =
   Alcotest.(check (list string)) "equal fingerprints clean" []
@@ -716,7 +720,7 @@ let test_service_svc005_replay_codes () =
        (Check_service.check_replay ~first:"abc" ~second:"abd"))
 
 (* ------------------------------------------------------------------ *)
-(* Million-group fast path: arena store, victim heap, memo neutrality  *)
+(* Million-group fast path: slot table, victim heap, memo neutrality   *)
 (* ------------------------------------------------------------------ *)
 
 (* The group store reuses the most recently freed slot first, and a
@@ -986,7 +990,7 @@ let test_service_departs_pending_backlog () =
   Alcotest.(check (list string)) "state lint clean" []
     (strings_of (Check_service.check_state out))
 
-(* Tentpole differential: the arena + shard + memo fast path must be
+(* Tentpole differential: the slot table + shard + memo fast path must be
    observationally identical to the PR 8 reference implementation —
    byte-identical decision logs at jobs 1 and 4, with and without the
    memo caches, and an SVC001-004-clean quiescent state, over random

@@ -10,18 +10,7 @@ module Rng = Peel_util.Rng
 
 let fat4 () = Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:4 ()
 
-let one_collective fabric ~scale ~bytes ~seed =
-  let rng = Rng.create seed in
-  let members = Spec.place fabric rng ~scale () in
-  let source = List.hd members in
-  {
-    Spec.id = 0;
-    arrival = 0.0;
-    source;
-    dests = List.filter (fun m -> m <> source) members;
-    members;
-    bytes;
-  }
+let one_collective fabric ~scale ~bytes ~seed = Spec.single fabric (Rng.create seed) ~scale ~bytes
 
 (* ------------------------------------------------------------------ *)
 (* Double binary tree                                                  *)

@@ -117,17 +117,7 @@ let test_install_applies_and_skips_noops () =
 let failover_fabric () =
   Fabric.leaf_spine ~spines:3 ~leaves:6 ~hosts_per_leaf:2 ~gpus_per_host:2 ()
 
-let spec_for fabric ~scale =
-  let members = Spec.place fabric (Rng.create 12) ~scale () in
-  let source = List.hd members in
-  {
-    Spec.id = 0;
-    arrival = 0.0;
-    source;
-    dests = List.filter (fun m -> m <> source) members;
-    members;
-    bytes = 4e6;
-  }
+let spec_for fabric ~scale = Spec.single fabric (Rng.create 12) ~scale ~bytes:4e6
 
 let traced_failover ?faults fabric scheme spec =
   let trace = Trace.create ~level:Trace.Full () in
@@ -196,18 +186,7 @@ let test_completes_under_failures_all_schemes () =
         Fabric.leaf_spine ~spines:4 ~leaves:8 ~hosts_per_leaf:2
           ~gpus_per_host:2 ()
       in
-      let members = Spec.place fabric (Rng.create 1600) ~scale:16 () in
-      let source = List.hd members in
-      let spec =
-        {
-          Spec.id = 0;
-          arrival = 0.0;
-          source;
-          dests = List.filter (fun m -> m <> source) members;
-          members;
-          bytes = 8e6;
-        }
-      in
+      let spec = Spec.single fabric (Rng.create 1600) ~scale:16 ~bytes:8e6 in
       let name = Failover.scheme_to_string scheme in
       let _, clean = traced_failover fabric scheme spec in
       let ids =

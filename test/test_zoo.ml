@@ -257,7 +257,7 @@ let test_topo001_layering_corruption () =
       let z = build cls ~seed:11 in
       Alcotest.(check bool) "clean" false
         (has_error (Peel_check.Check_topology.check_layering z) "TOPO001");
-      z.Zoo.layer_of.(z.Zoo.tors.(0)) <- 0;
+      let z, _ = Peel_check.Check_topology.corrupt `Topo001 z in
       Alcotest.(check bool) "caught" true
         (has_error (Peel_check.Check_topology.check_layering z) "TOPO001"))
     Zoo.all_classes
@@ -266,9 +266,7 @@ let test_topo002_invariant_corruption () =
   List.iter
     (fun cls ->
       let z = build cls ~seed:11 in
-      let z' =
-        { z with Zoo.tors = Array.sub z.Zoo.tors 0 (Array.length z.Zoo.tors - 1) }
-      in
+      let z', _ = Peel_check.Check_topology.corrupt `Topo002 z in
       Alcotest.(check bool) "clean" false
         (has_error (Peel_check.Check_topology.check_invariants z) "TOPO002");
       Alcotest.(check bool) "caught" true
@@ -282,28 +280,11 @@ let test_topo003_tree_corruption () =
   let tree = Option.get (Layer_peel.peel_general g ~source ~dests) in
   let clean = Peel_check.Check_topology.check_general_tree g tree ~source ~dests in
   Alcotest.(check (list string)) "clean tree" [] (codes (Peel_check.Diagnostic.errors clean));
-  (* Attach an out-of-tree node through a non-descending up link: valid
-     by every TREE check, caught only by TOPO003. *)
-  let dist = Graph.bfs_dist g source in
-  let binding = ref None in
-  Array.iter
-    (fun (l : Graph.link) ->
-      if
-        !binding = None && l.Graph.up && Tree.mem tree l.Graph.src
-        && (not (Tree.mem tree l.Graph.dst))
-        && dist.(l.Graph.dst) <> Graph.unreachable
-        && dist.(l.Graph.src) >= dist.(l.Graph.dst)
-      then binding := Some (l.Graph.dst, (l.Graph.src, l.Graph.link_id)))
-    (Graph.links g);
-  match !binding with
-  | None -> Alcotest.fail "no non-descending attachment candidate (bad seed?)"
-  | Some b ->
-      let parents =
-        b :: List.map (fun (p, c, lid) -> (c, (p, lid))) (Tree.edges tree)
-      in
-      let bad = Tree.of_parents g ~root:source ~parents in
-      let ds = Peel_check.Check_topology.check_general_tree g bad ~source ~dests in
-      Alcotest.(check bool) "caught" true (has_error ds "TOPO003")
+  (* The seeded tree gains a node through a non-descending up link:
+     valid by every TREE check, caught only by TOPO003. *)
+  let _, seeded = Peel_check.Check_topology.corrupt `Topo003 z in
+  Alcotest.(check (list string)) "caught by TOPO003 alone" [ "TOPO003" ]
+    (codes (Peel_check.Diagnostic.errors (seeded ~source ~dests)))
 
 let test_topo004_ratio_bounds () =
   let module CT = Peel_check.Check_topology in
@@ -322,8 +303,8 @@ let test_check_scenario_runs_topo_battery () =
   Alcotest.(check (list string)) "no errors on a clean zoo scenario" []
     (codes (Peel_check.Diagnostic.errors ds));
   (* Corrupt the layering: the same battery must now fail with TOPO001. *)
-  z.Zoo.layer_of.(z.Zoo.tors.(0)) <- 0;
-  let ds = Peel_check.check_scenario f ~source ~dests in
+  let z, _ = Peel_check.Check_topology.corrupt `Topo001 z in
+  let ds = Peel_check.check_scenario (Fabric.of_zoo z) ~source ~dests in
   Alcotest.(check bool) "TOPO001 surfaces through check_scenario" true
     (has_error ds "TOPO001")
 
