@@ -242,8 +242,8 @@ let micro_tests () =
               let left = splice ~prev:built ~dests:rest (Remove member) in
               ignore (splice ~prev:left ~dests:ls_dests (Add member))
             done)));
-    (* Serve-churn's memo traffic, where the plan and bound memos
-       answer about one lookup in seven: each run makes 1,000 lookups
+    (* Serve-churn's memo traffic, where the plan memo answers about
+       one lookup in seven: each run makes 1,000 lookups
        from a fresh memo over (source, member set) keys of the group
        above.  Lookup j with j mod 7 = 6 repeats an earlier key from a
        separately built set; every other lookup is a fresh subset of

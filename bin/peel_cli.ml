@@ -975,7 +975,6 @@ let serve =
               s.Service.cache_misses ];
           memo_row "tree memo" s.Service.tree_memo;
           memo_row "plan memo" s.Service.plan_memo;
-          memo_row "bound memo" s.Service.bound_memo;
           [ "minor / promoted words per event";
             Printf.sprintf "%.1f / %.1f" minor_words promoted_words ];
           [ "events/sec"; Printf.sprintf "%.0f" s.Service.events_per_sec ];
@@ -1007,7 +1006,6 @@ let serve =
         ("cache_misses", Json.int s.Service.cache_misses);
         ("tree_memo", memo_json s.Service.tree_memo);
         ("plan_memo", memo_json s.Service.plan_memo);
-        ("bound_memo", memo_json s.Service.bound_memo);
         ("minor_words_per_event", Json.num minor_words);
         ("promoted_words_per_event", Json.num promoted_words);
         ("events_per_sec", Json.num s.Service.events_per_sec);

@@ -50,8 +50,8 @@ let check_ratio ~cost ~opt ~far ~ndests =
         cost opt;
     ]
   else begin
-    let factor = max 1 (min far ndests) in
-    let bound = factor * max 1 opt in
+    let factor = Check_tree.envelope ~far ~ndests ~opt:1 in
+    let bound = Check_tree.envelope ~far ~ndests ~opt in
     if cost > bound then
       [
         D.errorf ~code:"TOPO004" ~loc:"oracle"

@@ -8,8 +8,11 @@
     - [TREE004] the tree is not a tree: a member is unreachable from
       the root or reached twice over child edges
     - [TREE005] tree cost exceeds the Theorem 2.5 envelope
-      [min(F, |D|) * OPT_sym], where [F] is the farthest hop layer and
-      [OPT_sym] the symmetric-Clos lower bound (Lemma 2.1)
+      [min(F, |D|) * max(OPT_sym, F)] ({!envelope}), [F] the farthest
+      hop layer on the graph as it stands and [OPT_sym] the Lemma 2.1
+      optimum of the failure-free fabric.  An error when every link is
+      up, where that is OPT; a warning when one is down, where it only
+      bounds OPT below and the tree may still be optimal
     - [TREE006] a replanned tree rewired a surviving binding: a member
       of the previous tree still connected to the root over up links
       was kept but given a different parent edge (or none) — the
@@ -25,9 +28,9 @@ val check :
   dests:int list ->
   Diagnostic.t list
 (** Structural checks against the graph; when [fabric] is supplied the
-    Theorem 2.5 cost bound is also checked, against the symmetric lower
-    bound of the failure-free fabric ({!symmetric_lower_bound}).  Reads
-    link state and never writes it. *)
+    Theorem 2.5 cost bound is also checked ([TREE005]), against
+    max({!symmetric_lower_bound}, F).  Reads link state and never
+    writes it. *)
 
 val check_splice :
   ?fabric:Fabric.t ->
@@ -53,3 +56,9 @@ val symmetric_lower_bound :
     [Some]/[None]: it checks each binding against the fabric's links
     whether up or down, so it reads no link state and writes none, and
     a call costs O(|D| log |D|) in the group, not the fabric. *)
+
+val envelope : far:int -> ndests:int -> opt:int -> int
+(** Theorem 2.5's cost envelope [max 1 (min far ndests) * max 1 opt]
+    for the farthest hop layer [far], [ndests] destinations and the
+    optimum [opt]; [envelope ~opt:1] is the factor alone.  TREE005,
+    TOPO004 and the service's splice gate all bound through it. *)

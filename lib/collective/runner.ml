@@ -14,6 +14,7 @@ type outcome = {
 let run_custom ?(chunks = 8) ?(cc = Broadcast.No_cc) ?(controller_seed = 1234)
     ?(controller = true) ?loss ?(ecmp = true) ?(trace = Trace.null) ?faults
     ?on_fault fabric ~launch collectives =
+  if chunks < 1 then invalid_arg "Runner.run_custom: chunks must be >= 1";
   let engine = Engine.create ~trace () in
   let links = Link_state.create ~trace (Fabric.graph fabric) in
   let paths = Paths.create ~ecmp fabric in

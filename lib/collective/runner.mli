@@ -99,7 +99,9 @@ val run_custom :
     {!Broadcast.launch} fixes every scheme's routes at launch and stalls
     a chunk on a dead hop until the pair recovers, so it rides out a
     transient outage but never completes across a permanent failure on
-    its routes; use {!Failover.run} to reroute. *)
+    its routes; use {!Failover.run} to reroute.  Every launcher passes
+    through here, so this is where [chunks] is checked: raises
+    [Invalid_argument] if [chunks < 1], before any event. *)
 
 val summarize : outcome -> Peel_util.Stats.summary
 (** Mean/p99 CCT summary of an outcome. *)

@@ -7,6 +7,7 @@ module Plan = Peel.Plan
 module Compile = Peel_compile.Compile
 module Bitset = Peel_util.Bits.Bitset
 module Trace = Peel_sim.Trace
+module Check_tree = Peel_check.Check_tree
 module G = Group_table
 
 type admission = Evict | Deny
@@ -47,8 +48,6 @@ let default_config =
 
 type stage = Group_table.stage = Pending | Installed | Fallback
 
-let stage_to_string = Group_table.stage_to_string
-
 type memo_counts = { hits : int; misses : int; entries : int }
 
 type slo = {
@@ -76,7 +75,6 @@ type slo = {
   cache_misses : int;
   tree_memo : memo_counts;
   plan_memo : memo_counts;
-  bound_memo : memo_counts;
   groups_live : int;
   plan_p50_s : float;
   plan_p99_s : float;
@@ -158,10 +156,6 @@ type state = {
   trees : (Tree.t * int list) Memo.t;
   (* what [flush] consumes of a prefix plan: its rule footprint *)
   plans : Compile.footprint Memo.t;
-  (* the symmetric Theorem 2.5 lower bound, [-1] for none: it costs
-     the failure-free fabric, so a hit is exactly the value a fresh
-     computation would produce *)
-  bounds : int Memo.t;
   (* pending-install queue: an append-only gid buffer.  Departure just
      tombstones (clears the group's in_pending flag, O(1)); the queue
      compacts when tombstones dominate and drains wholesale at flush. *)
@@ -302,24 +296,6 @@ let rec farthest_in dist far = function
       else farthest_in dist (max far dist.(d)) rest
 
 let farthest st ~source ~dests = farthest_in (dist_of st source) 0 dests
-
-(* The symmetric Theorem 2.5 lower bound, or [-1] when there is none,
-   memoized by (source, member set).  [symmetric_lower_bound] costs the
-   failure-free fabric and reads no link state, so it is pure in
-   (source, dests) and a memo hit equals recomputing (the SVC005
-   contract). *)
-let lower_bound st ~source ~members_bs ~dests =
-  let i = if st.cfg.use_cache then Memo.find st.bounds ~source members_bs else -1 in
-  if i >= 0 then Memo.get st.bounds i
-  else begin
-    let opt =
-      match Peel_check.Check_tree.symmetric_lower_bound st.fabric ~source ~dests with
-      | Some opt -> opt
-      | None -> -1
-    in
-    if st.cfg.use_cache then Memo.add st.bounds ~source members_bs opt;
-    opt
-  end
 
 (* ---------------- pending queue ---------------- *)
 
@@ -526,16 +502,17 @@ let replan st slot ~delta =
         full ()
     | Some t -> (
         let ok_shape = Result.is_ok (Tree.validate st.graph t ~dests) in
+        (* TREE005's bound: the lower bound reads no link state, and
+           the service fails none, so max(OPT_sym, F) is OPT_sym. *)
         let ok_bound =
-          let opt =
-            lower_bound st ~source
-              ~members_bs:(G.members_bitset st.groups slot)
-              ~dests
-          in
-          opt < 0
-          ||
-          let far = farthest st ~source ~dests in
-          far >= 0 && Tree.cost t <= max 1 (min far (List.length dests)) * max 1 opt
+          match Check_tree.symmetric_lower_bound st.fabric ~source ~dests with
+          | None -> true
+          | Some opt ->
+              let far = farthest st ~source ~dests in
+              far >= 0
+              && Tree.cost t
+                 <= Check_tree.envelope ~far ~ndests:(List.length dests)
+                      ~opt:(max opt far)
         in
         if ok_shape && ok_bound then begin
           st.delta_repeels <- st.delta_repeels + 1;
@@ -730,16 +707,6 @@ let percentile a p =
   | 0 -> 0.0
   | n -> select a (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1))
 
-(* Shard switches for the TCAM: by pod where the fabric has pods, by
-   the node's index within its kind otherwise (leaf-spine spines and
-   zoo cores carry pod = -1).  Pure storage partitioning: results are
-   identical to a single shard. *)
-let tcam_shards = 8
-
-let tcam_shard_of graph sw =
-  let nd = Graph.node graph sw in
-  (if nd.Graph.pod >= 0 then nd.Graph.pod else nd.Graph.idx) mod tcam_shards
-
 let run_body cfg trace fabric ~events stream =
   let graph = Fabric.graph fabric in
   let memo () = Memo.create ~capacity:cfg.cache_capacity ~width:(Graph.num_nodes graph) () in
@@ -750,9 +717,7 @@ let run_body cfg trace fabric ~events stream =
       graph;
       tcam =
         (if cfg.capacity > 0 then
-           Some
-             (Tcam.create_sharded ~capacity:cfg.capacity ~policy:cfg.policy
-                ~shards:tcam_shards ~shard_of:(tcam_shard_of graph))
+           Some (Tcam.create ~capacity:cfg.capacity ~policy:cfg.policy)
          else None);
       groups = G.create ~width:(Graph.num_nodes graph) ();
       departed = Hashtbl.create 64;
@@ -760,7 +725,6 @@ let run_body cfg trace fabric ~events stream =
       dists = Hashtbl.create 64;
       trees = memo ();
       plans = memo ();
-      bounds = memo ();
       pq = Array.make 64 0;
       pq_len = 0;
       pq_tomb = 0;
@@ -811,10 +775,8 @@ let run_body cfg trace fabric ~events stream =
        evictions st.denials st.batches st.compiled_entries st.multicast_chunks
        st.unicast_chunks st.multicast_link_bytes st.unicast_link_bytes);
   let lat = Array.sub st.plan_lat 0 st.plan_n in
-  let cache_hits = Memo.hits st.trees + Memo.hits st.plans + Memo.hits st.bounds in
-  let cache_misses =
-    Memo.misses st.trees + Memo.misses st.plans + Memo.misses st.bounds
-  in
+  let cache_hits = Memo.hits st.trees + Memo.hits st.plans in
+  let cache_misses = Memo.misses st.trees + Memo.misses st.plans in
   Trace.plan_cache trace ~hits:cache_hits ~misses:cache_misses;
   let counts m = { hits = Memo.hits m; misses = Memo.misses m; entries = Memo.length m } in
   let slo =
@@ -843,7 +805,6 @@ let run_body cfg trace fabric ~events stream =
       cache_misses;
       tree_memo = counts st.trees;
       plan_memo = counts st.plans;
-      bound_memo = counts st.bounds;
       groups_live = G.live st.groups;
       plan_p50_s = percentile lat 0.50;
       plan_p99_s = percentile lat 0.99;

@@ -25,13 +25,13 @@
 
     The million-group fast path: group state lives in the SoA
     {!Group_table}, with member bitsets and reused slots, and every
-    holder names a group by gid; the TCAM stores its switches in
-    per-pod shards ({!tcam_shard_of}); and full peels, prefix plans'
-    rule footprints and Theorem 2.5 lower bounds are memoized by
+    holder names a group by gid; the TCAM is one {!Tcam} table; and
+    full peels and prefix plans' rule footprints are memoized by
     (source, member set) — identical groups, the common case in the
-    multi-tenant Poisson mix, skip [Layer_peel] and
-    [Plan.build] entirely.  A memo hit returns a value identical to
-    recomputing, so cache-on and cache-off runs produce the same
+    multi-tenant Poisson mix, skip [Layer_peel] and [Plan.build]
+    entirely.  The splice gate recomputes its Theorem 2.5 lower bound
+    per delta, at O(|D| log |D|).  A memo hit returns a value identical
+    to recomputing, so cache-on and cache-off runs produce the same
     decision log; the differential oracle for all of this is
     {!Service_ref}, the PR 8 implementation kept verbatim.  Everything
     runs on the calling domain.
@@ -66,13 +66,12 @@ type config = {
                              batch is not full, seconds of stream time *)
   budget : int option;   (** prefix budget for the compiled static plans *)
   salt : int option;     (** {!Peel_steiner.Layer_peel.build} tie salt *)
-  use_cache : bool;      (** memoize by (source, member set), in three
+  use_cache : bool;      (** memoize by (source, member set), in two
                              {!Peel_steiner.Memo}s: full peels (the tree
-                             and its entry switches), prefix plans'
+                             and its entry switches) and prefix plans'
                              rule footprints ({!Peel_compile.Compile.footprint},
-                             not the plans) and symmetric Theorem 2.5
-                             lower bounds (one int); behaviour-neutral,
-                             disable to measure the cold path *)
+                             not the plans); behaviour-neutral, disable
+                             to measure the cold path *)
   cache_capacity : int;  (** entries per memo before insertions are
                              deterministically skipped (>= 1) *)
   gc_space_overhead : int option;
@@ -93,8 +92,6 @@ val default_config : config
     multicast), or displaced/denied ([Fallback], unicast).  The
     definition lives in {!Group_table}; re-exported for callers. *)
 type stage = Group_table.stage = Pending | Installed | Fallback
-
-val stage_to_string : stage -> string
 
 (** One planning memo's traffic over a run; all zero with [use_cache]
     off. *)
@@ -127,13 +124,12 @@ type slo = {
   unicast_link_bytes : float;    (** link bytes of the unicast sends *)
   max_backlog : int;       (** deepest install backlog at any flush *)
   final_backlog : int;     (** backlog depth when the stream stopped *)
-  cache_hits : int;        (** tree + plan + cost-bound memo hits (0 with
-                               caching off) *)
-  cache_misses : int;      (** tree + plan + cost-bound memo misses *)
+  cache_hits : int;        (** tree + plan memo hits (0 with caching
+                               off) *)
+  cache_misses : int;      (** tree + plan memo misses *)
   tree_memo : memo_counts;   (** full peels: the tree and its entry
                                  switches *)
   plan_memo : memo_counts;   (** prefix plans' rule footprints *)
-  bound_memo : memo_counts;  (** symmetric Theorem 2.5 lower bounds *)
   groups_live : int;       (** groups alive when the stream stopped *)
   plan_p50_s : float;      (** median planning latency (wall seconds) *)
   plan_p99_s : float;
@@ -170,15 +166,11 @@ val run :
 (** Consume [events] events from the stream and return the quiescent
     state (the backlog is flushed after the final event; its depth at
     stop time is recorded first).  The run uses the calling domain
-    only; [jobs] is checked to be at least 1 and has no other effect.
+    only; [jobs] is checked to be at least 1 and has no other effect
+    (it stays while the benchmark passes it: ROADMAP item 19).
     The outcome is bit-identical for either [use_cache] setting.
     [trace] (default {!Peel_sim.Trace.null}) receives the planning-
     cache hit/miss counters.  Raises [Invalid_argument] on a negative
     [events], a [jobs] below 1, a non-positive [batch], a negative
     [install_delay], a non-positive [cache_capacity] or a [budget] of
     [Some b] with [b < 1], before the first event. *)
-
-val tcam_shard_of : Graph.t -> int -> int
-(** [tcam_shard_of g sw] is switch [sw]'s shard in the service's
-    8-shard TCAM: its pod where it has one, else its index within its
-    kind (leaf-spine spines and zoo cores carry pod [-1]), modulo 8. *)

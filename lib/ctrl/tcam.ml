@@ -28,31 +28,25 @@ type table = {
   mutable hsize : int;
 }
 
-(* A shard owns a disjoint set of switches: their tables, reverse
-   index and counters.  The aggregate counters are sums (and a max for
-   the high-water mark) over shards, so every answer is the one a
-   single-shard table gives.  [create] is the one-shard case. *)
-type shard = {
+type t = {
+  capacity : int;
+  policy : policy;
   tables : (int, table) Hashtbl.t;
-  (* group -> switches holding its entry, within this shard: makes
-     [remove_group] O(entries of the group) instead of a scan over
-     every switch table in the fleet.  A group touches at most a
-     handful of switches, so a plain list beats a per-group table. *)
+  (* group -> switches holding its entry: makes [remove_group]
+     O(entries of the group) instead of a scan over every switch table
+     in the fleet.  A group touches at most a handful of switches, so a
+     plain list beats a per-group table. *)
   rev : (int, int list) Hashtbl.t;
   mutable installs : int;
   mutable evictions : int;
   mutable max_used : int;
 }
 
-type t = {
-  capacity : int;
-  policy : policy;
-  shards : shard array;
-  shard_of : int -> int;
-}
-
-let new_shard () =
+let create ~capacity ~policy =
+  if capacity < 1 then invalid_arg "Tcam.create: capacity must be >= 1";
   {
+    capacity;
+    policy;
     tables = Hashtbl.create 16;
     rev = Hashtbl.create 64;
     installs = 0;
@@ -60,39 +54,17 @@ let new_shard () =
     max_used = 0;
   }
 
-let create_sharded ~capacity ~policy ~shards ~shard_of =
-  if capacity < 1 then invalid_arg "Tcam.create: capacity must be >= 1";
+let create_sharded ~capacity ~policy ~shards ~shard_of:_ =
   if shards < 1 then invalid_arg "Tcam.create_sharded: shards must be >= 1";
-  {
-    capacity;
-    policy;
-    shards = Array.init shards (fun _ -> new_shard ());
-    shard_of;
-  }
-
-let create ~capacity ~policy =
-  create_sharded ~capacity ~policy ~shards:1 ~shard_of:(fun _ -> 0)
+  create ~capacity ~policy
 
 let capacity t = t.capacity
-let policy t = t.policy
+let installs t = t.installs
+let evictions t = t.evictions
+let max_used t = t.max_used
 
-let installs t =
-  Array.fold_left (fun acc s -> acc + s.installs) 0 t.shards
-
-let evictions t =
-  Array.fold_left (fun acc s -> acc + s.evictions) 0 t.shards
-
-let max_used t =
-  Array.fold_left (fun acc s -> max acc s.max_used) 0 t.shards
-
-let shard t switch =
-  let i = t.shard_of switch in
-  if i < 0 || i >= Array.length t.shards then
-    invalid_arg "Tcam: shard_of out of range";
-  t.shards.(i)
-
-let table sh switch =
-  match Hashtbl.find_opt sh.tables switch with
+let table t switch =
+  match Hashtbl.find_opt t.tables switch with
   | Some tbl -> tbl
   | None ->
       let tbl =
@@ -103,7 +75,7 @@ let table sh switch =
           hsize = 0;
         }
       in
-      Hashtbl.add sh.tables switch tbl;
+      Hashtbl.add t.tables switch tbl;
       tbl
 
 (* ---------------- victim heap ---------------- *)
@@ -186,74 +158,72 @@ let reposition t tbl e =
 
 (* ---------------- reverse index ---------------- *)
 
-let rev_add sh ~group ~switch =
-  let sws = Option.value (Hashtbl.find_opt sh.rev group) ~default:[] in
-  if not (List.mem switch sws) then Hashtbl.replace sh.rev group (switch :: sws)
+let rev_add t ~group ~switch =
+  let sws = Option.value (Hashtbl.find_opt t.rev group) ~default:[] in
+  if not (List.mem switch sws) then Hashtbl.replace t.rev group (switch :: sws)
 
-let rev_remove sh ~group ~switch =
-  match Hashtbl.find_opt sh.rev group with
+let rev_remove t ~group ~switch =
+  match Hashtbl.find_opt t.rev group with
   | None -> ()
   | Some sws -> (
       match List.filter (fun sw -> sw <> switch) sws with
-      | [] -> Hashtbl.remove sh.rev group
-      | sws' -> Hashtbl.replace sh.rev group sws')
+      | [] -> Hashtbl.remove t.rev group
+      | sws' -> Hashtbl.replace t.rev group sws')
 
 (* ---------------- point operations ---------------- *)
 
 let used t ~switch =
-  match Hashtbl.find_opt (shard t switch).tables switch with
+  match Hashtbl.find_opt t.tables switch with
   | Some tbl -> Hashtbl.length tbl.entries
   | None -> 0
 
 let holds t ~switch ~group =
-  match Hashtbl.find_opt (shard t switch).tables switch with
+  match Hashtbl.find_opt t.tables switch with
   | Some tbl -> Hashtbl.mem tbl.entries group
   | None -> false
 
-let drop_entry sh tbl ~switch ~group =
+let drop_entry t tbl ~switch ~group =
   let e = entry_of tbl group in
   heap_delete tbl e.pos;
   Hashtbl.remove tbl.entries group;
-  rev_remove sh ~group ~switch
+  rev_remove t ~group ~switch
 
-let add_entry t sh tbl ~now ~switch ~group =
+let add_entry t tbl ~now ~switch ~group =
   let e = { last_used = now; bytes = 0.0; pos = -1 } in
   Hashtbl.replace tbl.entries group e;
   heap_push t tbl group;
-  rev_add sh ~group ~switch;
-  sh.installs <- sh.installs + 1;
+  rev_add t ~group ~switch;
+  t.installs <- t.installs + 1;
   let u = Hashtbl.length tbl.entries in
-  if u > sh.max_used then sh.max_used <- u
+  if u > t.max_used then t.max_used <- u
 
 let install t ~now ~switch ~group =
-  let sh = shard t switch in
-  let tbl = table sh switch in
+  let tbl = table t switch in
   if Hashtbl.mem tbl.entries group then []
   else begin
     let victims = ref [] in
     while Hashtbl.length tbl.entries >= t.capacity do
       assert (tbl.hsize > 0);
       let g = tbl.heap.(0) in
-      drop_entry sh tbl ~switch ~group:g;
-      sh.evictions <- sh.evictions + 1;
+      drop_entry t tbl ~switch ~group:g;
+      t.evictions <- t.evictions + 1;
       victims := g :: !victims
     done;
-    add_entry t sh tbl ~now ~switch ~group;
+    add_entry t tbl ~now ~switch ~group;
     List.rev !victims
   end
 
 let install_strict t ~now ~switch ~group =
-  let sh = shard t switch in
-  let tbl = table sh switch in
+  let tbl = table t switch in
   if Hashtbl.mem tbl.entries group then true
   else if Hashtbl.length tbl.entries >= t.capacity then false
   else begin
-    add_entry t sh tbl ~now ~switch ~group;
+    add_entry t tbl ~now ~switch ~group;
     true
   end
 
 let touch t ~now ~switch ~group ~bytes =
-  match Hashtbl.find_opt (shard t switch).tables switch with
+  match Hashtbl.find_opt t.tables switch with
   | None -> ()
   | Some tbl -> (
       match Hashtbl.find_opt tbl.entries group with
@@ -265,45 +235,35 @@ let touch t ~now ~switch ~group ~bytes =
           reposition t tbl e)
 
 let remove_at t ~switch ~group =
-  let sh = shard t switch in
-  match Hashtbl.find_opt sh.tables switch with
+  match Hashtbl.find_opt t.tables switch with
   | None -> false
   | Some tbl ->
       if Hashtbl.mem tbl.entries group then begin
-        drop_entry sh tbl ~switch ~group;
+        drop_entry t tbl ~switch ~group;
         true
       end
       else false
 
 let remove_group t ~group =
-  let n = ref 0 in
-  Array.iter
-    (fun sh ->
-      match Hashtbl.find_opt sh.rev group with
-      | None -> ()
-      | Some switches ->
-          List.iter
-            (fun sw ->
-              let tbl = Hashtbl.find sh.tables sw in
-              let e = entry_of tbl group in
-              heap_delete tbl e.pos;
-              Hashtbl.remove tbl.entries group;
-              incr n)
-            switches;
-          Hashtbl.remove sh.rev group)
-    t.shards;
-  !n
+  match Hashtbl.find_opt t.rev group with
+  | None -> 0
+  | Some switches ->
+      List.iter
+        (fun sw ->
+          let tbl = Hashtbl.find t.tables sw in
+          let e = entry_of tbl group in
+          heap_delete tbl e.pos;
+          Hashtbl.remove tbl.entries group)
+        switches;
+      Hashtbl.remove t.rev group;
+      List.length switches
 
 let occupancy t =
-  Array.to_list t.shards
-  |> List.concat_map (fun sh ->
-         Hashtbl.fold
-           (fun sw tbl l -> (sw, Hashtbl.length tbl.entries) :: l)
-           sh.tables [])
+  Hashtbl.fold (fun sw tbl l -> (sw, Hashtbl.length tbl.entries) :: l) t.tables []
   |> List.sort compare
 
 let groups_at t ~switch =
-  match Hashtbl.find_opt (shard t switch).tables switch with
+  match Hashtbl.find_opt t.tables switch with
   | None -> []
   | Some tbl ->
       Hashtbl.fold (fun g _ l -> g :: l) tbl.entries [] |> List.sort compare

@@ -16,12 +16,9 @@
     eviction means for the victim group — here it is pure table
     bookkeeping.
 
-    Tables can be split into shards (disjoint switch sets, chosen by a
-    caller-supplied [shard_of]).  Sharding is storage partitioning
-    only: every operation routes through the owning shard on the
-    calling domain, and the aggregate counters are sums over shards
-    (a max for the high-water mark), so a sharded table returns
-    exactly what a single-shard table returns. *)
+    One table holds every switch: a per-switch entry map and victim
+    heap, a group-to-switches index for {!remove_group}, and three
+    counters. *)
 
 (** Eviction-victim selection (see the module header for the rules). *)
 type policy = Lru | Bytes_weighted
@@ -36,21 +33,18 @@ type t
 (** The mutable table state across every switch. *)
 
 val create : capacity:int -> policy:policy -> t
-(** Single-shard table.  Raises [Invalid_argument] if [capacity < 1]. *)
+(** An empty table.  Raises [Invalid_argument] if [capacity < 1]. *)
 
 val create_sharded :
   capacity:int -> policy:policy -> shards:int -> shard_of:(int -> int) -> t
-(** [create_sharded ~shards ~shard_of] partitions switch ownership:
-    switch [sw] belongs to shard [shard_of sw], which must land in
-    [0, shards).  [shard_of] must be pure — it is consulted on every
-    operation.  Sharding is storage partitioning only; results of every
-    operation are identical to the single-shard table. *)
+(** [create ~capacity ~policy] after checking [shards >= 1] (raises
+    [Invalid_argument] otherwise); [shard_of] is ignored.  This shim
+    stays only because the benchmark's [ctrl.tcam.install_ns] probe
+    calls it, and goes with the next change to the benchmark (ROADMAP
+    item 19). *)
 
 val capacity : t -> int
 (** The per-switch entry budget. *)
-
-val policy : t -> policy
-(** The eviction policy. *)
 
 val install : t -> now:float -> switch:int -> group:int -> int list
 (** Install [group]'s entry at [switch], evicting victims as needed.
@@ -101,5 +95,4 @@ val evictions : t -> int
 (** Total victims displaced by {!install}. *)
 
 val max_used : t -> int
-(** High-water occupancy across all switches — the CTRL002 witness.
-    With shards, the max over per-shard high-water marks. *)
+(** High-water occupancy across all switches — the CTRL002 witness. *)

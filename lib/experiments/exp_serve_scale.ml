@@ -16,7 +16,6 @@ type row = {
   compiled_entries : int;
   max_backlog : int;
   fingerprint : string;
-  fingerprint_jobs4 : string;
   fingerprint_nocache : string;
 }
 
@@ -59,23 +58,21 @@ let events_for mode =
 
 let stream () = Stream.create (fabric ()) (Rng.create seed) ~tenants:(tenants ()) ()
 
-let serve ?(use_cache = true) ~jobs events =
+let serve ?(use_cache = true) events =
   let cfg = { Service.default_config with Service.capacity; use_cache } in
-  Service.run ~cfg ~jobs (fabric ()) ~events (stream ())
+  Service.run ~cfg (fabric ()) ~events (stream ())
 
-(* One scale cell: the jobs=1 cached run carries the SLO numbers; a
-   jobs=4 replay and a cache-off replay witness the SVC005 and
-   cache-neutrality contracts (all three fingerprints are guarded
-   columns, so drift in any replay fails the bench guard). *)
+(* One scale cell: the cached run carries the SLO numbers; a cache-off
+   replay witnesses cache neutrality (both fingerprints are guarded
+   columns, so drift in either run fails the bench guard). *)
 let run_cell events =
-  let out = serve ~jobs:1 events in
+  let out = serve events in
   (* Live words after a full collection while [out] still holds the
      service state: the cell's own footprint, unlike the process-wide
      [top_heap_words], which keeps whatever peaked earlier. *)
   Gc.full_major ();
   let heap_mw = float_of_int (Gc.stat ()).Gc.live_words /. 1e6 in
-  let out4 = serve ~jobs:4 events in
-  let outnc = serve ~use_cache:false ~jobs:1 events in
+  let outnc = serve ~use_cache:false events in
   let s = out.Service.o_slo in
   let row =
     {
@@ -90,7 +87,6 @@ let run_cell events =
       compiled_entries = s.Service.compiled_entries;
       max_backlog = s.Service.max_backlog;
       fingerprint = out.Service.o_fingerprint;
-      fingerprint_jobs4 = out4.Service.o_fingerprint;
       fingerprint_nocache = outnc.Service.o_fingerprint;
     }
   in
@@ -169,7 +165,6 @@ let rows_json mode =
              ("compiled_entries", Json.int r.compiled_entries);
              ("max_backlog", Json.int r.max_backlog);
              ("fingerprint", Json.str r.fingerprint);
-             ("fingerprint_jobs4", Json.str r.fingerprint_jobs4);
              ("fingerprint_nocache", Json.str r.fingerprint_nocache);
            ])
        (rows mode))
@@ -196,8 +191,8 @@ let run mode =
   Common.note
     "32-endpoint leaf-spine; two long-hold Poisson tenants ramp the live \
      population past 10^6 groups; slot-table group store + (source, \
-     member-set) peel/plan/bound memos vs the PR 8 reference \
-     implementation on the byte-identical stream";
+     member-set) peel/plan memos vs the PR 8 reference implementation \
+     on the byte-identical stream";
   let rs = rows mode in
   Peel_util.Table.print
     ~header:
@@ -219,8 +214,6 @@ let run mode =
        rs);
   List.iter
     (fun r ->
-      if r.fingerprint_jobs4 <> r.fingerprint then
-        Common.note "WARNING: jobs=4 replay fingerprint diverged (SVC005)";
       if r.fingerprint_nocache <> r.fingerprint then
         Common.note "WARNING: cache-off replay fingerprint diverged")
     rs;

@@ -1,12 +1,12 @@
 (** E22 (ext): the million-group service fast path —
-    {!Peel_ctrl.Service} (slot-table group store, per-shard TCAM
-    views, (source, member-set) peel/plan/bound memoization) driven
-    past 10^6 concurrent groups by two long-hold Poisson tenants, and
-    raced against the PR 8 reference implementation
+    {!Peel_ctrl.Service} (slot-table group store, one TCAM table,
+    (source, member-set) peel/plan memoization) driven past 10^6
+    concurrent groups by two long-hold Poisson tenants, and raced
+    against the PR 8 reference implementation
     ({!Peel_ctrl.Service_ref}) on the byte-identical event stream.
 
-    The counter rows — including the jobs=1, jobs=4 and cache-off
-    replay fingerprints — are deterministic for the fixed seed and
+    The counter rows — including the cached and cache-off replay
+    fingerprints — are deterministic for the fixed seed and
     guarded in BENCH.json; the wall-clock rows (events/sec for both
     implementations, speedup, live heap) are reported but unguarded.
     The reference runs only for the SLO rows, never under the bench
@@ -23,8 +23,7 @@ type row = {
   batches : int;
   compiled_entries : int;
   max_backlog : int;
-  fingerprint : string;          (** jobs=1, caches on *)
-  fingerprint_jobs4 : string;    (** must equal [fingerprint] (SVC005) *)
+  fingerprint : string;          (** caches on *)
   fingerprint_nocache : string;  (** must equal [fingerprint] *)
 }
 

@@ -94,10 +94,10 @@ let all =
        jobs-invariant object. *)
     entry "E21" "zoo" "E21 (ext): topology zoo vs the exact-Steiner oracle" Exp_zoo.run
       ~sections:[ section ~guarded:true "zoo" Exp_zoo.rows_json ];
-    (* The rows pin the slot-table service's counters and all three
-       replay fingerprints (jobs=1 / jobs=4 / cache-off) at the
-       10^6-group cell; the wall-clock "serve_scale_slo" section, where
-       the reference baseline runs, is not guarded. *)
+    (* The rows pin the slot-table service's counters and both replay
+       fingerprints (cached / cache-off) at the 10^6-group cell; the
+       wall-clock "serve_scale_slo" section, where the reference
+       baseline runs, is not guarded. *)
     entry "E22" "serve-scale" "E22: million-group service fast path" Exp_serve_scale.run
       ~sections:
         [

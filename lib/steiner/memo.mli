@@ -1,10 +1,10 @@
 (** Bounded cache of planning results keyed by (source, member set).
 
-    The service control plane memoizes three things per key: the full
-    peel (tree and entry switches), the prefix plan's rule footprint
-    and the symmetric Theorem 2.5 lower bound.  The multi-tenant
-    Poisson mix creates many observationally identical groups, and a
-    hit skips [Layer_peel], [Plan.build] or the bound.  Per-source
+    The service control plane memoizes two things per key: the full
+    peel (tree and entry switches) and the prefix plan's rule
+    footprint.  The multi-tenant Poisson mix creates many
+    observationally identical groups, and a hit skips [Layer_peel] or
+    [Plan.build].  Per-source
     distance arrays are exact per-source data and live in the
     service, not here.
 

@@ -103,6 +103,7 @@ let mean_interarrival fabric ~scale ~bytes ~load =
   bytes *. float_of_int scale /. (load *. capacity)
 
 let poisson_broadcasts fabric rng ~n ~scale ~bytes ~load ?(fragmentation = 0.0) () =
+  if n < 1 then invalid_arg "Spec.poisson_broadcasts: n must be >= 1";
   let mean = mean_interarrival fabric ~scale ~bytes ~load in
   let rec go i t acc =
     if i >= n then List.rev acc
@@ -193,6 +194,7 @@ let next_group gen =
    interleaves the hold draw per group instead. *)
 let poisson_groups fabric rng ~n ~scale ~bytes ~load ~hold
     ?(fragmentation = 0.0) () =
+  if n < 1 then invalid_arg "Spec.poisson_groups: n must be >= 1";
   if hold <= 0.0 || not (Float.is_finite hold) then
     invalid_arg "Spec.poisson_groups: hold must be positive";
   poisson_broadcasts fabric rng ~n ~scale ~bytes ~load ~fragmentation ()

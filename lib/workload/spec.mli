@@ -50,7 +50,8 @@ val poisson_broadcasts :
   unit ->
   collective list
 (** [n] broadcasts with exponential interarrivals, fresh placement and
-    a uniformly random member as source for each. *)
+    a uniformly random member as source for each.  Raises
+    [Invalid_argument] if [n < 1]. *)
 
 (** {1 Group churn}
 
@@ -122,7 +123,8 @@ val poisson_groups :
     before any hold draw — the historical order, so same-seed batch
     workloads (E17, refine) are unchanged by the introduction of
     {!group_gen}, whose {!next_group} interleaves the hold draw per
-    group instead.  Raises [Invalid_argument] if [hold <= 0]. *)
+    group instead.  Raises [Invalid_argument] if [n < 1] or
+    [hold <= 0]. *)
 
 val collective_of_group : group -> collective
 (** Forget the lifetime (id, arrival, members and bytes carry over). *)

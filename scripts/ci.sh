@@ -6,13 +6,16 @@
 #   3. lint    — scripts/lint.sh (static invariant battery: @check-lint,
 #                @trace-smoke, @par-smoke, @failover-smoke, @ctrl-smoke,
 #                @compile-smoke, diagnostic-code suites)
-#   4. serve   — dune build @serve-smoke @serve-scale-smoke (the
+#   4. cli     — dune build @cli-sweep (every valued flag of every
+#                peel_cli subcommand at 0, -1 and nan must exit 0 or
+#                2, never with an internal error)
+#   5. serve   — dune build @serve-smoke @serve-scale-smoke (the
 #                open-loop service controller under the SVC lint
 #                battery and the same-seed replay contract, plus
 #                the million-group fast path at a 10^5-group cell)
-#   5. docs    — scripts/docs.sh (@doc build; when odoc is installed
+#   6. docs    — scripts/docs.sh (@doc build; when odoc is installed
 #                the rendering must be warning-free)
-#   6. bench   — scripts/bench_guard.sh (deterministic drift guard
+#   7. bench   — scripts/bench_guard.sh (deterministic drift guard
 #                against the committed BENCH.json)
 #
 # Each stage is timed; the script exits non-zero at the first failure.
@@ -32,6 +35,7 @@ stage() {
 stage build dune build
 stage test dune runtest
 stage lint sh scripts/lint.sh
+stage cli dune build @cli-sweep
 stage serve dune build @serve-smoke @serve-scale-smoke
 stage docs sh scripts/docs.sh
 stage bench sh scripts/bench_guard.sh

@@ -246,7 +246,15 @@ let test_corrupt_tree_cost_bound () =
         ]
   in
   let ds = Check_tree.check ~fabric g wasteful ~source ~dests:[ dest ] in
-  check_code "cost bound" "TREE005" ds
+  check_code "cost bound" "TREE005" ds;
+  (* With a link down the bound is only a lower bound on OPT, so the
+     same breach is a warning.  The failed link is off the tree. *)
+  (match Graph.link_between g s1 tor1 with
+  | Some lid -> Graph.fail_link g lid
+  | None -> Alcotest.fail "no spine-leaf link");
+  let ds = Check_tree.check ~fabric g wasteful ~source ~dests:[ dest ] in
+  Alcotest.(check bool) "link down: still TREE005" true (D.has_code "TREE005" ds);
+  Alcotest.(check bool) "link down: a warning only" false (D.has_errors ds)
 
 let test_corrupt_outcome () =
   let fabric = ls () in

@@ -359,13 +359,18 @@ let cli_exe () =
   List.find_opt Sys.file_exists
     [ "../bin/peel_cli.exe"; "_build/default/bin/peel_cli.exe" ]
 
-(* The exit status and stdout of one CLI run. *)
+(* The exit status, stdout and stderr of one CLI run. *)
 let cli_output exe args =
   let out = Filename.temp_file "peel_cli" ".txt" in
-  let status = Sys.command (Filename.quote_command exe args ~stdout:out) in
-  let text = In_channel.with_open_text out In_channel.input_all in
-  Sys.remove out;
-  (status, text)
+  let err = Filename.temp_file "peel_cli" ".err" in
+  let status = Sys.command (Filename.quote_command exe args ~stdout:out ~stderr:err) in
+  let read f =
+    let text = In_channel.with_open_text f In_channel.input_all in
+    Sys.remove f;
+    text
+  in
+  let text = read out in
+  (status, text, read err)
 
 (* peel_cli documents 0 = ok, 1 = diagnosed errors, 2 = usage error on
    every subcommand; drive the compile subcommand through all three. *)
@@ -410,14 +415,42 @@ let test_cli_exit_codes () =
         [ "zoo"; "--fail"; "nan" ];
         [ "zoo"; "--fail=-0.5" ];
         [ "serve"; "--events=-3" ];
-      ]
+      ];
+    (* A zero chunk or collective count is rejected where it enters,
+       in one stderr line that names it, not by the engine or by the
+       statistics of an empty sample. *)
+    List.iter
+      (fun (args, message) ->
+        let what = String.concat " " args in
+        let status, _, err = cli_output exe args in
+        Alcotest.(check int) (what ^ " exits 2") 2 status;
+        Alcotest.(check bool) (what ^ ": one stderr line naming the count") true
+          (List.length (String.split_on_char '\n' (String.trim err)) = 1
+          && contains err message))
+      [
+        ([ "failover"; "--chunks"; "0" ], ": chunks must be >= 1");
+        ([ "refine"; "--chunks"; "0" ], ": chunks must be >= 1");
+        ([ "refine"; "--chunks=-1" ], ": chunks must be >= 1");
+        ([ "simulate"; "-n"; "0" ], ": n must be >= 1");
+        ([ "trace"; "-n"; "0" ], ": n must be >= 1");
+        ([ "refine"; "-n"; "0" ], ": n must be >= 1");
+      ];
+    (* A one-destination shortest path on a failed fabric is within
+       Theorem 2.5 even where it detours past OPT_sym. *)
+    Alcotest.(check int) "failed-fabric shortest path exits 0" 0
+      (code
+         [
+           "check"; "--fabric"; "leaf-spine"; "--spines"; "4"; "--leaves"; "8";
+           "--hosts"; "1"; "--gpus"; "1"; "--scale"; "2"; "--failures"; "0.5";
+           "--seed"; "5";
+         ])
 
 (* The --help text renders cmdliner's markup instead of printing it. *)
 let test_cli_help_markup () =
   match cli_exe () with
   | None -> Alcotest.skip ()
   | Some exe ->
-      let status, text = cli_output exe [ "experiment"; "--help=plain" ] in
+      let status, text, _ = cli_output exe [ "experiment"; "--help=plain" ] in
       Alcotest.(check int) "help exits 0" 0 status;
       Alcotest.(check bool) "names PEEL_JOBS" true (contains text "PEEL_JOBS");
       Alcotest.(check bool) "no raw $(b, markup" false (contains text "$(b,")
@@ -489,7 +522,7 @@ let test_cli_corruption_codes () =
       in
       List.iter
         (fun (args, code) ->
-          let status, text =
+          let status, text, _ =
             cli_output exe (args @ [ "--corrupt"; String.lowercase_ascii code ])
           in
           Alcotest.(check int) (code ^ " exits 1") 1 status;
@@ -513,7 +546,7 @@ let test_cli_serve_json () =
   | None -> Alcotest.skip ()
   | Some exe ->
       let serve events =
-        let status, text =
+        let status, text, _ =
           cli_output exe [ "serve"; "--json"; "--events"; string_of_int events ]
         in
         Alcotest.(check int) "serve exits 0" 0 status;

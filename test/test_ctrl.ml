@@ -488,27 +488,27 @@ let service_tenants =
   ]
 
 let run_service ?(capacity = 64) ?(admission = Service.Evict) ?(events = 800)
-    ?(seed = 11) ?(jobs = 1) () =
+    ?(seed = 11) () =
   let fabric = ls48 () in
   let stream =
     Stream.create fabric (Rng.create seed) ~tenants:service_tenants ()
   in
   let cfg = { Service.default_config with Service.capacity; admission } in
-  Service.run ~cfg ~jobs fabric ~events stream
+  Service.run ~cfg fabric ~events stream
 
-let test_service_replay_across_pools () =
+let test_service_same_seed_replay () =
   (* The SVC005 contract: two runs of one stream log byte-identical
-     decisions, and [jobs] changes nothing. *)
-  let o1 = run_service ~jobs:1 () in
-  let o4 = run_service ~jobs:4 () in
+     decisions. *)
+  let o1 = run_service () in
+  let o2 = run_service () in
   Alcotest.(check string) "fingerprints agree" o1.Service.o_fingerprint
-    o4.Service.o_fingerprint;
+    o2.Service.o_fingerprint;
   Alcotest.(check (list string)) "replay lint clean" []
     (strings_of
        (Check_service.check_replay ~first:o1.Service.o_fingerprint
-          ~second:o4.Service.o_fingerprint));
+          ~second:o2.Service.o_fingerprint));
   Alcotest.(check (list string)) "state lint clean" []
-    (strings_of (Check_service.check_state o4))
+    (strings_of (Check_service.check_state o2))
 
 let test_service_delta_repeel_dominates () =
   (* The point of the tentpole: membership churn is absorbed by
@@ -587,7 +587,7 @@ let test_service_budget_below_one () =
   let cfg = { Service.default_config with Service.budget = Some 0 } in
   Alcotest.check_raises "budget 0"
     (Invalid_argument "Service.run: budget must be >= 1") (fun () ->
-      ignore (Service.run ~cfg ~jobs:1 fabric ~events:800 s));
+      ignore (Service.run ~cfg fabric ~events:800 s));
   Alcotest.(check int) "no event consumed" 0 (Stream.next s).Stream.ev_seq
 
 (* A negative event count and a [jobs] below 1 are rejected before the
@@ -888,75 +888,6 @@ let test_tcam_heap_matches_naive_scan () =
         (Tcam.used t ~switch:0))
     [ Tcam.Lru; Tcam.Bytes_weighted ]
 
-(* [create_sharded] is storage partitioning only.  Under the service's
-   8-shard map on a leaf-spine and on a fat-tree, a random mix of every
-   mutating operation gets the same return values from a sharded and a
-   single-shard table, and after each step the two agree on occupancy,
-   every switch's groups and the install, eviction and high-water
-   counters — under both eviction policies.  Ops land on two switches
-   per shard the map uses (all eight on the k=8 fat-tree), and the
-   capacities are small enough that installs evict. *)
-let prop_tcam_shards_match_single =
-  let fabrics =
-    [| ls48 (); Fabric.fat_tree ~k:8 ~hosts_per_tor:1 ~gpus_per_host:1 () |]
-  in
-  let switches =
-    Array.map
-      (fun f ->
-        let g = Fabric.graph f in
-        let sws =
-          List.init (Graph.num_nodes g) Fun.id
-          |> List.filter (fun v -> Graph.kind_is_switch (Graph.node g v).Graph.kind)
-        in
-        List.init 8 (fun k ->
-            List.filter (fun v -> Service.tcam_shard_of g v = k) sws
-            |> List.filteri (fun i _ -> i < 2))
-        |> List.concat |> Array.of_list)
-      fabrics
-  in
-  QCheck.Test.make ~name:"tcam: 8 shards return what one shard returns"
-    ~count:100
-    QCheck.(
-      quad bool bool (int_range 1 3)
-        (list_of_size
-           Gen.(int_range 1 200)
-           (quad (int_range 0 4) (int_range 0 15) (int_range 0 11) (int_range 0 4))))
-    (fun (fat, lru, capacity, ops) ->
-      let f = if fat then 1 else 0 in
-      let sws = switches.(f) in
-      let policy = if lru then Tcam.Lru else Tcam.Bytes_weighted in
-      let one = Tcam.create ~capacity ~policy in
-      let eight =
-        Tcam.create_sharded ~capacity ~policy ~shards:8
-          ~shard_of:(Service.tcam_shard_of (Fabric.graph fabrics.(f)))
-      in
-      let reads t =
-        ( Tcam.occupancy t,
-          Array.map (fun switch -> Tcam.groups_at t ~switch) sws,
-          (Tcam.installs t, Tcam.evictions t, Tcam.max_used t) )
-      in
-      List.for_all
-        (fun (i, (op, s, group, b)) ->
-          let switch = sws.(s mod Array.length sws) in
-          (* coarse stamps, so LRU ties occur *)
-          let now = float_of_int (i / 4) in
-          let same =
-            match op with
-            | 0 -> Tcam.install one ~now ~switch ~group = Tcam.install eight ~now ~switch ~group
-            | 1 ->
-                Tcam.install_strict one ~now ~switch ~group
-                = Tcam.install_strict eight ~now ~switch ~group
-            | 2 ->
-                let bytes = float_of_int b *. 100.0 in
-                Tcam.touch one ~now ~switch ~group ~bytes;
-                Tcam.touch eight ~now ~switch ~group ~bytes;
-                true
-            | 3 -> Tcam.remove_at one ~switch ~group = Tcam.remove_at eight ~switch ~group
-            | _ -> Tcam.remove_group one ~group = Tcam.remove_group eight ~group
-          in
-          same && reads one = reads eight)
-        (List.mapi (fun i op -> (i, op)) ops))
-
 (* Departures of still-pending groups are O(1) tombstones in the
    install queue, not a List.filter over the whole backlog: with the
    flush pinned past the horizon, 10^4 pending departs complete
@@ -979,7 +910,7 @@ let test_service_departs_pending_backlog () =
       install_delay = 1e9;
     }
   in
-  let out = Service.run ~cfg ~jobs:1 fabric ~events:25_000 stream in
+  let out = Service.run ~cfg fabric ~events:25_000 stream in
   let s = out.Service.o_slo in
   Alcotest.(check bool)
     (Printf.sprintf "enough pending departs (%d)" s.Service.departs)
@@ -990,11 +921,11 @@ let test_service_departs_pending_backlog () =
   Alcotest.(check (list string)) "state lint clean" []
     (strings_of (Check_service.check_state out))
 
-(* Tentpole differential: the slot table + shard + memo fast path must be
+(* Tentpole differential: the slot table + memo fast path must be
    observationally identical to the PR 8 reference implementation —
-   byte-identical decision logs at jobs 1 and 4, with and without the
-   memo caches, and an SVC001-004-clean quiescent state, over random
-   seeds, capacities and both admission policies. *)
+   byte-identical decision logs with and without the memo caches, and
+   an SVC001-004-clean quiescent state, over random seeds, capacities
+   and both admission policies. *)
 let prop_service_matches_reference =
   QCheck.Test.make
     ~name:"service: fast path replays the reference bit-identically"
@@ -1007,7 +938,7 @@ let prop_service_matches_reference =
       let stream () =
         Stream.create fabric (Rng.create seed) ~tenants:service_tenants ()
       in
-      let run_new ~use_cache ~jobs =
+      let run_new ~use_cache =
         let cfg =
           {
             Service.default_config with
@@ -1016,11 +947,10 @@ let prop_service_matches_reference =
             use_cache;
           }
         in
-        Service.run ~cfg ~jobs fabric ~events (stream ())
+        Service.run ~cfg fabric ~events (stream ())
       in
-      let o1 = run_new ~use_cache:true ~jobs:1 in
-      let o4 = run_new ~use_cache:true ~jobs:4 in
-      let onc = run_new ~use_cache:false ~jobs:1 in
+      let o1 = run_new ~use_cache:true in
+      let onc = run_new ~use_cache:false in
       let rcfg =
         {
           Service_ref.default_config with
@@ -1030,14 +960,13 @@ let prop_service_matches_reference =
       in
       let oref = Service_ref.run ~cfg:rcfg ~jobs:1 fabric ~events (stream ()) in
       let fp = o1.Service.o_fingerprint in
-      String.equal fp o4.Service.o_fingerprint
-      && String.equal fp onc.Service.o_fingerprint
+      String.equal fp onc.Service.o_fingerprint
       && String.equal fp oref.Service_ref.o_fingerprint
       && o1.Service.o_slo.Service.installs
          = oref.Service_ref.o_slo.Service_ref.installs
       && o1.Service.o_slo.Service.evictions
          = oref.Service_ref.o_slo.Service_ref.evictions
-      && Check_service.check_state o4 = [])
+      && Check_service.check_state o1 = [])
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -1054,7 +983,6 @@ let () =
             test_tcam_tie_breaks_on_group_id;
           Alcotest.test_case "remove group" `Quick test_tcam_remove_group;
           Alcotest.test_case "high-water mark" `Quick test_tcam_max_used;
-          qt prop_tcam_shards_match_single;
         ] );
       ( "controller",
         [
@@ -1101,8 +1029,8 @@ let () =
       ("differential", [ qt overcover_differential ]);
       ( "service",
         [
-          Alcotest.test_case "replay across pools" `Quick
-            test_service_replay_across_pools;
+          Alcotest.test_case "same-seed replay" `Quick
+            test_service_same_seed_replay;
           Alcotest.test_case "delta repeel dominates" `Quick
             test_service_delta_repeel_dominates;
           qt prop_service_saturation;
