@@ -237,7 +237,8 @@ let pin_ccs =
     ("dcqcn-noguard", Broadcast.Dcqcn { guard = None; ecn_delay = 10e-6 });
   ]
 
-let pin_digest (o : Runner.outcome) ~retransmissions =
+(* [extra] is appended to what is digested: Refine's fingerprint. *)
+let pin_digest ?(extra = "") (o : Runner.outcome) ~retransmissions =
   let b = Buffer.create 512 in
   let c = Peel_sim.Trace.counters o.Runner.trace in
   Printf.bprintf b "%d %h" o.Runner.events o.Runner.makespan;
@@ -247,6 +248,7 @@ let pin_digest (o : Runner.outcome) ~retransmissions =
     c.cnps c.rate_cuts c.guard_holds c.drops c.retransmits c.link_fails c.link_recovers
     c.replans c.rule_installs c.refines c.evictions c.plan_cache_hits c.plan_cache_misses
     c.engine_events c.engine_max_pending;
+  Buffer.add_string b extra;
   String.sub (Digest.to_hex (Digest.string (Buffer.contents b))) 0 16
 
 (* (name, digest) for the whole corpus, in a fixed order. *)
@@ -430,6 +432,286 @@ let test_broadcast_pinned () =
   in
   if drifted <> [] then Alcotest.failf "drifted runs:\n%s" (String.concat "\n" drifted);
   Alcotest.(check int) "corpus size" (List.length pinned_digests) (List.length got)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned launcher corpus                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The launchers beside Broadcast, on the broadcast corpus's fabrics
+   with three seeds each: allgather, reduce and allreduce under both
+   algorithms; Refine.run under every scheme at a tight and a loose
+   TCAM capacity, with its fingerprint in the digest; and Failover.run
+   under every scheme through a permanent cut, a cut that recovers and
+   a cut with 2 % random loss.  Each cell is one {!pin_digest}.  The
+   digests were recorded while these launchers still walked chunks over
+   link lists and trees, before they moved onto Par's routes. *)
+let launcher_fabrics =
+  [
+    ("ft-k4", fun () -> Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 ());
+    ( "ls-4x8",
+      fun () -> Fabric.leaf_spine ~gpus_per_host:2 ~spines:4 ~leaves:8 ~hosts_per_leaf:2 () );
+  ]
+
+let launcher_seeds = [ 1; 2; 3 ]
+
+let collective_cells =
+  [
+    ("allgather/ring", fun f cs -> Allgather.run f Allgather.Ring_exchange cs);
+    ("allgather/peel", fun f cs -> Allgather.run f Allgather.Peel_multicast cs);
+    ("reduce/ring", fun f cs -> Reduce.run f Reduce.Ring_pass cs);
+    ("reduce/tree", fun f cs -> Reduce.run f Reduce.Btree_reduce cs);
+    ("allreduce/ring", fun f cs -> Allreduce.run f Allreduce.Ring_rs_ag cs);
+    ("allreduce/reduce+peel", fun f cs -> Allreduce.run f Allreduce.Reduce_then_peel cs);
+  ]
+
+let counters_trace () = Peel_sim.Trace.create ~level:Peel_sim.Trace.Counters ()
+
+(* (name, digest) per cell, and (failover scheme, cut, counters) per
+   failover cell. *)
+let launcher_corpus () =
+  let failovers = ref [] in
+  let cells =
+    List.concat_map
+      (fun (fname, make) ->
+        List.concat_map
+          (fun seed ->
+            let cell name d = (Printf.sprintf "%s/s%d/%s" fname seed name, d) in
+            let f = make () in
+            let specs =
+              Spec.poisson_broadcasts f (Rng.create seed) ~n:3 ~scale:8 ~bytes:4e6 ~load:0.5 ()
+            in
+            let collectives =
+              List.map
+                (fun (name, go) -> cell name (pin_digest (go f specs) ~retransmissions:0))
+                collective_cells
+            in
+            let groups =
+              Spec.poisson_groups f (Rng.create seed) ~n:4 ~scale:8 ~bytes:8e6 ~load:0.5
+                ~hold:0.05 ~fragmentation:0.6 ()
+            in
+            let refines =
+              List.concat_map
+                (fun scheme ->
+                  List.map
+                    (fun capacity ->
+                      let cfg = { Peel_ctrl.Controller.default_config with capacity } in
+                      let o =
+                        Peel_ctrl.Refine.run ~cfg ~trace:(counters_trace ()) f scheme groups
+                      in
+                      cell
+                        (Printf.sprintf "refine/%s/cap%d"
+                           (Peel_ctrl.Refine.scheme_to_string scheme)
+                           capacity)
+                        (pin_digest ~extra:o.Peel_ctrl.Refine.fingerprint o.Peel_ctrl.Refine.run
+                           ~retransmissions:0))
+                    [ 2; 1024 ])
+                Peel_ctrl.Refine.all_schemes
+            in
+            (* As [peel_cli failover]: one group, links drawn with
+               connectivity kept and put back up, failing at 40 % of
+               the scheme's clean CCT. *)
+            let rng = Rng.create seed in
+            let spec = Spec.single f rng ~scale:8 ~bytes:4e6 in
+            let ids = Fabric.fail_random f ~rng ~tier:`All ~fraction:0.2 () in
+            List.iter (Fabric.recover_link f) ids;
+            let failover_cells =
+              List.concat_map
+                (fun scheme ->
+                  let clean = List.hd (Failover.run f scheme [ spec ]).Runner.ccts in
+                  let at = 0.4 *. clean in
+                  List.map
+                    (fun (cut, recover_at, lossy) ->
+                      let faults = Peel_sim.Fault.schedule_of_failures ~at ?recover_at ids in
+                      let loss =
+                        if lossy then Some (Peel_sim.Transfer.loss_model ~seed ~prob:0.02 ())
+                        else None
+                      in
+                      let trace = counters_trace () in
+                      let o = Failover.run ?loss ~trace ~faults f scheme [ spec ] in
+                      List.iter (Fabric.recover_link f) ids;
+                      failovers := (scheme, cut, Peel_sim.Trace.counters trace) :: !failovers;
+                      let retransmissions =
+                        match loss with
+                        | Some l -> l.Peel_sim.Transfer.retransmissions
+                        | None -> 0
+                      in
+                      cell
+                        (Printf.sprintf "failover/%s/%s" (Failover.scheme_to_string scheme) cut)
+                        (pin_digest o ~retransmissions))
+                    [ ("cut", None, false); ("recover", Some (at +. 2e-3), false); ("loss", None, true) ])
+                Failover.all_schemes
+            in
+            collectives @ refines @ failover_cells)
+          launcher_seeds)
+      launcher_fabrics
+  in
+  (cells, List.rev !failovers)
+
+let pinned_launchers =
+  [
+    ("ft-k4/s1/allgather/ring", "befab674b25177e9");
+    ("ft-k4/s1/allgather/peel", "7708ebb43c801c30");
+    ("ft-k4/s1/reduce/ring", "03e36f001267f44c");
+    ("ft-k4/s1/reduce/tree", "fbc37cd46fa69ff4");
+    ("ft-k4/s1/allreduce/ring", "547d1d1eab16d38e");
+    ("ft-k4/s1/allreduce/reduce+peel", "f0ac963558bbb9da");
+    ("ft-k4/s1/refine/peel-static/cap2", "b7536579585d2cbc");
+    ("ft-k4/s1/refine/peel-static/cap1024", "b7536579585d2cbc");
+    ("ft-k4/s1/refine/peel-refined/cap2", "7022c0ff57f94993");
+    ("ft-k4/s1/refine/peel-refined/cap1024", "7fba7a032ac359e5");
+    ("ft-k4/s1/refine/ipmc/cap2", "79031079cc8d1aaf");
+    ("ft-k4/s1/refine/ipmc/cap1024", "79031079cc8d1aaf");
+    ("ft-k4/s1/failover/peel/cut", "8ce5448d8105d5c7");
+    ("ft-k4/s1/failover/peel/recover", "497b473829c81b0e");
+    ("ft-k4/s1/failover/peel/loss", "8ce5448d8105d5c7");
+    ("ft-k4/s1/failover/ring/cut", "56bd9e2e214ed395");
+    ("ft-k4/s1/failover/ring/recover", "f91372652b74400f");
+    ("ft-k4/s1/failover/ring/loss", "a1dbdbcef99c3267");
+    ("ft-k4/s1/failover/tree/cut", "a8051413a9a48b7a");
+    ("ft-k4/s1/failover/tree/recover", "8c750522a77675d3");
+    ("ft-k4/s1/failover/tree/loss", "cab496420a67c351");
+    ("ft-k4/s2/allgather/ring", "5ef097716c5b2df3");
+    ("ft-k4/s2/allgather/peel", "955cdd8f83f4d8e0");
+    ("ft-k4/s2/reduce/ring", "c800b5e6dd14b979");
+    ("ft-k4/s2/reduce/tree", "ec8b0e40f30204ff");
+    ("ft-k4/s2/allreduce/ring", "003b8790e7bcaff8");
+    ("ft-k4/s2/allreduce/reduce+peel", "f0ee3ebbfef258cb");
+    ("ft-k4/s2/refine/peel-static/cap2", "9a135fd381bc3b19");
+    ("ft-k4/s2/refine/peel-static/cap1024", "9a135fd381bc3b19");
+    ("ft-k4/s2/refine/peel-refined/cap2", "f31929dae7c931cb");
+    ("ft-k4/s2/refine/peel-refined/cap1024", "7879c67d5d8c19ca");
+    ("ft-k4/s2/refine/ipmc/cap2", "a8d3af3e51b44b14");
+    ("ft-k4/s2/refine/ipmc/cap1024", "a8d3af3e51b44b14");
+    ("ft-k4/s2/failover/peel/cut", "f786f93aea2e81e8");
+    ("ft-k4/s2/failover/peel/recover", "af01f855bf70048a");
+    ("ft-k4/s2/failover/peel/loss", "4aa4f97a59a4f654");
+    ("ft-k4/s2/failover/ring/cut", "16aa8b3e1c57f7da");
+    ("ft-k4/s2/failover/ring/recover", "474295898408c120");
+    ("ft-k4/s2/failover/ring/loss", "9f7c8cd7641e7eca");
+    ("ft-k4/s2/failover/tree/cut", "693d31de282bf60e");
+    ("ft-k4/s2/failover/tree/recover", "78cfb17d2f3320f7");
+    ("ft-k4/s2/failover/tree/loss", "1c59eaa842534f0f");
+    ("ft-k4/s3/allgather/ring", "4bb8909aaef238f4");
+    ("ft-k4/s3/allgather/peel", "ccd4fe6ee0cc4aec");
+    ("ft-k4/s3/reduce/ring", "bcf5053c294b7730");
+    ("ft-k4/s3/reduce/tree", "a846f9d0398f75ff");
+    ("ft-k4/s3/allreduce/ring", "c1150a1556cfdb14");
+    ("ft-k4/s3/allreduce/reduce+peel", "dd86b3cbc72f5f37");
+    ("ft-k4/s3/refine/peel-static/cap2", "dcedb1cd320c570a");
+    ("ft-k4/s3/refine/peel-static/cap1024", "dcedb1cd320c570a");
+    ("ft-k4/s3/refine/peel-refined/cap2", "a8a4387ca7fa0396");
+    ("ft-k4/s3/refine/peel-refined/cap1024", "ae4e6df4082487ed");
+    ("ft-k4/s3/refine/ipmc/cap2", "e756b21e676fa70b");
+    ("ft-k4/s3/refine/ipmc/cap1024", "e756b21e676fa70b");
+    ("ft-k4/s3/failover/peel/cut", "8ce5448d8105d5c7");
+    ("ft-k4/s3/failover/peel/recover", "497b473829c81b0e");
+    ("ft-k4/s3/failover/peel/loss", "2228beac411324e8");
+    ("ft-k4/s3/failover/ring/cut", "56bd9e2e214ed395");
+    ("ft-k4/s3/failover/ring/recover", "f91372652b74400f");
+    ("ft-k4/s3/failover/ring/loss", "24e73301858a2c54");
+    ("ft-k4/s3/failover/tree/cut", "0f1edaef44d459d3");
+    ("ft-k4/s3/failover/tree/recover", "dab29b6b060a26e9");
+    ("ft-k4/s3/failover/tree/loss", "09bd37c668bc4f2c");
+    ("ls-4x8/s1/allgather/ring", "03f37ea3ed0fe973");
+    ("ls-4x8/s1/allgather/peel", "d3d0dd9a068d36cd");
+    ("ls-4x8/s1/reduce/ring", "2c1b9e578c92c8cc");
+    ("ls-4x8/s1/reduce/tree", "dcab347de77a489a");
+    ("ls-4x8/s1/allreduce/ring", "547d1d1eab16d38e");
+    ("ls-4x8/s1/allreduce/reduce+peel", "1bc457a9341208bd");
+    ("ls-4x8/s1/refine/peel-static/cap2", "97b8ad634851ac4d");
+    ("ls-4x8/s1/refine/peel-static/cap1024", "97b8ad634851ac4d");
+    ("ls-4x8/s1/refine/peel-refined/cap2", "7582d441b9da2496");
+    ("ls-4x8/s1/refine/peel-refined/cap1024", "39018d88865b817d");
+    ("ls-4x8/s1/refine/ipmc/cap2", "28994fe8a938c1be");
+    ("ls-4x8/s1/refine/ipmc/cap1024", "28994fe8a938c1be");
+    ("ls-4x8/s1/failover/peel/cut", "8ce5448d8105d5c7");
+    ("ls-4x8/s1/failover/peel/recover", "497b473829c81b0e");
+    ("ls-4x8/s1/failover/peel/loss", "8ce5448d8105d5c7");
+    ("ls-4x8/s1/failover/ring/cut", "56bd9e2e214ed395");
+    ("ls-4x8/s1/failover/ring/recover", "f91372652b74400f");
+    ("ls-4x8/s1/failover/ring/loss", "a1dbdbcef99c3267");
+    ("ls-4x8/s1/failover/tree/cut", "db9b678ed1d5e833");
+    ("ls-4x8/s1/failover/tree/recover", "c991cd771268554c");
+    ("ls-4x8/s1/failover/tree/loss", "1a9a731c78231ee9");
+    ("ls-4x8/s2/allgather/ring", "7d164bdc952b58f8");
+    ("ls-4x8/s2/allgather/peel", "1c2970abe329017c");
+    ("ls-4x8/s2/reduce/ring", "20c510c0a9adc578");
+    ("ls-4x8/s2/reduce/tree", "fa48a7bebb421f50");
+    ("ls-4x8/s2/allreduce/ring", "93602c145785b3eb");
+    ("ls-4x8/s2/allreduce/reduce+peel", "4d63c594c13139bc");
+    ("ls-4x8/s2/refine/peel-static/cap2", "36b6add5dc1b46ce");
+    ("ls-4x8/s2/refine/peel-static/cap1024", "36b6add5dc1b46ce");
+    ("ls-4x8/s2/refine/peel-refined/cap2", "0ad9434d3853226a");
+    ("ls-4x8/s2/refine/peel-refined/cap1024", "c04c94e305b3fbec");
+    ("ls-4x8/s2/refine/ipmc/cap2", "7c1389b05ddb25b8");
+    ("ls-4x8/s2/refine/ipmc/cap1024", "7c1389b05ddb25b8");
+    ("ls-4x8/s2/failover/peel/cut", "1abf7abfa8fbf6d5");
+    ("ls-4x8/s2/failover/peel/recover", "dde1ef0768a436b3");
+    ("ls-4x8/s2/failover/peel/loss", "36b2ac6646b230f1");
+    ("ls-4x8/s2/failover/ring/cut", "56bd9e2e214ed395");
+    ("ls-4x8/s2/failover/ring/recover", "f91372652b74400f");
+    ("ls-4x8/s2/failover/ring/loss", "2323cad6460e5e4f");
+    ("ls-4x8/s2/failover/tree/cut", "f179bd4d74494a39");
+    ("ls-4x8/s2/failover/tree/recover", "da5abb4bc8d03418");
+    ("ls-4x8/s2/failover/tree/loss", "af0a8fe671dd6e5c");
+    ("ls-4x8/s3/allgather/ring", "b6602a1cda5ed433");
+    ("ls-4x8/s3/allgather/peel", "8826c94f8ce4372b");
+    ("ls-4x8/s3/reduce/ring", "b95a3a3fa262d9c5");
+    ("ls-4x8/s3/reduce/tree", "b5582cfb76ba95a5");
+    ("ls-4x8/s3/allreduce/ring", "a5a6438e3e440a31");
+    ("ls-4x8/s3/allreduce/reduce+peel", "717253b617fa9a55");
+    ("ls-4x8/s3/refine/peel-static/cap2", "491bb8fdceddea77");
+    ("ls-4x8/s3/refine/peel-static/cap1024", "491bb8fdceddea77");
+    ("ls-4x8/s3/refine/peel-refined/cap2", "e72bbed414f5d8ab");
+    ("ls-4x8/s3/refine/peel-refined/cap1024", "033dcb8f4b67217a");
+    ("ls-4x8/s3/refine/ipmc/cap2", "afd22beff7089e04");
+    ("ls-4x8/s3/refine/ipmc/cap1024", "afd22beff7089e04");
+    ("ls-4x8/s3/failover/peel/cut", "8ce5448d8105d5c7");
+    ("ls-4x8/s3/failover/peel/recover", "497b473829c81b0e");
+    ("ls-4x8/s3/failover/peel/loss", "2228beac411324e8");
+    ("ls-4x8/s3/failover/ring/cut", "56bd9e2e214ed395");
+    ("ls-4x8/s3/failover/ring/recover", "f91372652b74400f");
+    ("ls-4x8/s3/failover/ring/loss", "24e73301858a2c54");
+    ("ls-4x8/s3/failover/tree/cut", "22ff51299454389b");
+    ("ls-4x8/s3/failover/tree/recover", "e03a54a3c38b2852");
+    ("ls-4x8/s3/failover/tree/loss", "a87c1d9f4077bbfe");
+  ]
+
+let test_launchers_pinned () =
+  let got, failovers = launcher_corpus () in
+  let drifted =
+    List.filter_map
+      (fun (name, d) ->
+        match List.assoc_opt name pinned_launchers with
+        | Some want when want = d -> None
+        | Some want -> Some (Printf.sprintf "%s: %s, pinned %s" name d want)
+        | None -> Some (name ^ ": not pinned"))
+      got
+  in
+  if drifted <> [] then Alcotest.failf "drifted runs:\n%s" (String.concat "\n" drifted);
+  Alcotest.(check int) "corpus size" (List.length pinned_launchers) (List.length got);
+  (* The corpus must keep exercising end-to-end repair: drops under
+     every scheme, NACK repairs (retransmits without random loss) for
+     the ring and the tree, and a replan for peel. *)
+  let total scheme ~cuts field =
+    List.fold_left
+      (fun acc (s, cut, c) -> if s = scheme && List.mem cut cuts then acc + field c else acc)
+      0 failovers
+  in
+  let all = [ "cut"; "recover"; "loss" ] and clean = [ "cut"; "recover" ] in
+  List.iter
+    (fun scheme ->
+      let name = Failover.scheme_to_string scheme in
+      Alcotest.(check bool) (name ^ " drops") true
+        (total scheme ~cuts:all (fun c -> c.Peel_sim.Trace.drops) > 0))
+    Failover.all_schemes;
+  List.iter
+    (fun scheme ->
+      Alcotest.(check bool) (Failover.scheme_to_string scheme ^ " NACK repairs") true
+        (total scheme ~cuts:clean (fun c -> c.Peel_sim.Trace.retransmits) > 0))
+    [ Failover.Ring; Failover.Btree ];
+  Alcotest.(check bool) "peel replans" true
+    (total Failover.Peel ~cuts:all (fun c -> c.Peel_sim.Trace.replans) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned forwarding DAGs                                              *)
@@ -688,6 +970,7 @@ let () =
       ( "pinned",
         [
           Alcotest.test_case "broadcast corpus digests" `Quick test_broadcast_pinned;
+          Alcotest.test_case "launcher corpus digests" `Quick test_launchers_pinned;
           Alcotest.test_case "par DAG digests" `Quick test_dags_pinned;
         ] );
       ( "paths",
