@@ -9,7 +9,7 @@ let algo_to_string = function
 
 let launch engine links fabric paths _cfg algo ~(spec : Spec.collective)
     ~on_complete =
-  let members = Array.of_list spec.members in
+  let members = Array.of_list (List.sort_uniq compare spec.members) in
   let n = Array.length members in
   if n < 2 then invalid_arg "Allgather.launch: need at least two members";
   let shard = spec.bytes /. float_of_int n in
@@ -21,46 +21,37 @@ let launch engine links fabric paths _cfg algo ~(spec : Spec.collective)
     if time > !last then last := time;
     if !remaining = 0 then on_complete (!last -. spec.arrival)
   in
+  let send (r : Par.route) ~start ~on_delivered =
+    Transfer.dag engine links r.Par.dag ~trees:r.Par.trees ~bytes:shard ~start
+      ~on_delivered ()
+  in
   match algo with
   | Ring_exchange ->
-      let hop_links =
-        Array.init n (fun i -> Paths.links paths members.(i) members.((i + 1) mod n))
+      let hops =
+        Array.init n (fun i ->
+            let next = members.((i + 1) mod n) in
+            Par.of_path ~deliver:next (Paths.links paths members.(i) next))
       in
       (* Shard owned by position o visits positions o+1 .. o+n-1. *)
-      let rec pass o hops_left pos t =
+      let rec pass hops_left pos t =
         if hops_left > 0 then
-          Transfer.unicast engine links ~links:hop_links.(pos) ~bytes:shard
-            ~start:t
-            ~on_delivered:(fun t' ->
-              record t';
-              pass o (hops_left - 1) ((pos + 1) mod n) t')
-            ()
+          send hops.(pos) ~start:t ~on_delivered:(fun ~node:_ ~time ->
+              record time;
+              pass (hops_left - 1) ((pos + 1) mod n) time)
       in
       for o = 0 to n - 1 do
-        pass o (n - 1) o spec.arrival
+        pass (n - 1) o spec.arrival
       done
   | Peel_multicast ->
       (* Each member multicasts its shard over its own prefix plan. *)
       Array.iter
         (fun owner ->
-          let dests = List.filter (fun m -> m <> owner) spec.members in
-          let plan = Peel.Plan.build fabric ~source:owner ~dests in
-          let trees =
-            List.filter_map
-              (fun packet -> Peel.Plan.packet_tree fabric ~source:owner packet)
-              plan.Peel.Plan.packets
-          in
-          if trees = [] then failwith "Allgather: empty PEEL plan";
-          let dest_set = Hashtbl.create (2 * n) in
-          List.iter (fun d -> Hashtbl.replace dest_set d ()) dests;
-          List.iter
-            (fun tree ->
-              Transfer.multicast engine links ~tree ~bytes:shard
-                ~start:spec.arrival
-                ~on_delivered:(fun ~node ~time ->
-                  if Hashtbl.mem dest_set node then record time)
-                ())
-            trees)
+          let dests = List.filter (fun m -> m <> owner) (Array.to_list members) in
+          match Peel.Plan.packet_trees fabric ~source:owner ~dests with
+          | [] -> failwith "Allgather: empty PEEL plan"
+          | trees ->
+              send (Par.of_trees ~dests trees) ~start:spec.arrival
+                ~on_delivered:(fun ~node:_ ~time -> record time))
         members
 
 let run ?chunks fabric algo collectives =

@@ -18,8 +18,10 @@ let launch engine links fabric paths (cfg : Broadcast.config) algo
          gathered along s..s+n-2 (n-1 more hops).  Each shard's chain is
          independent; the collective is done when every chain ends. *)
       let shard = spec.bytes /. float_of_int n in
-      let hop_links =
-        Array.init n (fun i -> Paths.links paths members.(i) members.((i + 1) mod n))
+      let hops =
+        Array.init n (fun i ->
+            let next = members.((i + 1) mod n) in
+            Par.of_path ~deliver:next (Paths.links paths members.(i) next))
       in
       let chains = ref n in
       let last = ref spec.arrival in
@@ -30,9 +32,11 @@ let launch engine links fabric paths (cfg : Broadcast.config) algo
           if !chains = 0 then on_complete (!last -. spec.arrival)
         end
         else
-          Transfer.unicast engine links ~links:hop_links.(pos) ~bytes:shard
+          let r = hops.(pos) in
+          Transfer.dag engine links r.Par.dag ~trees:r.Par.trees ~bytes:shard
             ~start:t
-            ~on_delivered:(fun t' -> pass (hops_left - 1) ((pos + 1) mod n) t')
+            ~on_delivered:(fun ~node:_ ~time ->
+              pass (hops_left - 1) ((pos + 1) mod n) time)
             ()
       in
       Engine.schedule engine spec.arrival (fun () ->
@@ -42,16 +46,12 @@ let launch engine links fabric paths (cfg : Broadcast.config) algo
   | Reduce_then_peel ->
       let chunks = cfg.Broadcast.chunks in
       let chunk_bytes = spec.bytes /. float_of_int chunks in
-      let dests = List.filter (fun m -> m <> spec.source) spec.members in
-      let plan = Peel.Plan.build fabric ~source:spec.source ~dests in
-      let trees =
-        List.filter_map
-          (fun packet -> Peel.Plan.packet_tree fabric ~source:spec.source packet)
-          plan.Peel.Plan.packets
+      let dests = List.filter (fun m -> m <> spec.source) (Array.to_list members) in
+      let r =
+        match Peel.Plan.packet_trees fabric ~source:spec.source ~dests with
+        | [] -> failwith "Allreduce: empty PEEL plan"
+        | trees -> Par.of_trees ~dests trees
       in
-      if trees = [] then failwith "Allreduce: empty PEEL plan";
-      let dest_set = Hashtbl.create (2 * n) in
-      List.iter (fun d -> Hashtbl.replace dest_set d ()) dests;
       let remaining = ref (chunks * List.length dests) in
       let reduce_done = ref false in
       let last = ref spec.arrival in
@@ -68,13 +68,10 @@ let launch engine links fabric paths (cfg : Broadcast.config) algo
       Reduce.launch_with_chunk_hook engine links fabric paths cfg
         Reduce.Btree_reduce ~spec
         ~on_chunk:(fun _c t ->
-          List.iter
-            (fun tree ->
-              Transfer.multicast engine links ~tree ~bytes:chunk_bytes ~start:t
-                ~on_delivered:(fun ~node ~time ->
-                  if Hashtbl.mem dest_set node then record time)
-                ())
-            trees)
+          Transfer.dag engine links r.Par.dag ~trees:r.Par.trees
+            ~bytes:chunk_bytes ~start:t
+            ~on_delivered:(fun ~node:_ ~time -> record time)
+            ())
         ~on_complete:(fun _ ->
           reduce_done := true;
           let now = Engine.now engine in

@@ -41,9 +41,8 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
     | None -> failwith "Failover: destinations unreachable"
   in
   let current = ref tree0 in
+  let route = ref (Par.of_trees ~dests [ tree0 ]) in
   let ndests = List.length dests in
-  let dest_set = Hashtbl.create (ndests * 2) in
-  List.iter (fun d -> Hashtbl.replace dest_set d ()) dests;
   (* Deduplicated delivery state: a replan resend can overlap a NACK
      repair, but each (dest, chunk) counts exactly once — conservation
      (SIM005) stays exact. *)
@@ -56,8 +55,7 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
   let last = ref spec.arrival in
   let finished () = !remaining = 0 in
   let deliver node chunk time =
-    if Hashtbl.mem dest_set node && not (Hashtbl.mem delivered (node, chunk))
-    then begin
+    if not (Hashtbl.mem delivered (node, chunk)) then begin
       Hashtbl.replace delivered (node, chunk) ();
       Trace.delivery trace ~time ~node ~flow ~chunk;
       missing.(chunk) <- missing.(chunk) - 1;
@@ -78,14 +76,15 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
       Trace.retransmit trace ~time:now ~flow ~node;
       match Paths.links paths source node with
       | path ->
-          Transfer.unicast engine links ~links:path ~bytes:chunk_bytes
-            ~start:now ?loss:cfg.Broadcast.loss
-            ~on_lost:(fun ~time ->
+          let r = Par.of_path ~deliver:node path in
+          Transfer.dag engine links r.Par.dag ~trees:r.Par.trees
+            ~bytes:chunk_bytes ~start:now ?loss:cfg.Broadcast.loss
+            ~on_lost:(fun ~node:_ ~time ->
               Hashtbl.remove repairing (node, chunk);
               lost node chunk time)
-            ~on_delivered:(fun t' ->
+            ~on_delivered:(fun ~node:_ ~time ->
               Hashtbl.remove repairing (node, chunk);
-              deliver node chunk t')
+              deliver node chunk time)
             ()
       | exception Invalid_argument _ ->
           (* No live path right now; probe again after the NACK RTO. *)
@@ -95,15 +94,15 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
     end
   and lost node chunk time =
     lossy.(chunk) <- true;
-    if Hashtbl.mem dest_set node && not (Hashtbl.mem delivered (node, chunk))
-    then
+    if not (Hashtbl.mem delivered (node, chunk)) then
       Engine.schedule engine
         (time +. ctrl.detection +. ctrl.repair_rto)
         (fun () -> repair node chunk)
   in
-  let send_tree tree chunk t =
-    Transfer.multicast engine links ~tree ~bytes:chunk_bytes ~start:t
-      ?loss:cfg.Broadcast.loss
+  let send_tree chunk t =
+    let r = !route in
+    Transfer.dag engine links r.Par.dag ~trees:r.Par.trees ~bytes:chunk_bytes
+      ~start:t ?loss:cfg.Broadcast.loss
       ~on_lost:(fun ~node ~time -> lost node chunk time)
       ~on_delivered:(fun ~node ~time -> deliver node chunk time)
       ()
@@ -114,7 +113,7 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
     Engine.schedule engine t (fun () ->
         released.(c) <- true;
         Trace.release trace ~time:t ~flow ~chunk:c ~rate:nic_rate;
-        send_tree !current c t)
+        send_tree c t)
   done;
   (* The controller: notified of every fault, and after the detection +
      reaction delay re-peels on the surviving fabric.  Survivors keep
@@ -143,6 +142,7 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
                         (Peel_check.Check_tree.check_splice g ~prev:!current
                            ~tree:t' ~source ~dests);
                     current := t';
+                    route := Par.of_trees ~dests [ t' ];
                     let now = Engine.now engine in
                     Trace.replan trace ~time:now ~flow
                       ~cost:(Peel_steiner.Tree.cost t');
@@ -152,7 +152,7 @@ let launch_peel engine links fabric paths cfg ctrl ~(spec : Spec.collective)
                     for c = 0 to chunks - 1 do
                       if released.(c) && lossy.(c) && missing.(c) > 0 then begin
                         lossy.(c) <- false;
-                        send_tree t' c now
+                        send_tree c now
                       end
                     done)
 
@@ -220,15 +220,22 @@ let launch_chain engine links fabric paths cfg ctrl ~kind
     (* Routes re-resolve per send: a post-failure forward takes the
        rerouted path (the cache was invalidated by the fault hook). *)
     match Paths.links paths order.(pos) order.(q) with
-    | path ->
-        Transfer.unicast engine links ~links:path ~bytes:chunk_bytes ~start:t
-          ?loss:cfg.Broadcast.loss
-          ~on_lost:(fun ~time -> lost q chunk time)
-          ~on_delivered:(fun t' ->
-            deliver q chunk t';
-            forward q chunk t')
-          ()
+    | path -> send_path ignore path q chunk t
     | exception Invalid_argument _ -> lost q chunk t
+  (* One chunk to position [q]; [settle] runs first once it lands or
+     is lost. *)
+  and send_path settle path q chunk t =
+    let r = Par.of_path ~deliver:order.(q) path in
+    Transfer.dag engine links r.Par.dag ~trees:r.Par.trees ~bytes:chunk_bytes
+      ~start:t ?loss:cfg.Broadcast.loss
+      ~on_lost:(fun ~node:_ ~time ->
+        settle ();
+        lost q chunk time)
+      ~on_delivered:(fun ~node:_ ~time ->
+        settle ();
+        deliver q chunk time;
+        forward q chunk time)
+      ()
   and lost q chunk time =
     if not got.(chunk).(q) then
       Engine.schedule engine
@@ -241,16 +248,7 @@ let launch_chain engine links fabric paths cfg ctrl ~kind
       Trace.retransmit trace ~time:now ~flow ~node:order.(q);
       match Paths.links paths source order.(q) with
       | path ->
-          Transfer.unicast engine links ~links:path ~bytes:chunk_bytes
-            ~start:now ?loss:cfg.Broadcast.loss
-            ~on_lost:(fun ~time ->
-              Hashtbl.remove repairing (q, chunk);
-              lost q chunk time)
-            ~on_delivered:(fun t' ->
-              Hashtbl.remove repairing (q, chunk);
-              deliver q chunk t';
-              forward q chunk t')
-            ()
+          send_path (fun () -> Hashtbl.remove repairing (q, chunk)) path q chunk now
       | exception Invalid_argument _ ->
           Hashtbl.remove repairing (q, chunk);
           Engine.schedule_in engine ctrl.repair_rto (fun () -> repair q chunk)

@@ -196,13 +196,20 @@ let multicast ?(hang = fun _ _ _ -> ()) dest_set trees =
         (List.map (fun t -> List.length (Tree.children t (Tree.root t))) trees);
   }
 
-let dest_set_of (spec : Spec.collective) =
-  let dest_set = Hashtbl.create (2 * List.length spec.dests) in
-  List.iter (fun d -> Hashtbl.replace dest_set d ()) spec.dests;
+let dest_set_of dests =
+  let dest_set = Hashtbl.create (2 * List.length dests) in
+  List.iter (fun d -> Hashtbl.replace dest_set d ()) dests;
   dest_set
 
+let of_path ~deliver path =
+  let b = b_create () in
+  ignore (chain b ~incoming:None ~deliver path);
+  of_chains b
+
+let of_trees ~dests trees = multicast (dest_set_of dests) trees
+
 let routes fabric paths scheme (spec : Spec.collective) =
-  let dest_set = dest_set_of spec in
+  let dest_set = dest_set_of spec.dests in
   let peel_trees () =
     match Peel.Plan.packet_trees fabric ~source:spec.source ~dests:spec.dests with
     | [] -> failwith "Par: empty PEEL plan"
@@ -246,7 +253,7 @@ let orca paths (spec : Spec.collective) (plan : Peel_baselines.Orca.plan) =
      order, ahead of its own tree children. *)
   let relays_of = Hashtbl.create 16 in
   List.iter (fun (agent, m) -> push relays_of agent m) plan.Peel_baselines.Orca.relays;
-  let dest_set = dest_set_of spec in
+  let dest_set = dest_set_of spec.dests in
   let hang b agent e =
     List.iter
       (fun m ->

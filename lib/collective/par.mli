@@ -1,13 +1,16 @@
-(** Every scheme's forwarding, as static {!Peel_sim.Soa} DAGs.
+(** Every route a chunk takes, as static {!Peel_sim.Soa} DAGs.
 
     This module is the only code that turns a scheme and a collective
     into links: ring hop chains, binary and double-binary tree unicast
     chains, optimal and PEEL multicast trees, Orca's tree with its
     relay chains, peel+cores's prefix and refined trees, and
-    peel-multitree's salted trees.  Both engines run what it builds:
-    {!Broadcast} walks each chunk over a {!route} on the sequential
-    engine ({!Peel_sim.Transfer.dag}), and {!flatten} hands the same
-    DAGs to the conservative sharded engine ({!Peel_sim.Shard}).
+    peel-multitree's salted trees.  The other launchers (Allgather,
+    Reduce, Allreduce, Failover and the controller's refinement) build
+    their hops and trees here too, through {!of_path} and {!of_trees}.
+    Both engines run what it builds: every launcher walks each chunk
+    over a {!route} on the sequential engine
+    ({!Peel_sim.Transfer.dag}), and {!flatten} hands the scheme DAGs to
+    the conservative sharded engine ({!Peel_sim.Shard}).
 
     Edge enumeration is preorder-consistent with the sequential
     engine's FIFO tie order (chunk-major, then tree-major, then
@@ -42,6 +45,17 @@ type route = {
           starts a unicast chain, otherwise the number of roots each
           multicast tree owns, in order (the PEEL prefix packets) *)
 }
+
+val of_path : deliver:int -> int list -> route
+(** A unicast route over consecutive link ids: one chain whose last
+    link delivers at [deliver].  Raises [Invalid_argument] on an empty
+    path. *)
+
+val of_trees : dests:int list -> Peel_steiner.Tree.t list -> route
+(** A multicast route: each tree is released from its root as one
+    unit, in list order, and replicates down in
+    {!Peel_steiner.Tree.children} order.  Only members in [dests] are
+    credited with a delivery. *)
 
 val routes : Fabric.t -> Paths.t -> Scheme.t -> Spec.collective -> route array
 (** The scheme's routes for a collective with at least one

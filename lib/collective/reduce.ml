@@ -24,6 +24,10 @@ let launch_with_chunk_hook engine links _fabric paths (cfg : Broadcast.config)
     if t > !last then last := t;
     if !done_chunks = chunks then on_complete (!last -. spec.arrival)
   in
+  let send (r : Par.route) ~start ~on_delivered =
+    Transfer.dag engine links r.Par.dag ~trees:r.Par.trees ~bytes:chunk_bytes
+      ~start ~on_delivered ()
+  in
   match algo with
   | Ring_pass ->
       (* Accumulating chain ending at the root. *)
@@ -33,16 +37,16 @@ let launch_with_chunk_hook engine links _fabric paths (cfg : Broadcast.config)
         Array.init n (fun i -> members.((i + !root_pos + 1) mod n))
       in
       (* order.(n-1) = root. *)
-      let hop_links =
-        Array.init (n - 1) (fun i -> Paths.links paths order.(i) order.(i + 1))
+      let hops =
+        Array.init (n - 1) (fun i ->
+            Par.of_path ~deliver:order.(i + 1)
+              (Paths.links paths order.(i) order.(i + 1)))
       in
       let rec forward pos c t =
         if pos = n - 1 then finish_chunk c t
         else
-          Transfer.unicast engine links ~links:hop_links.(pos) ~bytes:chunk_bytes
-            ~start:t
-            ~on_delivered:(fun t' -> forward (pos + 1) c t')
-            ()
+          send hops.(pos) ~start:t ~on_delivered:(fun ~node:_ ~time ->
+              forward (pos + 1) c time)
       in
       Engine.schedule engine spec.arrival (fun () ->
           for c = 0 to chunks - 1 do
@@ -66,11 +70,11 @@ let launch_with_chunk_hook engine links _fabric paths (cfg : Broadcast.config)
         if p = 0 then finish_chunk c t
         else begin
           let parent = (p - 1) / 2 in
-          Transfer.unicast engine links
-            ~links:(Paths.links paths order.(p) order.(parent))
-            ~bytes:chunk_bytes ~start:t
-            ~on_delivered:(fun t' -> arrive parent c t')
-            ()
+          send
+            (Par.of_path ~deliver:order.(parent)
+               (Paths.links paths order.(p) order.(parent)))
+            ~start:t
+            ~on_delivered:(fun ~node:_ ~time -> arrive parent c time)
         end
       and arrive p c t =
         pending.(p).(c) <- pending.(p).(c) - 1;

@@ -4,11 +4,6 @@ module Graph = Peel_topology.Graph
 
 type stage = Pending | Installed | Fallback
 
-let stage_to_string = function
-  | Pending -> "pending"
-  | Installed -> "installed"
-  | Fallback -> "fallback"
-
 (* SoA store of live group state (in the style of Peel_sim.Soa): every
    per-group field is a column indexed by a slot, and member sets are
    fixed-width bitsets over the fabric's node ids.  Slots [0, used)

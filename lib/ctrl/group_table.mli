@@ -19,8 +19,6 @@ type stage = Pending | Installed | Fallback
 (** Install lifecycle of a group (moved here from [Service], which
     re-exports it). *)
 
-val stage_to_string : stage -> string
-
 type t
 
 val create : ?initial:int -> width:int -> unit -> t

@@ -97,14 +97,11 @@ let launch_group controller scheme engine links fabric cfg
       Engine.schedule engine group.Spec.g_departure (fun () ->
           Controller.release controller ~gid:flow));
   let ndests = List.length dests in
-  let dest_set = Hashtbl.create (ndests * 2) in
-  List.iter (fun d -> Hashtbl.replace dest_set d ()) dests;
   let delivered = Hashtbl.create 64 in
   let remaining = ref (chunks * ndests) in
   let last = ref spec.Spec.arrival in
   let deliver node chunk time =
-    if Hashtbl.mem dest_set node && not (Hashtbl.mem delivered (node, chunk))
-    then begin
+    if not (Hashtbl.mem delivered (node, chunk)) then begin
       Hashtbl.replace delivered (node, chunk) ();
       Trace.delivery trace ~time ~node ~flow ~chunk;
       report.r_deliveries <- report.r_deliveries + 1;
@@ -113,8 +110,11 @@ let launch_group controller scheme engine links fabric cfg
       if !remaining = 0 then on_complete (!last -. spec.Spec.arrival)
     end
   in
-  let send_tree tree chunk t =
-    Transfer.multicast engine links ~tree ~bytes:chunk_bytes ~start:t
+  let static_route = Par.of_trees ~dests (List.map fst static_trees)
+  and refined_route = Par.of_trees ~dests [ refined_tree ] in
+  let send (r : Par.route) chunk t =
+    Transfer.dag engine links r.Par.dag ~trees:r.Par.trees ~bytes:chunk_bytes
+      ~start:t
       ~on_delivered:(fun ~node ~time -> deliver node chunk time)
       ()
   in
@@ -145,7 +145,7 @@ let launch_group controller scheme engine links fabric cfg
             if refined then begin
               report.r_refined_chunks <- report.r_refined_chunks + 1;
               Controller.touch controller ~now:t ~gid:flow ~bytes:chunk_bytes;
-              send_tree refined_tree c t;
+              send refined_route c t;
               1
             end
             else begin
@@ -153,7 +153,7 @@ let launch_group controller scheme engine links fabric cfg
               report.r_overcover_bytes <-
                 report.r_overcover_bytes
                 +. (chunk_bytes *. float_of_int waste_racks);
-              List.iter (fun (tree, _) -> send_tree tree c t) static_trees;
+              send static_route c t;
               max 1 (List.length static_trees)
             end
           in

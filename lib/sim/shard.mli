@@ -80,7 +80,3 @@ val run : ?audit:bool -> plan -> result
     otherwise on [nshards] domains with barrier-epoch windows.
     Raises [Failure] if any flow finishes with missing deliveries
     (an unreachable destination would show up here). *)
-
-val fingerprint_delivery : int -> flow:int -> chunk:int -> node:int -> time:float -> int
-(** Fold one delivery into a fingerprint accumulator — exposed so tests
-    can recompute {!result.r_fingerprint} from a sequential trace. *)

@@ -81,9 +81,6 @@ type dag = {
   d_roots : int array;     (** edges released at the flow's arrival *)
 }
 
-val dag_edges : dag -> int
-(** Number of edges ([Array.length d_link]). *)
-
 val validate_dag : links -> dag -> (unit, string) result
 (** Structural sanity: link ids in range, offsets monotone, successor
     indices in range, every root in range. *)
@@ -105,7 +102,8 @@ type flow = {
 }
 
 val flow_max_edges : flow -> int
-(** Largest [dag_edges] over the flow's DAG classes.  {!Shard} sizes
-    its key's edge field from it: [ceil_log2] of the largest value over
-    all flows, in bits, so every (flow, chunk, edge) packs into a
-    unique, order-preserving integer of at most 62 bits. *)
+(** Largest edge count ([Array.length d_link]) over the flow's DAG
+    classes.  {!Shard} sizes its key's edge field from it: [ceil_log2]
+    of the largest value over all flows, in bits, so every (flow,
+    chunk, edge) packs into a unique, order-preserving integer of at
+    most 62 bits. *)

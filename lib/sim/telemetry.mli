@@ -58,10 +58,6 @@ val max_utilization : t -> float
     values above 1 mean a link stayed busy past the horizon — an
     invariant violation {!Peel_check.Check_sim.check_outcome} flags. *)
 
-val link_report_to_json : link_report -> Peel_util.Json.t
-(** One report as a flat JSON object (the [links] rows of the trace
-    export). *)
-
 val to_json : t -> Peel_util.Json.t
 (** All link reports as a JSON array (the ["links"] section of the
     [peel_cli trace] export). *)

@@ -214,6 +214,35 @@ let test_allgather_peel_beats_ring_at_scale () =
   let peel = List.hd (Allgather.run f Allgather.Peel_multicast [ spec ]).Runner.ccts in
   Alcotest.(check bool) "peel allgather faster" true (peel < ring)
 
+(* Two members [a] and [b] in different racks of a leaf-spine, as a
+   collective rooted at [a] over the given member list. *)
+let repeated_member_fabric () =
+  let f = Fabric.leaf_spine ~gpus_per_host:2 ~spines:4 ~leaves:8 ~hosts_per_leaf:2 () in
+  let eps = Fabric.endpoints f in
+  let a = eps.(0) and b = eps.(9) in
+  let spec members =
+    { Spec.id = 0; arrival = 0.0; source = a; dests = [ b ]; members; bytes = 8e6 }
+  in
+  (f, a, b, spec)
+
+let test_allgather_repeated_member () =
+  (* A repeated member counts once, as in Reduce and Allreduce; one
+     member alone is no allgather. *)
+  let f, a, b, spec = repeated_member_fabric () in
+  List.iter
+    (fun algo ->
+      let cct members = List.hd (Allgather.run f algo [ spec members ]).Runner.ccts in
+      Alcotest.(check (float 0.0))
+        (Allgather.algo_to_string algo ^ ": [a; b; b] as [a; b]")
+        (cct [ a; b ]) (cct [ a; b; b ]);
+      Alcotest.(check bool)
+        (Allgather.algo_to_string algo ^ ": [a; a] rejected")
+        true
+        (match Allgather.run f algo [ spec [ a; a ] ] with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ Allgather.Ring_exchange; Allgather.Peel_multicast ]
+
 let test_allgather_ring_closed_form_small () =
   (* 2 members on the same rack: each shard makes 1 hop of bytes/2 over
      gpu->tor->gpu; CCT ~ serialization of two shards on disjoint NICs:
@@ -316,6 +345,18 @@ let test_allreduce_peel_competitive_at_scale () =
   let peel = List.hd (Allreduce.run f Allreduce.Reduce_then_peel [ spec ]).Runner.ccts in
   Alcotest.(check bool) "within 2.5x of ring" true (peel < 2.5 *. ring)
 
+let test_allreduce_repeated_member () =
+  (* The multicast phase counts the deduplicated members too: with a
+     repeated member it waited for a delivery that never comes. *)
+  let f, a, b, spec = repeated_member_fabric () in
+  List.iter
+    (fun algo ->
+      let cct members = List.hd (Allreduce.run f algo [ spec members ]).Runner.ccts in
+      Alcotest.(check (float 0.0))
+        (Allreduce.algo_to_string algo ^ ": [a; b; b] as [a; b]")
+        (cct [ a; b ]) (cct [ a; b; b ]))
+    [ Allreduce.Ring_rs_ag; Allreduce.Reduce_then_peel ]
+
 (* ------------------------------------------------------------------ *)
 (* Rail-optimized fabric end to end                                    *)
 (* ------------------------------------------------------------------ *)
@@ -396,6 +437,7 @@ let () =
           Alcotest.test_case "peel beats ring at scale" `Quick
             test_allgather_peel_beats_ring_at_scale;
           Alcotest.test_case "closed form small" `Quick test_allgather_ring_closed_form_small;
+          Alcotest.test_case "repeated member" `Quick test_allgather_repeated_member;
         ] );
       ( "reduce",
         [
@@ -420,5 +462,6 @@ let () =
             test_allreduce_slower_than_its_parts;
           Alcotest.test_case "competitive at scale" `Quick
             test_allreduce_peel_competitive_at_scale;
+          Alcotest.test_case "repeated member" `Quick test_allreduce_repeated_member;
         ] );
     ]

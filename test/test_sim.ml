@@ -3,6 +3,7 @@
 
 open Peel_topology
 open Peel_sim
+module Par = Peel_collective.Par
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -184,26 +185,31 @@ let line_fabric () =
   let l2 = Graph.Builder.add_duplex b ~latency:1e-6 ~bandwidth:1e9 nb nc in
   (Graph.Builder.finish b, na, nb, nc, l1, l2)
 
+(* Walk one chunk over a route Par builds. *)
+let walk e ls (r : Par.route) ~bytes ~start ?loss ?on_lost ~on_delivered () =
+  Transfer.dag e ls r.Par.dag ~trees:r.Par.trees ~bytes ~start ?loss ?on_lost
+    ~on_delivered ()
+
 let test_unicast_store_and_forward () =
-  let g, _, _, _, l1, l2 = line_fabric () in
+  let g, _, _, nc, l1, l2 = line_fabric () in
   let e = Engine.create () in
   let ls = Link_state.create g in
   let delivered = ref nan in
-  Transfer.unicast e ls ~links:[ l1; l2 ] ~bytes:1e6 ~start:0.0
-    ~on_delivered:(fun t -> delivered := t)
+  walk e ls (Par.of_path ~deliver:nc [ l1; l2 ]) ~bytes:1e6 ~start:0.0
+    ~on_delivered:(fun ~node:_ ~time -> delivered := time)
     ();
   Engine.run e;
   (* Two hops, each 1 ms serialization + 1 us propagation. *)
   check_float "arrival" (2e-3 +. 2e-6) !delivered
 
 let test_unicast_pipeline_two_chunks () =
-  let g, _, _, _, l1, l2 = line_fabric () in
+  let g, _, _, nc, l1, l2 = line_fabric () in
   let e = Engine.create () in
   let ls = Link_state.create g in
   let times = ref [] in
   for _ = 1 to 2 do
-    Transfer.unicast e ls ~links:[ l1; l2 ] ~bytes:1e6 ~start:0.0
-      ~on_delivered:(fun t -> times := t :: !times)
+    walk e ls (Par.of_path ~deliver:nc [ l1; l2 ]) ~bytes:1e6 ~start:0.0
+      ~on_delivered:(fun ~node:_ ~time -> times := time :: !times)
       ()
   done;
   Engine.run e;
@@ -216,16 +222,8 @@ let test_unicast_pipeline_two_chunks () =
   | _ -> Alcotest.fail "expected two deliveries")
 
 let test_unicast_empty_path () =
-  let g, _, _, _, _, _ = line_fabric () in
-  ignore g;
-  let e = Engine.create () in
-  let ls = Link_state.create g in
-  let delivered = ref nan in
-  Transfer.unicast e ls ~links:[] ~bytes:1.0 ~start:2.5
-    ~on_delivered:(fun t -> delivered := t)
-    ();
-  Engine.run e;
-  check_float "immediate" 2.5 !delivered
+  (* A chunk crosses at least one link: a zero-link route is refused. *)
+  check_invalid "empty path" (fun () -> Par.of_path ~deliver:0 [])
 
 (* A chain DAG over the line fabric: na -> nb -> nc, delivering at nc. *)
 let line_dag l1 l2 nc =
@@ -284,7 +282,7 @@ let test_multicast_tree_timing () =
   let e = Engine.create () in
   let ls = Link_state.create g in
   let arrivals = Hashtbl.create 4 in
-  Transfer.multicast e ls ~tree ~bytes:1e6 ~start:0.0
+  walk e ls (Par.of_trees ~dests:[ s; a; c ] [ tree ]) ~bytes:1e6 ~start:0.0
     ~on_delivered:(fun ~node ~time -> Hashtbl.replace arrivals node time)
     ();
   Engine.run e;
@@ -316,8 +314,9 @@ let prop_unicast_idle_path_closed_form =
       let e = Engine.create () in
       let ls = Link_state.create g in
       let delivered = ref nan in
-      Transfer.unicast e ls ~links:(List.rev !links) ~bytes ~start:0.0
-        ~on_delivered:(fun t -> delivered := t)
+      walk e ls (Par.of_path ~deliver:nodes.(nlinks) (List.rev !links)) ~bytes
+        ~start:0.0
+        ~on_delivered:(fun ~node:_ ~time -> delivered := time)
         ();
       Engine.run e;
       let expected = float_of_int nlinks *. ((bytes /. 5e8) +. 2e-6) in
@@ -342,28 +341,28 @@ let test_loss_model_nan_rejected () =
       Transfer.loss_model ~seed:1 ~prob:0.1 ~rto:nan ())
 
 let test_unicast_lossless_prob_zero () =
-  let g, _, _, _, l1, l2 = line_fabric () in
+  let g, _, _, nc, l1, l2 = line_fabric () in
   let e = Engine.create () in
   let ls = Link_state.create g in
   let loss = Transfer.loss_model ~seed:3 ~prob:0.0 () in
   let delivered = ref nan in
-  Transfer.unicast e ls ~links:[ l1; l2 ] ~bytes:1e6 ~start:0.0 ~loss
-    ~on_delivered:(fun t -> delivered := t)
+  walk e ls (Par.of_path ~deliver:nc [ l1; l2 ]) ~bytes:1e6 ~start:0.0 ~loss
+    ~on_delivered:(fun ~node:_ ~time -> delivered := time)
     ();
   Engine.run e;
   check_float "same as lossless" (2e-3 +. 2e-6) !delivered;
   Alcotest.(check int) "no retransmissions" 0 loss.Transfer.retransmissions
 
 let test_unicast_recovers_from_loss () =
-  let g, _, _, _, l1, l2 = line_fabric () in
+  let g, _, _, nc, l1, l2 = line_fabric () in
   let e = Engine.create () in
   let ls = Link_state.create g in
   (* 30% loss: over 50 chunks some will drop, all must still arrive. *)
   let loss = Transfer.loss_model ~seed:5 ~prob:0.3 ~rto:10e-6 () in
   let count = ref 0 in
   for _ = 1 to 50 do
-    Transfer.unicast e ls ~links:[ l1; l2 ] ~bytes:1e4 ~start:0.0 ~loss
-      ~on_delivered:(fun _ -> incr count)
+    walk e ls (Par.of_path ~deliver:nc [ l1; l2 ]) ~bytes:1e4 ~start:0.0 ~loss
+      ~on_delivered:(fun ~node:_ ~time:_ -> incr count)
       ()
   done;
   Engine.run e;
@@ -393,25 +392,25 @@ let test_multicast_down_link_orphans_subtree () =
   let ls = Link_state.create g in
   Graph.fail_link g l_rs;
   let lost = ref [] and delivered = ref [] in
-  Transfer.multicast e ls ~tree ~bytes:1e6 ~start:0.0
+  walk e ls (Par.of_trees ~dests:[ s; a ] [ tree ]) ~bytes:1e6 ~start:0.0
     ~on_lost:(fun ~node ~time:_ -> lost := node :: !lost)
     ~on_delivered:(fun ~node ~time:_ -> delivered := node :: !delivered)
     ();
   Engine.run e;
   Graph.restore_all g;
-  Alcotest.(check (list int)) "both orphaned" [ s; a ] (List.sort compare !lost);
+  Alcotest.(check (list int)) "both orphaned" [ s; a ] (List.rev !lost);
   Alcotest.(check (list int)) "none delivered" [] !delivered
 
 let test_multicast_loss_repaired_hop_locally () =
   (* Random loss is repaired by the edge's sender like unicast: every
      member still gets the chunk, repairs show in [retransmissions]. *)
-  let g, tree, _, _, _, _, _ = chain_tree () in
+  let g, tree, _, s, a, _, _ = chain_tree () in
   let e = Engine.create () in
   let ls = Link_state.create g in
   let loss = Transfer.loss_model ~seed:5 ~prob:0.3 ~rto:10e-6 () in
   let lost = ref 0 and delivered = ref 0 in
   for _ = 1 to 25 do
-    Transfer.multicast e ls ~tree ~bytes:1e4 ~start:0.0 ~loss
+    walk e ls (Par.of_trees ~dests:[ s; a ] [ tree ]) ~bytes:1e4 ~start:0.0 ~loss
       ~on_lost:(fun ~node:_ ~time:_ -> incr lost)
       ~on_delivered:(fun ~node:_ ~time:_ -> incr delivered)
       ()
@@ -425,7 +424,7 @@ let test_multicast_loss_repaired_hop_locally () =
 let test_midflight_failure_drops_chunk () =
   (* The link fails while the chunk is in flight (between reservation
      and arrival): the epoch check catches it and the chunk is lost. *)
-  let g, _, _, _, _, l_rs, _ = chain_tree () in
+  let g, _, _, s, _, l_rs, _ = chain_tree () in
   let e = Engine.create () in
   let ls = Link_state.create g in
   let lost_at = ref nan and delivered = ref false in
@@ -433,14 +432,74 @@ let test_midflight_failure_drops_chunk () =
   Engine.schedule e 0.5e-3 (fun () ->
       Alcotest.(check bool) "transition applied" true
         (Link_state.set_link_up ls ~now:0.5e-3 ~duplex:l_rs ~up:false));
-  Transfer.unicast e ls ~links:[ l_rs ] ~bytes:1e6 ~start:0.0
-    ~on_lost:(fun ~time -> lost_at := time)
-    ~on_delivered:(fun _ -> delivered := true)
+  walk e ls (Par.of_path ~deliver:s [ l_rs ]) ~bytes:1e6 ~start:0.0
+    ~on_lost:(fun ~node:_ ~time -> lost_at := time)
+    ~on_delivered:(fun ~node:_ ~time:_ -> delivered := true)
     ();
   Engine.run e;
   Graph.restore_all g;
   Alcotest.(check bool) "not delivered" false !delivered;
   check_float "lost at the would-be arrival" (1e-3 +. 1e-6) !lost_at
+
+let test_on_lost_dag_order () =
+  (* r -> s, then s -> t -> {u -> b, a} and s -> c; a, b and c are the
+     destinations.  The pair s-t fails while the chunk crosses it.
+     [on_lost] must hear of b and a, the destinations below that link,
+     in DAG order, once each, at the would-be arrival: Failover
+     schedules one repair per report, so this order is the repairs'
+     tie order.  The other branch still delivers.  Without [on_lost]
+     the edge retries, and a and b get the chunk once the pair is back
+     up. *)
+  let run ~repair =
+    let bld = Graph.Builder.create () in
+    let node kind idx = Graph.Builder.add_node bld kind ~pod:0 ~idx in
+    let r = node Graph.Host 0 and s = node Graph.Tor 0 and t = node Graph.Tor 1 in
+    let u = node Graph.Tor 2 and a = node Graph.Host 1 and b = node Graph.Host 2 in
+    let c = node Graph.Host 3 in
+    let link x y = Graph.Builder.add_duplex bld ~latency:1e-6 ~bandwidth:1e9 x y in
+    let l_rs = link r s and l_st = link s t and l_ta = link t a in
+    let l_tu = link t u and l_ub = link u b and l_sc = link s c in
+    let g = Graph.Builder.finish bld in
+    let tree =
+      Peel_steiner.Tree.of_parents g ~root:r
+        ~parents:
+          [
+            (s, (r, l_rs)); (t, (s, l_st)); (a, (t, l_ta)); (u, (t, l_tu));
+            (b, (u, l_ub)); (c, (s, l_sc));
+          ]
+    in
+    let e = Engine.create () in
+    let ls = Link_state.create g in
+    (* s-t carries the chunk from 1.001 ms to 2.002 ms. *)
+    Engine.schedule e 1.5e-3 (fun () ->
+        ignore (Link_state.set_link_up ls ~now:1.5e-3 ~duplex:l_st ~up:false));
+    Engine.schedule e 3e-3 (fun () ->
+        ignore (Link_state.set_link_up ls ~now:3e-3 ~duplex:l_st ~up:true));
+    let lost = ref [] and delivered = ref [] in
+    let on_lost =
+      if repair then Some (fun ~node ~time -> lost := (node, time) :: !lost) else None
+    in
+    walk e ls (Par.of_trees ~dests:[ a; b; c ] [ tree ]) ~bytes:1e6 ~start:0.0 ?on_lost
+      ~on_delivered:(fun ~node ~time -> delivered := (node, time) :: !delivered)
+      ();
+    Engine.run e;
+    (a, b, c, List.rev !lost, List.rev !delivered)
+  in
+  let arrive2 = 2.0 *. (1e-3 +. 1e-6) in
+  let a, b, c, lost, delivered = run ~repair:true in
+  (* t's children are u, then a (node id order), so the DAG visits b
+     before a, against id order. *)
+  Alcotest.(check (list (pair int (float 1e-12))))
+    "b then a, at the would-be arrival" [ (b, arrive2); (a, arrive2) ] lost;
+  Alcotest.(check (list (pair int (float 1e-12)))) "c still delivered" [ (c, arrive2) ] delivered;
+  let a, b, c, lost, delivered = run ~repair:false in
+  Alcotest.(check int) "no reports" 0 (List.length lost);
+  Alcotest.(check (list int)) "each delivered once" [ c; a; b ] (List.map fst delivered);
+  List.iter
+    (fun (node, time) ->
+      if node <> c then
+        Alcotest.(check bool) "after the pair recovers" true (time > 3e-3))
+    delivered
 
 (* ------------------------------------------------------------------ *)
 (* DCQCN                                                               *)
@@ -541,6 +600,7 @@ let () =
             test_multicast_loss_repaired_hop_locally;
           Alcotest.test_case "mid-flight failure drops chunk" `Quick
             test_midflight_failure_drops_chunk;
+          Alcotest.test_case "on_lost reports in DAG order" `Quick test_on_lost_dag_order;
         ] );
       ( "dcqcn",
         [
