@@ -242,12 +242,13 @@ let micro_tests () =
               let left = splice ~prev:built ~dests:rest (Remove member) in
               ignore (splice ~prev:left ~dests:ls_dests (Add member))
             done)));
-    (* Serve-churn's memo traffic, where the plan memo answers about
-       one lookup in seven: each run makes 1,000 lookups
+    (* A miss-heavy memo, one hit in seven: serve-churn's plan lookups
+       keyed by member set (the service keys them by destination racks,
+       which answers almost all of them).  Each run makes 1,000 lookups
        from a fresh memo over (source, member set) keys of the group
        above.  Lookup j with j mod 7 = 6 repeats an earlier key from a
        separately built set; every other lookup is a fresh subset of
-       the destinations, a miss the service follows with an insert. *)
+       the destinations, a miss followed by an insert. *)
     (let width = Peel_topology.Graph.num_nodes (Peel_topology.Fabric.graph ls) in
      let dests = Array.of_list ls_dests in
      let key_of mask =

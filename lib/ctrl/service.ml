@@ -150,12 +150,16 @@ type state = {
   groups : G.t;
   departed : (int, unit) Hashtbl.t;
   digest : digest;
-  (* planning caches, keyed by (source, member set); [dists] is exact
-     per-source data and always on, the memos honour [cfg.use_cache] *)
+  (* planning caches; [dists] is exact per-source data and always on,
+     the memos honour [cfg.use_cache] *)
   dists : (int, int array) Hashtbl.t;
+  (* trees span exact endpoints: keyed by (source, member set) *)
   trees : (Tree.t * int list) Memo.t;
-  (* what [flush] consumes of a prefix plan: its rule footprint *)
+  (* what [flush] consumes of a prefix plan, its rule footprint, keyed
+     by destination-rack set; [racks] is the one key a lookup fills, so
+     it allocates none *)
   plans : Compile.footprint Memo.t;
+  racks : Bitset.t;
   (* pending-install queue: an append-only gid buffer.  Departure just
      tombstones (clears the group's in_pending flag, O(1)); the queue
      compacts when tombstones dominate and drains wholesale at flush. *)
@@ -351,6 +355,16 @@ let plan_of st slot =
   Plan.build ?budget:st.cfg.budget st.fabric ~source:(G.source st.groups slot)
     ~dests:(dests_of st slot)
 
+(* [st.racks], filled with the ToR of every member but the source: the
+   plan memo's key, under the constant source 0. *)
+let racks_of st slot =
+  let source = G.source st.groups slot in
+  Bitset.clear st.racks;
+  Bitset.iter
+    (fun m -> if m <> source then Bitset.add st.racks (Fabric.attach_tor st.fabric m))
+    (G.members_bitset st.groups slot);
+  st.racks
+
 (* The [PEEL_CHECK=1] proof of one pod's count: rebuild its plans and
    run the checked compile, which must install exactly [n] entries. *)
 let recheck_count st cells n =
@@ -368,7 +382,16 @@ let recheck_count st cells n =
    rule footprints (a memo hit skips Plan.build), then claim TCAM space
    for each group's exact entries under the admission policy, in batch
    order — an eviction at one switch feeds back into later decisions,
-   so the order is the semantics. *)
+   so the order is the semantics.
+
+   The footprint memo is keyed by the group's destination-rack set, not
+   its members: [Plan.build] picks pods, pod prefixes and ToR prefixes
+   from each pod's rack runs alone, and [Compile.plan_footprint] reads
+   only those, never endpoints or waste racks.  So two groups whose
+   destinations sit in the same racks have one footprint, whatever
+   their sources and endpoints (the property "plan_footprint is a
+   function of the destination racks" in test_compile.ml), and a hit
+   equals a fresh build. *)
 let flush st ~now =
   let backlog = st.pending_live in
   if backlog > st.max_backlog then st.max_backlog <- backlog;
@@ -389,16 +412,14 @@ let flush st ~now =
   st.pending_live <- 0;
   if live <> [] then begin
     st.batches <- st.batches + 1;
-    (* Rule footprints, memoized by (source, member set).  Misses are
+    (* Rule footprints, memoized by destination-rack set.  Misses are
        inserted only after every lookup, so two groups of one batch
        with the same key both miss. *)
     let footprints =
       List.map
         (fun (gid, slot) ->
           let i =
-            if st.cfg.use_cache then
-              Memo.find st.plans ~source:(G.source st.groups slot)
-                (G.members_bitset st.groups slot)
+            if st.cfg.use_cache then Memo.find st.plans ~source:0 (racks_of st slot)
             else -1
           in
           let fp =
@@ -411,9 +432,7 @@ let flush st ~now =
     if st.cfg.use_cache then
       List.iter
         (fun (_, slot, i, fp) ->
-          if i < 0 then
-            Memo.add st.plans ~source:(G.source st.groups slot)
-              (G.members_bitset st.groups slot) fp)
+          if i < 0 then Memo.add st.plans ~source:0 (racks_of st slot) fp)
         footprints;
     (* Count per source pod: a (switch, prefix) use shared by groups of
        different pods counts once per pod, and the fingerprint pins
@@ -725,6 +744,7 @@ let run_body cfg trace fabric ~events stream =
       dists = Hashtbl.create 64;
       trees = memo ();
       plans = memo ();
+      racks = Bitset.create (Graph.num_nodes graph);
       pq = Array.make 64 0;
       pq_len = 0;
       pq_tomb = 0;

@@ -25,14 +25,16 @@
 
     The million-group fast path: group state lives in the SoA
     {!Group_table}, with member bitsets and reused slots, and every
-    holder names a group by gid; the TCAM is one {!Tcam} table; and
-    full peels and prefix plans' rule footprints are memoized by
-    (source, member set) — identical groups, the common case in the
-    multi-tenant Poisson mix, skip [Layer_peel] and [Plan.build]
-    entirely.  The splice gate recomputes its Theorem 2.5 lower bound
-    per delta, at O(|D| log |D|).  A memo hit returns a value identical
-    to recomputing, so cache-on and cache-off runs produce the same
-    decision log; the differential oracle for all of this is
+    holder names a group by gid; the TCAM is one {!Tcam} table; full
+    peels are memoized by (source, member set), so identical groups,
+    the common case in the multi-tenant Poisson mix, skip
+    [Layer_peel]; and prefix plans' rule footprints are memoized by
+    destination-rack set (the ToRs of the members but the source), so
+    any group whose destinations sit in racks an earlier group's did
+    skips [Plan.build].  The splice gate recomputes its Theorem 2.5
+    lower bound per delta, at O(|D| log |D|).  A memo hit returns a
+    value identical to recomputing, so cache-on and cache-off runs
+    produce the same decision log; the differential oracle for all of this is
     {!Service_ref}, the PR 8 implementation kept verbatim.  Everything
     runs on the calling domain.
 
@@ -66,12 +68,13 @@ type config = {
                              batch is not full, seconds of stream time *)
   budget : int option;   (** prefix budget for the compiled static plans *)
   salt : int option;     (** {!Peel_steiner.Layer_peel.build} tie salt *)
-  use_cache : bool;      (** memoize by (source, member set), in two
-                             {!Peel_steiner.Memo}s: full peels (the tree
-                             and its entry switches) and prefix plans'
+  use_cache : bool;      (** memoize in two {!Peel_steiner.Memo}s: full
+                             peels (the tree and its entry switches) by
+                             (source, member set), and prefix plans'
                              rule footprints ({!Peel_compile.Compile.footprint},
-                             not the plans); behaviour-neutral, disable
-                             to measure the cold path *)
+                             not the plans) by destination-rack set;
+                             behaviour-neutral, disable to measure the
+                             cold path *)
   cache_capacity : int;  (** entries per memo before insertions are
                              deterministically skipped (>= 1) *)
   gc_space_overhead : int option;

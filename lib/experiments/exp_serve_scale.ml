@@ -190,9 +190,9 @@ let slo_json mode =
 let run mode =
   Common.note
     "32-endpoint leaf-spine; two long-hold Poisson tenants ramp the live \
-     population past 10^6 groups; slot-table group store + (source, \
-     member-set) peel/plan memos vs the PR 8 reference implementation \
-     on the byte-identical stream";
+     population past 10^6 groups; slot-table group store + a (source, \
+     member-set) peel memo and a destination-rack plan memo vs the \
+     reference implementation on the byte-identical stream";
   let rs = rows mode in
   Peel_util.Table.print
     ~header:

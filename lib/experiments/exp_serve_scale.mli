@@ -1,8 +1,8 @@
 (** E22 (ext): the million-group service fast path —
     {!Peel_ctrl.Service} (slot-table group store, one TCAM table,
-    (source, member-set) peel/plan memoization) driven past 10^6
-    concurrent groups by two long-hold Poisson tenants, and raced
-    against the PR 8 reference implementation
+    a (source, member-set) peel memo and a destination-rack plan memo)
+    driven past 10^6 concurrent groups by two long-hold Poisson
+    tenants, and raced against the reference implementation
     ({!Peel_ctrl.Service_ref}) on the byte-identical event stream.
 
     The counter rows — including the cached and cache-off replay

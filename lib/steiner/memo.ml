@@ -1,5 +1,5 @@
-(* Bounded planning memo keyed by (source, member set), laid out so
-   that no key is a boxed value: member sets are byte slices of one
+(* Bounded planning memo keyed by (source, node set), laid out so
+   that no key is a boxed value: node sets are byte slices of one
    arena, sources and key hashes are int columns, and an
    open-addressing table of entry indices finds them.  See memo.mli
    for the determinism contract. *)
@@ -11,7 +11,7 @@ type 'v t = {
   capacity : int;
   width : int;
   key_bytes : int;  (* arena bytes per entry: (width + 7) / 8 *)
-  mutable keys : Bytes.t;  (* entry e's member set at e * key_bytes *)
+  mutable keys : Bytes.t;  (* entry e's node set at e * key_bytes *)
   mutable sources : int array;
   mutable hashes : int array;
   mutable values : 'v array;  (* [||] until the first insertion *)

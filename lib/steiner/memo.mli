@@ -1,14 +1,16 @@
-(** Bounded cache of planning results keyed by (source, member set).
+(** Bounded cache of planning results keyed by (source, node set).
 
-    The service control plane memoizes two things per key: the full
-    peel (tree and entry switches) and the prefix plan's rule
-    footprint.  The multi-tenant Poisson mix creates many
-    observationally identical groups, and a hit skips [Layer_peel] or
-    [Plan.build].  Per-source
-    distance arrays are exact per-source data and live in the
-    service, not here.
+    The service control plane keeps two: the full peel (tree and entry
+    switches) keyed by (source, member set), because a tree spans
+    exact endpoints, and the prefix plan's rule footprint keyed by the
+    group's destination-rack set (the ToRs of its members but the
+    source) under a constant source, because the footprint reads
+    nothing finer.  The multi-tenant Poisson mix creates many groups
+    with one key, and a hit skips [Layer_peel] or [Plan.build].
+    Per-source distance arrays are exact per-source data and live in
+    the service, not here.
 
-    Key format: the member set's backing bytes ([Bitset.write_slice])
+    Key format: the node set's backing bytes ([Bitset.write_slice])
     sit in one [Bytes] arena at [entry * ((width + 7) / 8)], beside int
     columns for the source and the key hash; an open-addressing table
     of entry indices (linear probing, at most half full) finds them.
@@ -33,7 +35,7 @@
 type 'v t
 
 val create : ?capacity:int -> width:int -> unit -> 'v t
-(** A memo over member sets of universe [\[0, width)].  [capacity]
+(** A memo over node sets of universe [\[0, width)].  [capacity]
     (default 65536) bounds the number of entries; once full, {!add} is
     a no-op.  Columns start small and double as entries arrive.
     Raises [Invalid_argument] if [capacity < 1] or [width < 0]. *)

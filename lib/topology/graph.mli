@@ -85,7 +85,6 @@ val degree : t -> int -> int
 val link_between : t -> int -> int -> int option
 (** First (lowest-id) up link from one node to another, if any. *)
 
-val fold_kind : t -> kind -> ('a -> node -> 'a) -> 'a -> 'a
 val nodes_of_kind : t -> kind -> int array
 
 (** {1 Failures} *)

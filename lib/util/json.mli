@@ -28,8 +28,6 @@ val int : int -> t
 
 val str : string -> t
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Compact (no whitespace) serialization; always valid JSON. *)
 

@@ -98,9 +98,4 @@ module Histogram = struct
 
   let counts t = Array.copy t.counts
   let total t = t.total
-
-  let bin_edges t =
-    let bins = Array.length t.counts in
-    Array.init (bins + 1) (fun i ->
-        t.lo +. ((t.hi -. t.lo) *. float_of_int i /. float_of_int bins))
 end

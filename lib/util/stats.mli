@@ -55,5 +55,4 @@ module Histogram : sig
       last bin. *)
 
   val total : t -> int
-  val bin_edges : t -> float array
 end

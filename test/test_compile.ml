@@ -349,6 +349,45 @@ let prop_count_entries_matches_compile =
       && agree ~ok:false
            (with_packet batch ~i (fun p -> { p with Plan.pods = -1 :: p.Plan.pods })))
 
+(* The service's plan memo keys a footprint by its destination racks:
+   two member sets whose destinations (the members but the source) sit
+   in the same racks have one footprint, whatever their sources and
+   endpoints. *)
+let prop_footprint_keyed_by_racks =
+  QCheck.Test.make ~name:"plan_footprint is a function of the destination racks"
+    ~count:150
+    QCheck.(triple (int_range 0 2) (int_range 0 10_000) (int_range 0 2))
+    (fun (fi, seed, budget) ->
+      let fabric = (Lazy.force counter_fabrics).(fi) in
+      let budget = if budget = 0 then None else Some budget in
+      let rng = Rng.create seed in
+      let eps = Fabric.endpoints fabric in
+      let racks = List.filter (fun _ -> Rng.int rng 3 = 0) (Array.to_list (Fabric.tors fabric)) in
+      (* Some of every rack's endpoints but the source, at least one. *)
+      let dests source =
+        List.concat_map
+          (fun tor ->
+            let here =
+              List.filter
+                (fun e -> e <> source && Fabric.attach_tor fabric e = tor)
+                (Array.to_list eps)
+            in
+            match List.filter (fun _ -> Rng.bool rng) here with
+            | [] -> [ List.nth here (Rng.int rng (List.length here)) ]
+            | some -> some)
+          racks
+      in
+      let src_a = Rng.pick rng eps in
+      let src_b = ref src_a in
+      while !src_b = src_a do
+        src_b := Rng.pick rng eps
+      done;
+      let footprint gid source =
+        Compile.plan_footprint fabric ~group:gid
+          (Plan.build ?budget fabric ~source ~dests:(source :: dests source))
+      in
+      footprint 0 src_a = footprint 1 !src_b)
+
 (* ------------------------------------------------------------------ *)
 (* CLI exit-code convention                                            *)
 (* ------------------------------------------------------------------ *)
@@ -603,7 +642,12 @@ let () =
           Alcotest.test_case "over budget (CMP004)" `Quick test_corrupt_over_budget;
           Alcotest.test_case "unsound merge (CMP005)" `Quick test_corrupt_unsound_merge;
         ] );
-      ("differential", [ qt qcheck_differential; qt prop_count_entries_matches_compile ]);
+      ( "differential",
+        [
+          qt qcheck_differential;
+          qt prop_count_entries_matches_compile;
+          qt prop_footprint_keyed_by_racks;
+        ] );
       ( "cli",
         [
           Alcotest.test_case "exit codes 0/1/2" `Quick test_cli_exit_codes;

@@ -922,17 +922,23 @@ let test_service_departs_pending_backlog () =
     (strings_of (Check_service.check_state out))
 
 (* Tentpole differential: the slot table + memo fast path must be
-   observationally identical to the PR 8 reference implementation —
+   observationally identical to the reference implementation —
    byte-identical decision logs with and without the memo caches, and
-   an SVC001-004-clean quiescent state, over random seeds, capacities
-   and both admission policies. *)
+   an SVC001-004-clean quiescent state, over random seeds, capacities,
+   both admission policies, a one-pod and a four-pod fabric, and prefix
+   budgets none, 1 and 2 (the plan memo's rack key must agree with a
+   fresh [Plan.build] at every cover width). *)
 let prop_service_matches_reference =
   QCheck.Test.make
     ~name:"service: fast path replays the reference bit-identically"
     ~count:12
-    QCheck.(pair (int_range 0 1_000_000) bool)
-    (fun (seed, evict) ->
-      let fabric = ls48 () in
+    QCheck.(quad (int_range 0 1_000_000) bool bool (int_range 0 2))
+    (fun (seed, evict, fat, budget) ->
+      let fabric =
+        if fat then Fabric.fat_tree ~k:4 ~hosts_per_tor:2 ~gpus_per_host:2 ()
+        else ls48 ()
+      in
+      let budget = if budget = 0 then None else Some budget in
       let events = 300 + (seed mod 200) in
       let capacity = 8 + (seed mod 57) in
       let stream () =
@@ -944,6 +950,7 @@ let prop_service_matches_reference =
             Service.default_config with
             Service.capacity;
             admission = (if evict then Service.Evict else Service.Deny);
+            budget;
             use_cache;
           }
         in
@@ -956,6 +963,7 @@ let prop_service_matches_reference =
           Service_ref.default_config with
           Service_ref.capacity;
           admission = (if evict then Service_ref.Evict else Service_ref.Deny);
+          budget;
         }
       in
       let oref = Service_ref.run ~cfg:rcfg ~jobs:1 fabric ~events (stream ()) in
