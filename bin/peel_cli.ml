@@ -195,7 +195,7 @@ let plan =
     | Some tree ->
         Printf.printf "tree: %d links, depth %d\n" (Peel.Tree.cost tree)
           (Peel.Tree.max_depth tree));
-    let plan = Peel.plan fabric ~source ~dests in
+    let plan = Peel.Plan.build fabric ~source ~dests in
     Printf.printf "plan: %d packet(s), header %d B, %d rule(s) per switch (static)\n"
       (Peel.Plan.num_packets plan) plan.Peel.Plan.header_bytes
       (Peel.switch_rules fabric);
@@ -1075,7 +1075,7 @@ let compile =
           let members = Spec.place fabric rng ~scale ~fragmentation () in
           let source = List.hd members in
           let dests = List.filter (fun m -> m <> source) members in
-          (gid, Peel.plan fabric ~source ~dests))
+          (gid, Peel.Plan.build fabric ~source ~dests))
     in
     let t = C.compile ?capacity ~aggregate fabric batch in
     let t =

@@ -23,7 +23,7 @@ let () =
         (Peel.Tree.cost tree) (Peel.Tree.max_depth tree) (List.length dests));
 
   (* 2. The prefix plan: what the source actually emits. *)
-  let plan = Peel.plan fabric ~source ~dests in
+  let plan = Peel.Plan.build fabric ~source ~dests in
   Printf.printf "send plan: %d packet(s), %d B header each\n"
     (Peel.Plan.num_packets plan) plan.Peel.Plan.header_bytes;
   List.iter

@@ -20,7 +20,10 @@ val schedule : Peel_topology.Fabric.t -> source:int -> members:int list -> t
 (** Same contract as {!Ring.schedule}. *)
 
 val max_fanout : t -> int
-(** Largest number of children any member has in one tree (<= 2). *)
+(** Largest number of children any member has in one tree (<= 2).
+    Test oracle: the schedule tests check both trees' shape. *)
 
 val send_load : t -> int -> int
-(** Total sends a member performs across both trees. *)
+(** Total sends a member performs across both trees.
+    Test oracle: the schedule tests check that the two trees balance
+    sends. *)

@@ -23,9 +23,6 @@ type plan = {
   relays : (int * int) list;  (** (agent, member) intra-server relays *)
 }
 
-val setup_delay_mu : float
-val setup_delay_sigma : float
-
 val sample_setup_delay : Peel_util.Rng.t -> float
 
 val plan :

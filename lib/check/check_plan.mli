@@ -25,10 +25,6 @@
 
 open Peel_topology
 
-val rule_budget : Fabric.t -> int
-(** [k - 1]: the static TCAM budget per aggregation switch,
-    [2^(m+1) - 1] over the fabric's ToR-id space. *)
-
 val check : Fabric.t -> Peel.Plan.t -> Diagnostic.t list
 
 val check_rules : Fabric.t -> Peel_prefix.Rules.table -> Diagnostic.t list

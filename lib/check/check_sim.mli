@@ -37,7 +37,8 @@ val check_cc_params :
   unit ->
   Diagnostic.t list
 (** [guard] defaults to the paper's 50 µs window (like
-    {!Peel_sim.Dcqcn.create}); pass [Some None] for guard-less DCQCN. *)
+    {!Peel_sim.Dcqcn.create}); pass [Some None] for guard-less DCQCN.
+    Unit-tested: no caller outside its own tests. *)
 
 val check_outcome :
   ?expected:int ->
@@ -72,4 +73,5 @@ val check_shard : Peel_sim.Shard.result -> Diagnostic.t list
 val check_chunk_conservation :
   chunks:int -> receivers:int -> delivered:int -> Diagnostic.t list
 (** Every receiver must get every chunk exactly once:
-    [delivered = chunks * receivers]. *)
+    [delivered = chunks * receivers].
+    Unit-tested: no caller outside its own tests. *)

@@ -15,32 +15,14 @@
 
 open Peel_topology
 
-val check_layering : Zoo.t -> Diagnostic.t list
-(** TOPO001 — one error per {!Zoo.layering_violations} entry:
-    endpoints on layer 0 wired only to switches, contiguous layers,
-    every hop crossing exactly one layer on layered classes, and
-    structural connectivity. *)
-
-val check_invariants : Zoo.t -> Diagnostic.t list
-(** TOPO002 — one error per {!Zoo.invariant_violations} entry: the
-    class's node counts and structural degrees (e.g. every Jellyfish
-    switch has exactly [net_degree] switch ports). *)
-
-val check_general_tree :
-  Graph.t -> Peel_steiner.Tree.t -> source:int -> dests:int list ->
-  Diagnostic.t list
-(** The fabric-free tree battery ({!Check_tree.check} without the Clos
-    cost bound) plus TOPO003: every tree edge must go from a parent
-    strictly closer to the source (BFS hops) than its child — the
-    validity invariant general peeling guarantees on any topology. *)
-
 val check_ratio :
   cost:int -> opt:int -> far:int -> ndests:int -> Diagnostic.t list
 (** TOPO004 — [cost] is the greedy tree's link count, [opt] the exact
     oracle's ({!Peel_steiner.Exact.oracle}), [far] the farthest layer
     F. Errors when [cost < opt] (the "exact" oracle was beaten, so it
     is not exact) or [cost > min(F, ndests) * max 1 opt] (Theorem 2.5
-    measured against the true optimum). *)
+    measured against the true optimum).
+    Unit-tested: no caller outside its own tests. *)
 
 val check_scenario : Zoo.t -> source:int -> dests:int list -> Diagnostic.t list
 (** The full zoo battery for one scenario: layering + invariants, then
@@ -65,7 +47,7 @@ val corrupt :
     TOPO003 and TOPO004 return [z] as it is and corrupt the planner's
     outputs: the general peel of the group, with one node attached
     through a link that does not descend the BFS layering, goes through
-    {!check_general_tree} (TOPO003; raises [Failure] when no such link
+    the general-tree checks (TOPO003; raises [Failure] when no such link
     exists); or the peel's cost goes through {!check_ratio} against an
     optimum one link dearer than the greedy (TOPO004).  An unreachable
     group finds nothing. *)

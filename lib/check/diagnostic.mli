@@ -31,7 +31,8 @@ val errors : t list -> t list
 val has_errors : t list -> bool
 
 val has_code : string -> t list -> bool
-(** Whether any finding carries the given code (test helper). *)
+(** Whether any finding carries the given code.  Test oracle: the
+    suites assert a diagnosis with it. *)
 
 val sort : t list -> t list
 (** Errors first, then warnings, then infos; stable by code within a

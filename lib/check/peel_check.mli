@@ -24,9 +24,6 @@ module Check_sim = Check_sim
 module Check_collective = Check_collective
 module Check_topology = Check_topology
 
-val env_var : string
-(** ["PEEL_CHECK"]. *)
-
 val enabled : unit -> bool
 (** True when [PEEL_CHECK] is set to 1/true/yes/on. *)
 

@@ -54,8 +54,8 @@ let launch engine links fabric paths _cfg algo ~(spec : Spec.collective)
                 ~on_delivered:(fun ~node:_ ~time -> record time))
         members
 
-let run ?chunks fabric algo collectives =
-  Runner.run_custom ?chunks fabric
+let run fabric algo collectives =
+  Runner.run_custom fabric
     ~launch:(fun engine links paths cfg ~spec ~on_complete ->
       launch engine links fabric paths cfg algo ~spec ~on_complete)
     collectives

@@ -16,23 +16,13 @@ type algo = Ring_exchange | Peel_multicast
 
 val algo_to_string : algo -> string
 
-val launch :
-  Peel_sim.Engine.t ->
-  Peel_sim.Link_state.t ->
-  Fabric.t ->
-  Paths.t ->
-  Broadcast.config ->
-  algo ->
-  spec:Spec.collective ->
-  on_complete:(float -> unit) ->
-  unit
-(** [spec.bytes] is the total gathered size; each member contributes
-    [bytes / N].  [spec.members] must have at least 2 entries.
-    [on_complete] fires when every member holds every shard. *)
-
 val run :
-  ?chunks:int ->
   Fabric.t ->
   algo ->
   Spec.collective list ->
   Runner.outcome
+(** Simulate every collective on one shared engine in 8 chunks
+    ({!Runner.run_custom}).  [spec.bytes] is the total gathered size;
+    each member contributes [bytes / N].  [spec.members] must have at
+    least 2 entries.  A collective completes when every member holds
+    every shard. *)

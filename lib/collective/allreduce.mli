@@ -18,22 +18,11 @@ type algo = Ring_rs_ag | Reduce_then_peel
 
 val algo_to_string : algo -> string
 
-val launch :
-  Peel_sim.Engine.t ->
-  Peel_sim.Link_state.t ->
-  Fabric.t ->
-  Paths.t ->
-  Broadcast.config ->
-  algo ->
-  spec:Spec.collective ->
-  on_complete:(float -> unit) ->
-  unit
-(** [on_complete] fires when every member holds the fully reduced
-    message. *)
-
 val run :
-  ?chunks:int ->
   Fabric.t ->
   algo ->
   Spec.collective list ->
   Runner.outcome
+(** Simulate every collective on one shared engine in 8 chunks
+    ({!Runner.run_custom}).  A collective completes when every member
+    holds the fully reduced message. *)

@@ -14,9 +14,6 @@ type config = {
   trace : Trace.t;
 }
 
-let default_config ?(trace = Trace.null) ~rng () =
-  { chunks = 8; cc = No_cc; rng; controller = true; loss = None; trace }
-
 let nic_rate = 12.5e9
 let cnp_delay = 5e-6
 

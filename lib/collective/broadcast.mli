@@ -49,10 +49,6 @@ type config = {
           flow id *)
 }
 
-val default_config : ?trace:Trace.t -> rng:Peel_util.Rng.t -> unit -> config
-(** chunks = 8, no congestion control, controller delays on, lossless,
-    tracing off. *)
-
 val launch :
   Engine.t ->
   Link_state.t ->

@@ -264,10 +264,10 @@ let launch_chain engine links fabric paths cfg ctrl ~kind
      end-to-end, and routing heals by itself once paths re-resolve. *)
   fun (_ : Fault.event) -> ()
 
-let run ?(chunks = 8) ?(ctrl = default_ctrl) ?loss ?(ecmp = true) ?trace
-    ?faults fabric scheme collectives =
+let run ?(chunks = 8) ?(ctrl = default_ctrl) ?loss ?trace ?faults fabric
+    scheme collectives =
   let handlers = ref [] in
-  Runner.run_custom ~chunks ?loss ~ecmp ?trace ?faults
+  Runner.run_custom ~chunks ?loss ?trace ?faults
     ~on_fault:(fun ev -> List.iter (fun h -> h ev) (List.rev !handlers))
     fabric
     ~launch:(fun engine links paths cfg ~spec ~on_complete ->

@@ -93,8 +93,8 @@ let launch engine links fabric paths cfg algo ~spec ~on_complete =
     ~on_chunk:(fun _ _ -> ())
     ~on_complete
 
-let run ?chunks fabric algo collectives =
-  Runner.run_custom ?chunks fabric
+let run fabric algo collectives =
+  Runner.run_custom fabric
     ~launch:(fun engine links paths cfg ~spec ~on_complete ->
       launch engine links fabric paths cfg algo ~spec ~on_complete)
     collectives

@@ -17,19 +17,6 @@ type algo = Ring_pass | Btree_reduce
 
 val algo_to_string : algo -> string
 
-val launch :
-  Peel_sim.Engine.t ->
-  Peel_sim.Link_state.t ->
-  Fabric.t ->
-  Paths.t ->
-  Broadcast.config ->
-  algo ->
-  spec:Spec.collective ->
-  on_complete:(float -> unit) ->
-  unit
-(** [on_complete] fires when the root holds the fully reduced message
-    (all chunks combined from all members). *)
-
 val launch_with_chunk_hook :
   Peel_sim.Engine.t ->
   Peel_sim.Link_state.t ->
@@ -41,13 +28,17 @@ val launch_with_chunk_hook :
   on_chunk:(int -> float -> unit) ->
   on_complete:(float -> unit) ->
   unit
-(** Like {!launch}, additionally reporting when each reduced chunk
-    becomes available at the root — the hand-off point for a pipelined
-    reduce-then-broadcast Allreduce. *)
+(** Launch one reduce on a shared engine, reporting when each reduced
+    chunk becomes available at the root — the hand-off point for a
+    pipelined reduce-then-broadcast Allreduce.  [on_complete] fires
+    when the root holds the fully reduced message (all chunks combined
+    from all members). *)
 
 val run :
-  ?chunks:int ->
   Fabric.t ->
   algo ->
   Spec.collective list ->
   Runner.outcome
+(** Simulate every collective on one shared engine in 8 chunks
+    ({!Runner.run_custom}).  A collective completes when the root holds
+    the fully reduced message. *)

@@ -19,7 +19,6 @@ type outcome = {
 val run :
   ?chunks:int ->
   ?cc:Broadcast.cc ->
-  ?controller_seed:int ->
   ?controller:bool ->
   ?loss:Peel_sim.Transfer.loss ->
   ?ecmp:bool ->
@@ -39,10 +38,6 @@ val run :
     ({!Peel_check.Check_sim.check_trace}). *)
 
 val run_sharded :
-  ?chunks:int ->
-  ?ecmp:bool ->
-  ?jobs:int ->
-  ?audit:bool ->
   Fabric.t ->
   Scheme.t ->
   Spec.collective list ->
@@ -50,8 +45,9 @@ val run_sharded :
 (** Like {!run}, but on the conservative sharded engine
     ({!Par.run} / {!Peel_sim.Shard}): the event loop is partitioned by
     pod and windows advance under the fabric's minimum cross-pod
-    lookahead.  Results are bit-identical for every [jobs] value
-    ([jobs] defaults to {!Peel_util.Pool.default_jobs}); versus {!run}
+    lookahead, with {!run}'s defaults (8 chunks, ECMP) on
+    {!Peel_util.Pool.default_jobs} domains.  Results are bit-identical
+    for every domain count; versus {!run}
     they coincide except when two collectives' reservations collide at
     exactly equal float timestamps on a shared link, where the two
     engines apply different (each deterministic) FIFO tie orders.
@@ -62,15 +58,13 @@ val run_sharded :
     [trace] is {!Peel_sim.Trace.null}.  Raises [Invalid_argument] on an
     unsupported scheme.
 
-    [audit] (default: whether [PEEL_CHECK] is armed) collects
-    per-window causality evidence; with [PEEL_CHECK=1] the outcome and
-    the evidence are linted post-run
+    With [PEEL_CHECK=1] the run collects per-window causality evidence,
+    and the outcome and the evidence are linted post-run
     ({!Peel_check.Check_sim.check_shard}, SIM008). *)
 
 val run_custom :
   ?chunks:int ->
   ?cc:Broadcast.cc ->
-  ?controller_seed:int ->
   ?controller:bool ->
   ?loss:Peel_sim.Transfer.loss ->
   ?ecmp:bool ->

@@ -10,7 +10,6 @@ type t =
 
 let all = [ Ring; Btree; Optimal; Orca; Peel; Peel_prog_cores ]
 
-let extended = all @ [ Dbtree; Peel_multitree 4 ]
 
 let to_string = function
   | Ring -> "ring"

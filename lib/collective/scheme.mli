@@ -17,9 +17,6 @@ type t =
 val all : t list
 (** The paper's six. *)
 
-val extended : t list
-(** [all] plus the extensions. *)
-
 val to_string : t -> string
 val of_string : string -> t option
 

@@ -26,21 +26,6 @@
 
 open Peel_topology
 
-val check_equivalence : Fabric.t -> Compile.t -> Peel_check.Diagnostic.t list
-(** CMP001 over every group of the batch. *)
-
-val check_reachability : Compile.t -> Peel_check.Diagnostic.t list
-(** CMP002 over every table. *)
-
-val check_conflicts : Compile.t -> Peel_check.Diagnostic.t list
-(** CMP003 over every table. *)
-
-val check_budget : Compile.t -> Peel_check.Diagnostic.t list
-(** CMP004; empty when the compile carried no capacity. *)
-
-val check_aggregation : Compile.t -> Peel_check.Diagnostic.t list
-(** CMP005 over every entry. *)
-
 val check : Fabric.t -> Compile.t -> Peel_check.Diagnostic.t list
 (** All of the above, sorted errors-first (CMP codes ascending within a
     severity). *)

@@ -1,4 +1,4 @@
-(** Fleet-level rule compiler (ROADMAP item 5): lower a whole batch of
+(** Fleet-level rule compiler: lower a whole batch of
     per-group send plans into concrete per-switch rule tables, sharing
     state across groups.
 
@@ -92,7 +92,7 @@ val group_waste : Fabric.t -> t -> group:int -> int list
 val entry_bytes : m:int -> int
 (** Exact hardware footprint of one entry in an [m]-bit table: the
     [<value,len>] match field plus a [2^m]-wide port bitmap, in whole
-    bytes. *)
+    bytes.  Unit-tested: no caller outside its own tests. *)
 
 val table_bytes : table -> int
 (** {!entry_bytes} summed over the table's entries. *)

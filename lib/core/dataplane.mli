@@ -33,7 +33,9 @@ val over_covered : Fabric.t -> Plan.t -> int list
     destination (ascending, deduped) — the wasted replication a
     budgeted cover trades for fewer rules.  Computed purely from
     {!deliver} output, so it can be differenced against the control
-    plane's {!Peel_prefix.Cover} over-cover set. *)
+    plane's {!Peel_prefix.Cover} over-cover set.
+    Test oracle: the service tests difference the control plane's
+    over-cover set against it. *)
 
 (** {1 Refined stage (§3.3 stage two)}
 

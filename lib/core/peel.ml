@@ -16,8 +16,6 @@ let multicast_tree fabric ~source ~dests =
   | exception Invalid_argument _ ->
       Layer_peel.build (Fabric.graph fabric) ~source ~dests
 
-let plan ?budget fabric ~source ~dests = Plan.build ?budget fabric ~source ~dests
-
 let tor_id_bits = Plan.tor_id_bits
 
 let switch_rules fabric = Peel_util.Bits.pow2 (tor_id_bits fabric + 1) - 1

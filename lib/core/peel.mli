@@ -8,7 +8,7 @@
       tree — provably optimal in a symmetric Clos (Lemma 2.1), and the
       [O(min(F,|D|))]-approximate layer-peeling greedy when links have
       failed (§2.3).
-    - {b State}: [plan] compresses the downward fan-out into
+    - {b State}: {!Plan.build} compresses the downward fan-out into
       power-of-two prefix packets matched by [k-1] static TCAM rules
       per switch and a <8 B header (§3.2).
 
@@ -36,9 +36,6 @@ val multicast_tree :
 (** The PEEL multicast tree for a group: the symmetric-optimal
     construction when every needed link is up, otherwise the
     layer-peeling greedy. [None] if a destination is unreachable. *)
-
-val plan : ?budget:int -> Fabric.t -> source:int -> dests:int list -> Plan.t
-(** Alias of {!Plan.build}. *)
 
 val switch_rules : Fabric.t -> int
 (** Static TCAM entries PEEL pre-installs per aggregation switch:

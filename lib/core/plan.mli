@@ -80,4 +80,5 @@ val packet_trees :
 
 val validate : Fabric.t -> t -> (unit, string) result
 (** Cross-checks the plan: every destination is covered by exactly one
-    packet, and waste racks carry no members. *)
+    packet, and waste racks carry no members.
+    Test oracle: the plan tests check every built plan with it. *)

@@ -17,20 +17,6 @@
     - [SVC005] — two runs with the same seed and event stream produce
       byte-identical decision-log fingerprints. *)
 
-val check_group_cover :
-  Service.outcome -> int -> Peel_check.Diagnostic.t list
-(** SVC001 for the live group at the given {!Group_table} slot: the
-    {!Check_ctrl.check_refined_cover} walk under its own code. *)
-
-val check_budget : Service.outcome -> Peel_check.Diagnostic.t list
-(** SVC002. *)
-
-val check_stages : Service.outcome -> Peel_check.Diagnostic.t list
-(** SVC003. *)
-
-val check_departed : Service.outcome -> Peel_check.Diagnostic.t list
-(** SVC004. *)
-
 val check_state : Service.outcome -> Peel_check.Diagnostic.t list
 (** SVC001–004 over the whole outcome, sorted errors-first. *)
 

@@ -2,7 +2,6 @@ open Peel_sim
 
 type stage = Static | Refined
 
-let stage_to_string = function Static -> "static" | Refined -> "refined"
 
 type config = {
   rpc : float;
@@ -43,7 +42,6 @@ let create ?(trace = Trace.null) cfg =
   in
   { cfg; tcam; trace; groups = Hashtbl.create 16 }
 
-let config t = t.cfg
 let tcam t = t.tcam
 let budget t = t.cfg.budget
 

@@ -21,9 +21,6 @@ open Peel_sim
     static prefixes, or its exact per-group entries. *)
 type stage = Static | Refined
 
-val stage_to_string : stage -> string
-(** ["static"] / ["refined"], as printed in tables and traces. *)
-
 type config = {
   rpc : float;       (** controller-to-switch RPC round, seconds *)
   per_rule : float;  (** serial install time per TCAM entry, seconds *)
@@ -46,9 +43,6 @@ type t
 val create : ?trace:Trace.t -> config -> t
 (** Raises [Invalid_argument] on negative or non-finite latencies, or
     on a [budget] of [Some b] with [b < 1]. *)
-
-val config : t -> config
-(** The configuration the controller was created with. *)
 
 val tcam : t -> Tcam.t option
 (** The live TCAM model ([None] when [capacity <= 0]). *)

@@ -33,8 +33,8 @@ let no_tree =
   Tree.of_parents (Graph.Builder.finish (Graph.Builder.create ())) ~root:0
     ~parents:[]
 
-let create ?(initial = 1024) ~width () =
-  let cap = max 1 initial in
+let create ~width () =
+  let cap = 1024 in
   {
     width;
     index = Hashtbl.create cap;

@@ -64,7 +64,7 @@ let launch_group controller scheme engine links fabric cfg
   (* Stage one: the budgeted prefix plan.  Its packet trees span the
      over-covered racks too — wasted replication is real link load. *)
   let plan =
-    Peel.plan ?budget:(Controller.budget controller) fabric ~source ~dests
+    Peel.Plan.build ?budget:(Controller.budget controller) fabric ~source ~dests
   in
   let static_trees =
     List.filter_map
@@ -163,7 +163,7 @@ let launch_group controller scheme engine links fabric cfg
   release 0 start
 
 let run ?(chunks = 8) ?(cfg = Controller.default_config) ?(trace = Trace.null)
-    ?(ecmp = true) fabric scheme groups =
+    fabric scheme groups =
   (* Classic IPMC keeps per-group state on every on-tree switch with no
      architectural bound — E14 is the experiment that prices that.  Give
      it an effectively unbounded table so no eviction masks the CCT
@@ -180,7 +180,7 @@ let run ?(chunks = 8) ?(cfg = Controller.default_config) ?(trace = Trace.null)
   let reports = ref [] in
   let collectives = List.map Spec.collective_of_group groups in
   let out =
-    Runner.run_custom ~chunks ~ecmp ~trace fabric
+    Runner.run_custom ~chunks ~trace fabric
       ~launch:(fun engine links _paths cfg' ~spec ~on_complete ->
         if spec.Spec.dests = [] then
           Engine.schedule engine spec.Spec.arrival (fun () -> on_complete 0.0)

@@ -54,7 +54,6 @@ val run :
   ?chunks:int ->
   ?cfg:Controller.config ->
   ?trace:Trace.t ->
-  ?ecmp:bool ->
   Fabric.t ->
   scheme ->
   Spec.group list ->

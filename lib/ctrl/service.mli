@@ -1,5 +1,5 @@
 (** Multicast-as-a-service: a long-running open-loop controller
-    (ROADMAP item 2, Elmo's cloud framing).
+    (Elmo's cloud framing).
 
     Where {!Refine} replays a fixed batch of groups through the packet
     simulator, [Service] consumes an unbounded {!Peel_workload.Stream}
@@ -170,7 +170,7 @@ val run :
     state (the backlog is flushed after the final event; its depth at
     stop time is recorded first).  The run uses the calling domain
     only; [jobs] is checked to be at least 1 and has no other effect
-    (it stays while the benchmark passes it: ROADMAP item 19).
+    (it stays while the benchmark passes it).
     The outcome is bit-identical for either [use_cache] setting.
     [trace] (default {!Peel_sim.Trace.null}) receives the planning-
     cache hit/miss counters.  Raises [Invalid_argument] on a negative

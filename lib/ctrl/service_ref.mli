@@ -46,10 +46,12 @@ open Peel_workload
 type admission = Evict | Deny
 
 val admission_to_string : admission -> string
-(** ["evict"] / ["deny"], as accepted by the CLI. *)
+(** ["evict"] / ["deny"], as accepted by the CLI.
+    Test oracle: kept with the rest of the reference service. *)
 
 val admission_of_string : string -> admission option
-(** Inverse of {!admission_to_string}; [None] on an unknown name. *)
+(** Inverse of {!admission_to_string}; [None] on an unknown name.
+    Test oracle: kept with the rest of the reference service. *)
 
 type config = {
   capacity : int;        (** per-switch TCAM entries; [<= 0] = no multicast
@@ -73,6 +75,7 @@ val default_config : config
 type stage = Pending | Installed | Fallback
 
 val stage_to_string : stage -> string
+(** Test oracle: kept with the rest of the reference service. *)
 
 type gstate = {
   sg_gid : int;

@@ -9,16 +9,6 @@
       Broadcast's total fabric-link traversals under PEEL versus a
       unicast ring (paper: PEEL uses ~23% less aggregate bandwidth). *)
 
-type cost_row = {
-  failure_pct : int;
-  trials : int;
-  mean_ratio : float;    (** greedy cost / exact optimum *)
-  max_ratio : float;
-  optimal_rate : float;  (** fraction of trials where greedy = optimum *)
-}
-
-val compute_cost : Common.mode -> cost_row list
-
 type bandwidth = {
   ring_traversals : int;
   peel_traversals : int;
@@ -26,5 +16,6 @@ type bandwidth = {
 }
 
 val compute_bandwidth : unit -> bandwidth
+(** Unit-tested: no caller outside its own tests. *)
 
 val run : Common.mode -> unit

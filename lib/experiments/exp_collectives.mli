@@ -7,13 +7,4 @@
     message sizes on a one-GPU-per-server fabric (every hop on the
     fabric). *)
 
-type row = {
-  op : string;
-  algo : string;
-  size_mb : float;
-  mean : float;
-  p99 : float;
-}
-
-val compute : Common.mode -> row list
 val run : Common.mode -> unit

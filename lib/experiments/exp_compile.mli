@@ -6,17 +6,5 @@
     Pure control-plane accounting (no simulation), so the rows are
     bit-deterministic and guarded in BENCH.json's "compile" section. *)
 
-type row = {
-  capacity : int;      (** per-switch TCAM entry budget *)
-  batch : int;         (** groups offered (the arrival sequence length) *)
-  exact_groups : int;  (** sustained by per-group exact installs *)
-  dedup_groups : int;  (** sustained by compiled tables, dedup only *)
-  agg_groups : int;    (** sustained with cross-group aggregation *)
-  agg_max_entries : int;  (** busiest switch at the aggregated maximum *)
-  agg_merges : int;       (** merges performed at that point *)
-  agg_waste : int;        (** aggregation-induced waste rack slots *)
-}
-
-val rows : Common.mode -> row list
 val rows_json : Common.mode -> Peel_util.Json.t
 val run : Common.mode -> unit

@@ -9,19 +9,6 @@
     delay for PEEL against the ring and binary-tree baselines and
     reports CCT degradation (failed / clean). *)
 
-type row = {
-  scheme : string;
-  fail_at : float;  (** failure instant, fraction of the clean CCT *)
-  reaction : float;  (** controller reaction delay, seconds *)
-  clean : float;  (** failure-free CCT, seconds *)
-  failed : float;  (** CCT with the mid-run failure, seconds *)
-  degradation : float;  (** failed / clean *)
-  replans : int;  (** controller replans traced during the run *)
-}
-
-val rows : Common.mode -> row list
-(** Deterministic: fixed seeds for placement and the failure draw. *)
-
 val rows_json : Common.mode -> Peel_util.Json.t
 (** The same rows as a [peel-bench/1] "failover_degradation" array. *)
 

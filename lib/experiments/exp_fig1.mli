@@ -12,6 +12,7 @@ type row = {
 }
 
 val compute : unit -> row list
+(** Unit-tested: no caller outside its own tests. *)
 
 val headline_json : unit -> Peel_util.Json.t
 (** Mean, p50, p99 and max CCT of every scheme over four seeded 8-GPU,

@@ -12,4 +12,6 @@ type row = {
 }
 
 val compute : unit -> row list
+(** Unit-tested: no caller outside its own tests. *)
+
 val run : Common.mode -> unit

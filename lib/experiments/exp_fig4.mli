@@ -6,13 +6,4 @@
     modelled or zeroed.  The paper's claim: the p99 CCT of a 32 MB
     Broadcast rises ~8x with controller overhead. *)
 
-type row = {
-  size_mb : float;
-  mean_with : float;
-  mean_without : float;
-  p99_with : float;
-  p99_without : float;
-}
-
-val compute : Common.mode -> row list
 val run : Common.mode -> unit

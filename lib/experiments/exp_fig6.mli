@@ -6,12 +6,4 @@
     mean CCT is ~5x lower than Ring, ~13x lower than Tree, ~2.5x lower
     than Orca. *)
 
-type row = {
-  scale : int;
-  scheme : Peel_collective.Scheme.t;
-  mean : float;
-  p99 : float;
-}
-
-val compute : Common.mode -> int list -> row list
 val run : Common.mode -> unit

@@ -9,12 +9,4 @@
     whole failure range; at 10% failures PEEL's p99 is ~3x lower than
     Ring and ~30x lower than Tree. *)
 
-type row = {
-  failure_pct : int;
-  scheme : Peel_collective.Scheme.t;
-  mean : float;
-  p99 : float;
-}
-
-val compute : Common.mode -> int list -> row list
 val run : Common.mode -> unit

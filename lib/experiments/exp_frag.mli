@@ -6,15 +6,4 @@
     then discard the traffic.  This ablation quantifies both sides of
     the trade-off and its CCT impact. *)
 
-type row = {
-  fragmentation : float;
-  mean_packets_exact : float;
-  mean_packets_budget : float;
-  mean_waste_budget : float;     (** over-covered racks per collective *)
-  peel_mean_cct : float;
-  optimal_mean_cct : float;
-}
-
-val budget : int
-val compute : Common.mode -> row list
 val run : Common.mode -> unit

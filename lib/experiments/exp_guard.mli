@@ -5,12 +5,4 @@
     receiver-side limiter with a 50 us sender-side guard timer and
     reports a 12x lower p99 CCT for a 64-GPU Broadcast of 32 MB. *)
 
-type result = {
-  mean_guard : float;
-  mean_no_guard : float;
-  p99_guard : float;
-  p99_no_guard : float;
-}
-
-val compute : Common.mode -> result
 val run : Common.mode -> unit

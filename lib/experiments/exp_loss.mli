@@ -5,13 +5,4 @@
     repair traffic for PEEL (end-to-end source retransmissions to the
     orphaned receivers) versus Ring (per-hop selective repeat). *)
 
-type row = {
-  loss_rate : float;
-  scheme : string;
-  mean : float;
-  p99 : float;
-  retransmissions_per_collective : float;
-}
-
-val compute : Common.mode -> row list
 val run : Common.mode -> unit

@@ -7,15 +7,4 @@
     PEEL and the unicast baselines under load — plus the effect of the
     chunk count the paper fixes at 8. *)
 
-type row = {
-  label : string;
-  mean : float;
-  p99 : float;
-  max_link_utilization : float;
-}
-
-val compute_striping : Common.mode -> row list
-val compute_chunks : Common.mode -> (int * float * float) list
-(** [(chunks, mean, p99)] for PEEL broadcast. *)
-
 val run : Common.mode -> unit

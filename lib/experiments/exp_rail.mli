@@ -6,11 +6,4 @@
     unchanged.  This experiment compares schemes on rails and reports
     the static state PEEL needs there. *)
 
-type row = {
-  scheme : Peel_collective.Scheme.t;
-  mean : float;
-  p99 : float;
-}
-
-val compute : Common.mode -> row list
 val run : Common.mode -> unit

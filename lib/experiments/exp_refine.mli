@@ -3,18 +3,5 @@
     and per-switch TCAM budget, PEEL-static vs. PEEL-refined vs.
     per-group IPMC on one seeded group schedule. *)
 
-type row = {
-  scheme : string;
-  rpc : float;       (** nan where not applicable *)
-  capacity : int;    (** 0 where not applicable *)
-  mean_cct : float;
-  total_bytes : float;      (** all link-bytes reserved *)
-  overcover_bytes : float;  (** bytes landed on memberless racks *)
-  installs : int;
-  evictions : int;
-  refined_frac : float;     (** chunks released on exact rules *)
-}
-
-val rows : Common.mode -> row list
 val rows_json : Common.mode -> Peel_util.Json.t
 val run : Common.mode -> unit

@@ -12,42 +12,12 @@
     The reference runs only for the SLO rows, never under the bench
     guard. *)
 
-type row = {
-  events : int;
-  creates : int;
-  groups_held : int;       (** live groups when the stream stopped *)
-  cache_hits : int;
-  cache_misses : int;
-  installs : int;
-  evictions : int;
-  batches : int;
-  compiled_entries : int;
-  max_backlog : int;
-  fingerprint : string;          (** caches on *)
-  fingerprint_nocache : string;  (** must equal [fingerprint] *)
-}
-
-type slo_row = {
-  s_events : int;
-  s_events_per_sec : float;
-  s_wall_s : float;
-  s_live_heap_mwords : float;  (** live words after a full major GC,
-                                   with the cached run's state held *)
-  s_cache_hit_rate : float;
-  s_ref_events_per_sec : float;
-  s_ref_wall_s : float;
-  s_speedup : float;           (** events/sec over the reference's *)
-  s_ref_fingerprint_matches : bool;
-}
-
 val seed : int
 val fabric : unit -> Peel_topology.Fabric.t
 
 val tenants : unit -> Peel_workload.Stream.tenant list
 (** The E22 stream: its seed, fabric and long-hold tenant mix. *)
 
-val rows : Common.mode -> row list
-val slo_rows : Common.mode -> slo_row list
 val rows_json : Common.mode -> Peel_util.Json.t
 val slo_json : Common.mode -> Peel_util.Json.t
 val run : Common.mode -> unit

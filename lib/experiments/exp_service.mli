@@ -6,40 +6,6 @@
     (plan-latency percentiles, sustained events/sec) are reported but
     unguarded. *)
 
-type row = {
-  capacity : int;
-  admission : string;        (** ["evict"] / ["deny"] *)
-  events : int;
-  creates : int;
-  membership_deltas : int;   (** joins + leaves *)
-  delta_repeels : int;       (** deltas absorbed by splicing *)
-  full_repeels : int;        (** creations + splice fallbacks *)
-  splice_fallbacks : int;
-  batches : int;
-  installs : int;
-  evictions : int;
-  denials : int;
-  compiled_entries : int;
-  multicast_chunks : int;
-  unicast_chunks : int;
-  multicast_link_bytes : float;
-  unicast_link_bytes : float;
-  max_backlog : int;
-  fingerprint : string;      (** SVC005 replay witness *)
-}
-
-type slo_row = {
-  s_capacity : int;
-  s_admission : string;
-  s_plan_p50_s : float;
-  s_plan_p99_s : float;
-  s_plan_max_s : float;
-  s_events_per_sec : float;
-  s_wall_s : float;
-}
-
-val rows : Common.mode -> row list
-val slo_rows : Common.mode -> slo_row list
 val rows_json : Common.mode -> Peel_util.Json.t
 val slo_json : Common.mode -> Peel_util.Json.t
 val run : Common.mode -> unit

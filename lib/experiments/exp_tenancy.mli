@@ -16,4 +16,6 @@ type row = {
 }
 
 val compute : Common.mode -> row list
+(** Unit-tested: no caller outside its own tests. *)
+
 val run : Common.mode -> unit

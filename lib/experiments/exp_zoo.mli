@@ -12,41 +12,6 @@
     Every section is seeded and deterministic; the Quick-mode record is
     the guarded ["zoo"] section of BENCH.json. *)
 
-type ratio_row = {
-  cls : string;  (** topology class, or ["clos-control"] *)
-  failure_pct : int;
-  group : int;  (** destination count |D| *)
-  trials : int;
-  measured : int;  (** trials the oracle could afford *)
-  mean_ratio : float;
-  max_ratio : float;
-  optimal_rate : float;  (** fraction of measured trials at ratio 1.0 *)
-}
-
-type rules_row = {
-  r_cls : string;
-  r_trees : int;
-  r_switches : int;  (** switches holding at least one replication rule *)
-  r_total_rules : int;
-  r_max_rules : int;
-}
-
-type reconfig_row = {
-  c_cls : string;
-  c_epochs : int;
-  c_swaps : int;  (** individual fail/recover events applied *)
-  c_clean : float;
-  c_reconf : float;
-  c_degradation : float;
-  c_replans : int;
-}
-
-val ratio_rows : Common.mode -> ratio_row list
-(** Deterministic: per-trial seeds derive from (failure, group, index). *)
-
-val rules_rows : unit -> rules_row list
-val reconfig_rows : unit -> reconfig_row list
-
 val rows_json : Common.mode -> Peel_util.Json.t
 (** All three sections as one object — the BENCH.json ["zoo"] record. *)
 

@@ -8,12 +8,7 @@ let validate ~m p =
   if p.value < 0 || p.value >= Bits.pow2 p.len then
     invalid_arg "Cover: prefix value out of range"
 
-let make ~m ~value ~len =
-  let p = { value; len } in
-  validate ~m p;
-  p
-
-(* Validation happens at construction ([make] / the cover builders);
+(* Validation happens at construction (the cover builders);
    the per-id helpers below sit on the data-plane hot path and trust
    their input. *)
 let block_size ~m p = Bits.pow2 (m - p.len)

@@ -16,11 +16,6 @@ type prefix = { value : int; len : int }
     covered in an [m]-bit space is [\[value*2^(m-len),
     (value+1)*2^(m-len))]. *)
 
-val make : m:int -> value:int -> len:int -> prefix
-(** Smart constructor: validates once at construction time (the hot
-    helpers below trust their input and no longer re-validate per
-    call). Raises [Invalid_argument] like {!validate}. *)
-
 val block_size : m:int -> prefix -> int
 val covers : m:int -> prefix -> int -> bool
 val expand : m:int -> prefix -> int list
@@ -65,11 +60,13 @@ val budgeted_cover : m:int -> budget:int -> int list -> prefix list
     int arrays of [budget + 1] values per such node. *)
 
 val covered_set : m:int -> prefix list -> int list
-(** Union of the blocks, ascending, duplicates removed. *)
+(** Union of the blocks, ascending, duplicates removed.
+    Test oracle: the cover tests check exactness against it. *)
 
 val over_coverage : m:int -> prefix list -> targets:int list -> int
 (** Number of covered identifiers that are not targets. *)
 
 val is_cover : m:int -> prefix list -> targets:int list -> bool
 (** Do the prefixes cover every target?  (Over-covering is allowed;
-    see {!over_coverage} for how much.) *)
+    see {!over_coverage} for how much.)
+    Test oracle: the budgeted-cover tests check coverage with it. *)

@@ -6,12 +6,9 @@
     plus [ceil(log2 (m+1))] bits for the length — [O(log k)], under 8
     bytes even at [k = 128]. *)
 
-val id_bits : k:int -> int
-(** [m = log2 (k/2)]. [k] must be an even power-of-two fat-tree arity
-    (>= 4). *)
-
 val header_bits : k:int -> int
-(** [m + ceil(log2 (m+1))] — the paper's formula. *)
+(** [m + ceil(log2 (m+1))] — the paper's formula.  Raises
+    [Invalid_argument] unless [k >= 4] and [k/2] is a power of two. *)
 
 val header_bytes : k:int -> int
 (** [header_bits] rounded up to whole bytes (what a packet actually

@@ -24,7 +24,6 @@ let rules t =
 
 let size t = Hashtbl.length t.by_prefix
 
-let lookup_opt t prefix = Hashtbl.find_opt t.by_prefix prefix
 
 let lookup t prefix =
   match Hashtbl.find_opt t.by_prefix prefix with

@@ -34,13 +34,10 @@ val lookup : table -> Cover.prefix -> rule
     path through the compiler's conflict checker, so the error names
     the offending prefix and the table width. *)
 
-val lookup_opt : table -> Cover.prefix -> rule option
-(** Total variant of {!lookup}: [None] for a prefix outside the
-    table. *)
-
 val match_ports : table -> Header.t -> m:int -> int list
 (** Full data-plane path: decode the wire header, look up the rule,
-    return the replication port set. *)
+    return the replication port set.
+    Unit-tested: no caller outside its own tests. *)
 
 (** {1 State accounting (paper §1 and §3.2)} *)
 

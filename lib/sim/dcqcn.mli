@@ -46,4 +46,5 @@ val release_duration : t -> now:float -> bytes:float -> float
     [Invalid_argument] unless [bytes > 0] (NaN is rejected). *)
 
 val cuts : t -> int
-(** Number of rate reductions actually applied (for tests/telemetry). *)
+(** Number of rate reductions actually applied (for tests/telemetry).
+    Test oracle: the DCQCN tests count applied cuts with it. *)

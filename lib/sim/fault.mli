@@ -33,10 +33,13 @@ val of_list : event list -> t
     a negative or non-finite time or a negative link id. *)
 
 val events : t -> event list
-(** The schedule's events in application order. *)
+(** The schedule's events in application order.
+    Test oracle: the schedule tests read the validated order back. *)
 
 val is_empty : t -> bool
-(** [true] iff the schedule carries no events. *)
+(** [true] iff the schedule carries no events.
+    Test oracle: the schedule tests check an empty schedule with it.
+    *)
 
 val schedule_of_failures :
   at:float -> ?recover_at:float -> int list -> t

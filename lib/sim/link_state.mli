@@ -52,10 +52,12 @@ val arrival : t -> link:int -> reservation -> float
     by the next hop. *)
 
 val backlog : t -> link:int -> now:float -> float
-(** Seconds of queued transmission ahead of a reservation made now. *)
+(** Seconds of queued transmission ahead of a reservation made now.
+    Test oracle: the FIFO tests read queue depth with it. *)
 
 val busy_seconds : t -> link:int -> float
-(** Cumulative transmission time, for utilization accounting. *)
+(** Cumulative transmission time, for utilization accounting.
+    Test oracle: the link tests read busy time with it. *)
 
 val utilization : t -> link:int -> horizon:float -> float
 (** [busy_seconds / horizon].  Raises [Invalid_argument] unless
@@ -63,4 +65,5 @@ val utilization : t -> link:int -> horizon:float -> float
 
 val reset : t -> unit
 (** Clear all free times, busy accounting and failure state for a
-    fresh run on the same graph. *)
+    fresh run on the same graph.
+    Unit-tested: no caller outside its own tests. *)

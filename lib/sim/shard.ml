@@ -52,8 +52,6 @@ let plan ~links ~sharding flows =
     invalid_arg "Shard.plan: a (flow, chunk, edge) key needs more than 62 bits";
   { p_links = links; p_shard = sharding; p_flows = flows; p_ebits = ebits; p_cbits = cbits }
 
-let nshards p = p.p_shard.Soa.s_n
-
 type audit_record = {
   a_shard : int;
   a_window : int;

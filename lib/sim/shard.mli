@@ -43,9 +43,6 @@ val plan : links:Soa.links -> sharding:Soa.sharding -> Soa.flow array -> plan
     layout wider than 62 bits: [ceil_log2] of the flow count, the
     largest chunk count and the largest DAG's edge count, summed. *)
 
-val nshards : plan -> int
-(** Worker count the plan will run with ([1] = sequential drain). *)
-
 (** One conservative window as one shard saw it — the evidence SIM008
     ({!Peel_check.Check_sim.check_shard}) audits. *)
 type audit_record = {

@@ -94,7 +94,6 @@ let null = create ~level:Off ()
 
 let enabled t = t.level <> Off
 let level t = t.level
-let sample t = t.sample_every
 let counters t = t.c
 let num_events t = t.n
 let sampled_out t = t.skipped

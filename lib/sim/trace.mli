@@ -118,9 +118,6 @@ val enabled : t -> bool
 val level : t -> level
 (** The verbosity the trace was created with. *)
 
-val sample : t -> int
-(** The [Reserve]-sampling stride (1 = record every reservation). *)
-
 val counters : t -> counters
 (** The live counter record (all zero on an [Off] trace). *)
 
@@ -246,11 +243,10 @@ val events_to_json : t -> Peel_util.Json.t
 (** The event log as a JSON array; every event is an object with ["t"]
     and ["kind"] plus the kind's fields. *)
 
-val csv_header : string
-(** ["time,kind,link,node,flow,chunk,bytes,queue_delay,backlog,rate"]. *)
-
 val events_csv : t -> string
-(** The event log as CSV ({!csv_header} first); fields a kind lacks are
-    left empty.  Control-plane events reuse the fixed columns:
+(** The event log as CSV: the header line
+    [time,kind,link,node,flow,chunk,bytes,queue_delay,backlog,rate],
+    then one line per event; fields a kind lacks are left empty.
+    Control-plane events reuse the fixed columns:
     [switch] prints under [node], [group] under [flow], and a
     [Rule_install]'s [rules] under [chunk]. *)

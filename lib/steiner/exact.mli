@@ -8,9 +8,6 @@
 
 open Peel_topology
 
-val max_terminals : int
-(** Hard cap on the terminal count (12). *)
-
 val steiner_cost : Graph.t -> terminals:int list -> int option
 (** Minimum number of links connecting all terminals; [None] if they
     are not mutually reachable. Raises [Invalid_argument] if more than

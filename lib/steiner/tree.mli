@@ -75,14 +75,18 @@ val switch_members : Graph.t -> t -> int list
 
 val depth : t -> int -> int
 (** Hops from the root to a member; raises [Not_found] for
-    non-members. *)
+    non-members.
+    Test oracle: the tree tests compare it against a parent-array
+    model. *)
 
 val max_depth : t -> int
 (** Deepest member's hop count from the root (0 for a root-only tree) —
     the store-and-forward latency driver. *)
 
 val path_from_root : t -> int -> int list
-(** Node ids from the root down to the given member, inclusive. *)
+(** Node ids from the root down to the given member, inclusive.
+    Test oracle: the tree tests compare it against a parent-array
+    model. *)
 
 val validate : Graph.t -> t -> dests:int list -> (unit, string) result
 (** Structural check: every non-root member's parent edge exists in the

@@ -17,8 +17,13 @@ type t = {
   gpus_of_host : int array array;
 }
 
-let create ?hosts_per_tor ?(gpus_per_host = 0) ?(link_bw = 12.5e9)
-    ?(nvlink_bw = 900e9) ?(link_latency = 500e-9) ~k () =
+(* Fabric links run at 100 Gb/s (12.5e9 B/s) with 500 ns latency; a
+   host's NVLink to its GPUs at 900e9 B/s. *)
+let link_bw = 12.5e9
+let nvlink_bw = 900e9
+let link_latency = 500e-9
+
+let create ?hosts_per_tor ?(gpus_per_host = 0) ~k () =
   if k < 2 || k mod 2 <> 0 then
     invalid_arg "Fat_tree.create: k must be even and >= 2";
   let hosts_per_tor = Option.value hosts_per_tor ~default:(k / 2) in
@@ -122,15 +127,6 @@ let create ?hosts_per_tor ?(gpus_per_host = 0) ?(link_bw = 12.5e9)
 
 let num_hosts t = Array.length t.hosts
 let num_gpus t = Array.length t.gpus
-
-let position arr v name =
-  let pos = ref (-1) in
-  Array.iteri (fun i x -> if x = v then pos := i) arr;
-  if !pos < 0 then invalid_arg name;
-  !pos
-
-let tor_index t tor = position t.tors tor "Fat_tree.tor_index: not a ToR"
-let host_index t host = position t.hosts host "Fat_tree.host_index: not a host"
 
 let fabric_duplex_links t tier =
   let g = t.graph in

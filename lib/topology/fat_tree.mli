@@ -33,25 +33,16 @@ type t = {
 val create :
   ?hosts_per_tor:int ->
   ?gpus_per_host:int ->
-  ?link_bw:float ->
-  ?nvlink_bw:float ->
-  ?link_latency:float ->
   k:int ->
   unit ->
   t
 (** [create ~k ()] builds the fabric. [k] must be even and >= 2.
-    Defaults: [hosts_per_tor = k/2], [gpus_per_host = 0],
-    [link_bw = 12.5e9] B/s (100 Gbps), [nvlink_bw = 900e9] B/s,
-    [link_latency = 500e-9] s. *)
+    Defaults: [hosts_per_tor = k/2], [gpus_per_host = 0].  Network
+    links run at 12.5e9 B/s (100 Gbps) with 500e-9 s latency, NVLinks
+    at 900e9 B/s. *)
 
 val num_hosts : t -> int
 val num_gpus : t -> int
-
-val tor_index : t -> int -> int
-(** Position of a ToR node id within [tors] (pod-major). *)
-
-val host_index : t -> int -> int
-(** Position of a host node id within [hosts]. *)
 
 val fabric_duplex_links : t -> [ `Tor_up | `Agg_up | `All ] -> int array
 (** Duplex link ids (even direction) for a tier: [`Tor_up] = ToR-to-Agg,

@@ -104,12 +104,6 @@ let link_between t a c =
     t.adj.(a);
   !best
 
-let fold_kind t kind f init =
-  Array.fold_left (fun acc n -> if n.kind = kind then f acc n else acc) init t.nodes
-
-let nodes_of_kind t kind =
-  fold_kind t kind (fun acc n -> n.id :: acc) [] |> List.rev |> Array.of_list
-
 let fail_link t i =
   t.links.(i).up <- false;
   t.links.(peer_link i).up <- false

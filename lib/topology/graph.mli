@@ -53,9 +53,7 @@ module Builder : sig
       id of the [a -> c] direction (the peer is that id xor 1).
       Default latency is 500 ns.  Raises [Invalid_argument] naming the
       parameter when [bandwidth] or [latency] is NaN, infinite or
-      negative, so every fabric builder rejects such a [link_bw],
-      [nvlink_bw] or [link_latency]; a zero bandwidth is accepted
-      (SIM001 reports it). *)
+      negative; a zero bandwidth is accepted (SIM001 reports it). *)
 
   val finish : t -> graph
 end
@@ -84,8 +82,6 @@ val degree : t -> int -> int
 
 val link_between : t -> int -> int -> int option
 (** First (lowest-id) up link from one node to another, if any. *)
-
-val nodes_of_kind : t -> kind -> int array
 
 (** {1 Failures} *)
 
@@ -140,7 +136,8 @@ val bfs_reset : bfs -> unit
 
 val hop_layers : t -> int -> int list array
 (** [hop_layers t s].(d) lists node ids at distance [d] from [s],
-    ascending id order; length is [max_dist + 1]. *)
+    ascending id order; length is [max_dist + 1].
+    Unit-tested: no caller outside its own tests. *)
 
 val shortest_path : t -> int -> int -> int list option
 (** Node ids from source to destination inclusive; deterministic
@@ -153,7 +150,8 @@ val shortest_path_ecmp : t -> int -> int -> salt:int -> int list option
     (src, dst, salt): at each hop the walk counts the live predecessors
     and takes the (hash mod count)-th in adjacency order, where the hash
     is a SplitMix64 finalizer over (src, dst, hop node, salt).  The walk
-    allocates only the returned path. *)
+    allocates only the returned path.
+    Test oracle: the path-cache tests compare [Paths] against it. *)
 
 val shortest_path_from_dist : t -> dist:int array -> int -> int -> int list option
 (** [shortest_path t src dst] given precomputed distances from [src],

@@ -12,8 +12,13 @@ type t = {
   gpus_of_host : int array array;
 }
 
-let create ?(gpus_per_host = 0) ?(link_bw = 12.5e9) ?(nvlink_bw = 900e9)
-    ?(link_latency = 500e-9) ~spines ~leaves ~hosts_per_leaf () =
+(* Fabric links run at 100 Gb/s (12.5e9 B/s) with 500 ns latency; a
+   host's NVLink to its GPUs at 900e9 B/s. *)
+let link_bw = 12.5e9
+let nvlink_bw = 900e9
+let link_latency = 500e-9
+
+let create ?(gpus_per_host = 0) ~spines ~leaves ~hosts_per_leaf () =
   if spines < 1 || leaves < 1 || hosts_per_leaf < 1 then
     invalid_arg "Leaf_spine.create: all counts must be >= 1";
   if gpus_per_host < 0 then invalid_arg "Leaf_spine.create: gpus_per_host >= 0";
@@ -82,14 +87,6 @@ let create ?(gpus_per_host = 0) ?(link_bw = 12.5e9) ?(nvlink_bw = 900e9)
 
 let num_hosts t = Array.length t.hosts
 let num_gpus t = Array.length t.gpus
-
-let position arr v name =
-  let pos = ref (-1) in
-  Array.iteri (fun i x -> if x = v then pos := i) arr;
-  if !pos < 0 then invalid_arg name;
-  !pos
-
-let host_index t host = position t.hosts host "Leaf_spine.host_index: not a host"
 
 let spine_leaf_duplex_links t =
   let g = t.graph in

@@ -21,9 +21,6 @@ type t = {
 
 val create :
   ?gpus_per_host:int ->
-  ?link_bw:float ->
-  ?nvlink_bw:float ->
-  ?link_latency:float ->
   spines:int ->
   leaves:int ->
   hosts_per_leaf:int ->
@@ -32,8 +29,6 @@ val create :
 
 val num_hosts : t -> int
 val num_gpus : t -> int
-
-val host_index : t -> int -> int
 
 val spine_leaf_duplex_links : t -> int array
 (** Duplex ids (even direction) of all spine-leaf links — the failure

@@ -12,8 +12,13 @@ type t = {
   gpus_of_host : int array array;
 }
 
-let create ?(link_bw = 12.5e9) ?(nvlink_bw = 900e9) ?(link_latency = 500e-9)
-    ~rails ~groups ~servers_per_group ~spines () =
+(* Fabric links run at 100 Gb/s (12.5e9 B/s) with 500 ns latency; a
+   host's NVLink to its GPUs at 900e9 B/s. *)
+let link_bw = 12.5e9
+let nvlink_bw = 900e9
+let link_latency = 500e-9
+
+let create ~rails ~groups ~servers_per_group ~spines () =
   if rails < 1 || groups < 1 || servers_per_group < 1 || spines < 1 then
     invalid_arg "Rail.create: all counts must be >= 1";
   let b = Graph.Builder.create () in

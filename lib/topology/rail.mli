@@ -26,9 +26,6 @@ type t = {
 }
 
 val create :
-  ?link_bw:float ->
-  ?nvlink_bw:float ->
-  ?link_latency:float ->
   rails:int ->
   groups:int ->
   servers_per_group:int ->

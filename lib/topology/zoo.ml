@@ -45,25 +45,6 @@ let cls t =
   | P_jellyfish _ -> Jellyfish
   | P_xpander _ -> Xpander
 
-let hosts_per_tor t =
-  match t.params with
-  | P_abfattree p -> p.hosts_per_tor
-  | P_vl2 p -> p.hosts_per_tor
-  | P_jellyfish p -> p.hosts_per_tor
-  | P_xpander p -> p.hosts_per_tor
-
-let seed t =
-  match t.params with
-  | P_jellyfish p -> Some p.seed
-  | P_xpander p -> Some p.seed
-  | P_abfattree _ | P_vl2 _ -> None
-
-let net_degree t =
-  match t.params with
-  | P_jellyfish p -> Some p.net_degree
-  | P_xpander p -> Some p.net_degree
-  | P_abfattree _ | P_vl2 _ -> None
-
 let num_hosts t = Array.length t.hosts
 
 let num_switches t =
@@ -321,14 +302,19 @@ let assemble b ~params ~layered ~pods ~tors ~tors_of_pod ~host_pairs =
   { params; graph; pods; tors; tors_of_pod; hosts; tor_of_host; layer_of;
     layered }
 
-let add_hosts b ~duplex ~link_bw ~hosts_per_tor ~pod tor acc =
+(* Every zoo link runs at 100 Gb/s (12.5e9 B/s) with 500 ns latency,
+   the Clos fabrics' defaults. *)
+let link_bw = 12.5e9
+let link_latency = 500e-9
+
+let add_hosts b ~duplex ~hosts_per_tor ~pod tor acc =
   for j = 0 to hosts_per_tor - 1 do
     let h = Graph.Builder.add_node b Graph.Host ~pod ~idx:j in
     ignore (duplex ~bandwidth:link_bw tor h);
     acc := (h, tor) :: !acc
   done
 
-let gen_abfattree ~k ~hosts_per_tor ~link_bw ~link_latency =
+let gen_abfattree ~k ~hosts_per_tor =
   if k < 4 || k mod 2 <> 0 then
     err "k must be even and >= 4 (got %d)" k
   else if hosts_per_tor < 1 then err "hosts_per_tor must be >= 1"
@@ -377,7 +363,7 @@ let gen_abfattree ~k ~hosts_per_tor ~link_bw ~link_latency =
     Array.iteri
       (fun p tors ->
         Array.iter
-          (fun tor -> add_hosts b ~duplex ~link_bw ~hosts_per_tor ~pod:p tor host_pairs)
+          (fun tor -> add_hosts b ~duplex ~hosts_per_tor ~pod:p tor host_pairs)
           tors)
       tors_of_pod;
     let tors = Array.concat (Array.to_list tors_of_pod) in
@@ -388,7 +374,7 @@ let gen_abfattree ~k ~hosts_per_tor ~link_bw ~link_latency =
          ~host_pairs:(List.rev !host_pairs))
   end
 
-let gen_vl2 ~da ~di ~hosts_per_tor ~link_bw ~link_latency =
+let gen_vl2 ~da ~di ~hosts_per_tor =
   if da < 2 || da mod 2 <> 0 then err "da must be even and >= 2 (got %d)" da
   else if di < 2 || di mod 2 <> 0 then err "di must be even and >= 2 (got %d)" di
   else if hosts_per_tor < 1 then err "hosts_per_tor must be >= 1"
@@ -417,7 +403,7 @@ let gen_vl2 ~da ~di ~hosts_per_tor ~link_bw ~link_latency =
       aggs;
     let host_pairs = ref [] in
     Array.iter
-      (fun tor -> add_hosts b ~duplex ~link_bw ~hosts_per_tor ~pod:0 tor host_pairs)
+      (fun tor -> add_hosts b ~duplex ~hosts_per_tor ~pod:0 tor host_pairs)
       tors;
     Ok
       (assemble b
@@ -452,7 +438,7 @@ let connected_edges n edges =
   done;
   !count = n
 
-let build_flat b ~duplex ~link_bw ~params ~ntors ~edges ~hosts_per_tor =
+let build_flat b ~duplex ~params ~ntors ~edges ~hosts_per_tor =
   let tors =
     Array.init ntors (fun i -> Graph.Builder.add_node b Graph.Tor ~pod:0 ~idx:i)
   in
@@ -461,13 +447,12 @@ let build_flat b ~duplex ~link_bw ~params ~ntors ~edges ~hosts_per_tor =
     edges;
   let host_pairs = ref [] in
   Array.iter
-    (fun tor -> add_hosts b ~duplex ~link_bw ~hosts_per_tor ~pod:0 tor host_pairs)
+    (fun tor -> add_hosts b ~duplex ~hosts_per_tor ~pod:0 tor host_pairs)
     tors;
   assemble b ~params ~layered:false ~pods:1 ~tors ~tors_of_pod:[| tors |]
     ~host_pairs:(List.rev !host_pairs)
 
-let gen_jellyfish ~switches ~net_degree ~hosts_per_tor ~seed ~link_bw
-    ~link_latency =
+let gen_jellyfish ~switches ~net_degree ~hosts_per_tor ~seed =
   let n = switches and r = net_degree in
   if n < 3 then err "need at least 3 switches (got %d)" n
   else if r < 2 || r >= n then
@@ -507,12 +492,12 @@ let gen_jellyfish ~switches ~net_degree ~hosts_per_tor ~seed ~link_bw
         let b = Graph.Builder.create () in
         let duplex = Graph.Builder.add_duplex b ~latency:link_latency in
         Ok
-          (build_flat b ~duplex ~link_bw
+          (build_flat b ~duplex
              ~params:(P_jellyfish { switches; net_degree; hosts_per_tor; seed })
              ~ntors:n ~edges ~hosts_per_tor)
   end
 
-let gen_xpander ~net_degree ~lift ~hosts_per_tor ~seed ~link_bw ~link_latency =
+let gen_xpander ~net_degree ~lift ~hosts_per_tor ~seed =
   let d = net_degree and l = lift in
   if d < 2 then err "net_degree must be >= 2 (got %d)" d
   else if l < 1 then err "lift must be >= 1 (got %d)" l
@@ -547,7 +532,7 @@ let gen_xpander ~net_degree ~lift ~hosts_per_tor ~seed ~link_bw ~link_latency =
         let b = Graph.Builder.create () in
         let duplex = Graph.Builder.add_duplex b ~latency:link_latency in
         Ok
-          (build_flat b ~duplex ~link_bw
+          (build_flat b ~duplex
              ~params:(P_xpander { net_degree; lift; hosts_per_tor; seed })
              ~ntors:nswitch ~edges ~hosts_per_tor)
   end
@@ -566,44 +551,18 @@ let unwrap name = function
             (Printf.sprintf "Zoo.%s: generated fabric invalid: %s" name
                (String.concat "; " vs)))
 
-let abfattree ?hosts_per_tor ?(link_bw = 12.5e9) ?(link_latency = 500e-9) ~k ()
-    =
+let abfattree ?hosts_per_tor ~k () =
   let hosts_per_tor = Option.value hosts_per_tor ~default:(max 1 (k / 2)) in
-  unwrap "abfattree" (gen_abfattree ~k ~hosts_per_tor ~link_bw ~link_latency)
+  unwrap "abfattree" (gen_abfattree ~k ~hosts_per_tor)
 
-let vl2 ?(hosts_per_tor = 2) ?(link_bw = 12.5e9) ?(link_latency = 500e-9) ~da
-    ~di () =
-  unwrap "vl2" (gen_vl2 ~da ~di ~hosts_per_tor ~link_bw ~link_latency)
+let vl2 ?(hosts_per_tor = 2) ~da ~di () =
+  unwrap "vl2" (gen_vl2 ~da ~di ~hosts_per_tor)
 
-let jellyfish ?(hosts_per_tor = 1) ?(link_bw = 12.5e9)
-    ?(link_latency = 500e-9) ~switches ~net_degree ~seed () =
-  unwrap "jellyfish"
-    (gen_jellyfish ~switches ~net_degree ~hosts_per_tor ~seed ~link_bw
-       ~link_latency)
+let jellyfish ?(hosts_per_tor = 1) ~switches ~net_degree ~seed () =
+  unwrap "jellyfish" (gen_jellyfish ~switches ~net_degree ~hosts_per_tor ~seed)
 
-let xpander ?(hosts_per_tor = 1) ?(link_bw = 12.5e9) ?(link_latency = 500e-9)
-    ~net_degree ~lift ~seed () =
-  unwrap "xpander"
-    (gen_xpander ~net_degree ~lift ~hosts_per_tor ~seed ~link_bw ~link_latency)
-
-let opt_of f = match f () with t -> Some t | exception Invalid_argument _ -> None
-
-let abfattree_opt ?hosts_per_tor ?link_bw ?link_latency ~k () =
-  opt_of (fun () -> abfattree ?hosts_per_tor ?link_bw ?link_latency ~k ())
-
-let vl2_opt ?hosts_per_tor ?link_bw ?link_latency ~da ~di () =
-  opt_of (fun () -> vl2 ?hosts_per_tor ?link_bw ?link_latency ~da ~di ())
-
-let jellyfish_opt ?hosts_per_tor ?link_bw ?link_latency ~switches ~net_degree
-    ~seed () =
-  opt_of (fun () ->
-      jellyfish ?hosts_per_tor ?link_bw ?link_latency ~switches ~net_degree
-        ~seed ())
-
-let xpander_opt ?hosts_per_tor ?link_bw ?link_latency ~net_degree ~lift ~seed
-    () =
-  opt_of (fun () ->
-      xpander ?hosts_per_tor ?link_bw ?link_latency ~net_degree ~lift ~seed ())
+let xpander ?(hosts_per_tor = 1) ~net_degree ~lift ~seed () =
+  unwrap "xpander" (gen_xpander ~net_degree ~lift ~hosts_per_tor ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Per-epoch optical reconfiguration                                   *)

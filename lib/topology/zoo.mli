@@ -1,5 +1,5 @@
 (** Topology zoo: non-Clos fabrics the layer-peeling planner is
-    measured on (ROADMAP item 3).
+    measured on (experiment E21).
 
     The paper proves the peeling greedy exact on symmetric Clos
     (Lemma 2.1) and [O(min(F,|D|))] under asymmetry (Theorem 2.5); this
@@ -30,7 +30,8 @@
     ({!Peel_steiner.Layer_peel.peel_general}'s default).  Generators
     validate their own output — a disconnected or non-layered fabric
     raises a descriptive [Invalid_argument] instead of failing deep
-    inside [Paths] BFS; the [*_opt] variants return [None].
+    inside [Paths] BFS.  Every link runs at 100 Gb/s (12.5e9 B/s) with
+    500 ns latency.
 
     Randomized classes are deterministic in their [seed]: the same seed
     always yields the identical fabric, link ids included. *)
@@ -76,8 +77,6 @@ type t = {
 
 val abfattree :
   ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
   k:int ->
   unit ->
   t
@@ -88,8 +87,6 @@ val abfattree :
 
 val vl2 :
   ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
   da:int ->
   di:int ->
   unit ->
@@ -101,8 +98,6 @@ val vl2 :
 
 val jellyfish :
   ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
   switches:int ->
   net_degree:int ->
   seed:int ->
@@ -116,8 +111,6 @@ val jellyfish :
 
 val xpander :
   ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
   net_degree:int ->
   lift:int ->
   seed:int ->
@@ -127,45 +120,6 @@ val xpander :
     [(net_degree+1)*lift] switches, each of inter-switch degree
     [net_degree].  Requires [net_degree >= 2], [lift >= 1].  Default
     [hosts_per_tor] is 1. *)
-
-val abfattree_opt :
-  ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
-  k:int ->
-  unit ->
-  t option
-
-val vl2_opt :
-  ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
-  da:int ->
-  di:int ->
-  unit ->
-  t option
-
-val jellyfish_opt :
-  ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
-  switches:int ->
-  net_degree:int ->
-  seed:int ->
-  unit ->
-  t option
-
-val xpander_opt :
-  ?hosts_per_tor:int ->
-  ?link_bw:float ->
-  ?link_latency:float ->
-  net_degree:int ->
-  lift:int ->
-  seed:int ->
-  unit ->
-  t option
-(** The [*_opt] variants return [None] where the raising forms would
-    raise [Invalid_argument]. *)
 
 (** {1 Validation}
 
@@ -186,22 +140,9 @@ val invariant_violations : t -> string list
     counts per tier and the exact structural degree of every node
     (TOPO002). *)
 
-val validate : t -> (unit, string list) result
-(** [Ok ()] iff both violation lists are empty. *)
-
 (** {1 Accessors} *)
 
 val cls : t -> cls
-val hosts_per_tor : t -> int
-
-val seed : t -> int option
-(** The generator seed; [None] for the deterministic classes. *)
-
-val net_degree : t -> int option
-(** Regular inter-switch degree; [None] for abfattree and VL2. *)
-
-val num_hosts : t -> int
-val num_switches : t -> int
 
 val layer_of : t -> int -> int
 (** Structural layer of a node (0 = endpoints). *)

@@ -18,21 +18,14 @@ let ceil_div a b =
   if b <= 0 then invalid_arg "Bits.ceil_div";
   (a + b - 1) / b
 
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + (x land 1)) (x lsr 1) in
-  go 0 x
-
 let bit x i = (x lsr i) land 1 = 1
-
-let bits_to_string ~width x =
-  String.init width (fun i -> if bit x (width - 1 - i) then '1' else '0')
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-width bitsets                                                 *)
 (* ------------------------------------------------------------------ *)
 
 module Bitset = struct
-  (* Bytes-backed so [equal]/[hash] are flat memory scans with no
+  (* Bytes-backed so [equal_slice]/[hash] are flat memory scans with no
      per-word boxing; the service's member sets (universe = fabric
      endpoints) stay a few dozen bytes each at million-group scale. *)
   type t = { width : int; bits : Bytes.t }
@@ -49,10 +42,6 @@ module Bitset = struct
     if i < 0 || i >= t.width then
       invalid_arg (Printf.sprintf "Bits.Bitset.%s: %d outside [0, %d)" op i t.width)
 
-  let mem t i =
-    check t i "mem";
-    Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
   let add t i =
     check t i "add";
     let b = i lsr 3 in
@@ -67,12 +56,10 @@ module Bitset = struct
          (Char.code (Bytes.unsafe_get t.bits b) land lnot (1 lsl (i land 7))))
 
   let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-  let copy t = { width = t.width; bits = Bytes.copy t.bits }
-
-  let equal a b = a.width = b.width && Bytes.equal a.bits b.bits
 
   (* FNV-1a over the backing bytes: the memoization cache's bucket
-     hash.  Collisions are survivable (callers compare with [equal]);
+     hash.  Collisions are survivable (callers compare with
+     [equal_slice]);
      the width folds in so same-pattern different-width sets split. *)
   let[@inline] fnv h c =
     Int64.mul (Int64.logxor h (Int64.of_int c)) 0x100000001b3L
@@ -105,11 +92,6 @@ module Bitset = struct
       incr i
     done;
     !i = n
-
-  let cardinal t =
-    let n = ref 0 in
-    Bytes.iter (fun c -> n := !n + popcount (Char.code c)) t.bits;
-    !n
 
   let iter f t =
     for b = 0 to Bytes.length t.bits - 1 do

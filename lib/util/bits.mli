@@ -16,14 +16,8 @@ val pow2 : int -> int
 val ceil_div : int -> int -> int
 (** Integer division rounding up. *)
 
-val popcount : int -> int
-(** Number of set bits (for non-negative arguments). *)
-
 val bit : int -> int -> bool
 (** [bit x i] is the [i]-th least significant bit of [x]. *)
-
-val bits_to_string : width:int -> int -> string
-(** MSB-first binary rendering, e.g. [bits_to_string ~width:3 5 = "101"]. *)
 
 (** Mutable fixed-width bitsets over a [Bytes.t] backing store.
 
@@ -40,26 +34,19 @@ module Bitset : sig
   val width : t -> int
   (** Universe size the set was created with. *)
 
-  val mem : t -> int -> bool
   val add : t -> int -> unit
   val remove : t -> int -> unit
 
   val clear : t -> unit
   (** Remove every element. *)
 
-  val copy : t -> t
-  (** Independent copy (mutations don't alias). *)
-
-  val equal : t -> t -> bool
-  (** Same width and same elements. *)
-
   val hash : t -> int
   (** FNV-1a over width + backing bytes; non-negative. Equal sets hash
-      equal; collisions possible (pair with {!equal}). *)
+      equal; collisions possible (pair with {!equal_slice}). *)
 
   val write_slice : t -> Bytes.t -> int -> unit
   (** [write_slice s b off] copies [s]'s backing store, the
-      [(width s + 7) / 8] bytes that {!equal} and {!hash} read, into
+      [(width s + 7) / 8] bytes that {!hash} reads, into
       [b] at [off]: a set stored in a shared byte arena, which later
       changes to [s] cannot reach.  Raises [Invalid_argument] if the
       slice does not fit in [b]. *)
@@ -67,11 +54,10 @@ module Bitset : sig
   val equal_slice : t -> Bytes.t -> int -> bool
   (** [equal_slice s b off] is whether the [(width s + 7) / 8] bytes
       at [off] in [b] are [s]'s backing store: after
-      [write_slice s' b off], it is [equal s s'] for every [s] of the
-      same width as [s'].  Allocation-free.  Raises [Invalid_argument]
+      [write_slice s' b off], it is whether [s] and [s'] hold the same
+      elements, for every [s] of the same width as [s'].
+      Allocation-free.  Raises [Invalid_argument]
       if the slice does not fit in [b]. *)
-
-  val cardinal : t -> int
 
   val iter : (int -> unit) -> t -> unit
   (** Elements in increasing order. *)

@@ -192,9 +192,3 @@ let pop_min t =
     v
   end
   else invalid_arg "Pairing_heap.pop_min: empty"
-
-let clear t =
-  t.size <- 0;
-  t.lane_len <- 0;
-  t.lane_head <- 0;
-  Array.unsafe_set t.lane_prio 0 nan

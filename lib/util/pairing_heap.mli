@@ -47,5 +47,3 @@ val is_empty : t -> bool
 
 val length : t -> int
 (** Entries queued, heap and lane together. *)
-
-val clear : t -> unit

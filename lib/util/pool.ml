@@ -26,8 +26,6 @@ let create ?jobs () =
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
   { jobs }
 
-let jobs t = t.jobs
-
 (* Set while a domain is executing worker chunks, so nested [par_map]
    calls degrade to [List.map] instead of spawning domains from
    domains. *)

@@ -74,7 +74,3 @@ let sample_without_replacement t n k =
   done;
   Hashtbl.fold (fun x () acc -> x :: acc) chosen []
   |> List.sort compare
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

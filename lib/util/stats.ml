@@ -51,51 +51,3 @@ let mean l =
   match l with
   | [] -> invalid_arg "Stats.mean: empty sample"
   | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-module Online = struct
-  type t = {
-    mutable n : int;
-    mutable mu : float;
-    mutable m2 : float;
-    mutable mn : float;
-    mutable mx : float;
-  }
-
-  let create () = { n = 0; mu = 0.0; m2 = 0.0; mn = infinity; mx = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mu in
-    t.mu <- t.mu +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mu));
-    if x < t.mn then t.mn <- x;
-    if x > t.mx then t.mx <- x
-
-  let count t = t.n
-  let mean t = t.mu
-  let variance t = if t.n > 1 then t.m2 /. float_of_int (t.n - 1) else 0.0
-  let stddev t = sqrt (variance t)
-  let min t = t.mn
-  let max t = t.mx
-end
-
-module Histogram = struct
-  type t = { lo : float; hi : float; counts : int array; mutable total : int }
-
-  let create ~lo ~hi ~bins =
-    if bins <= 0 then invalid_arg "Histogram.create: bins must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: empty range";
-    { lo; hi; counts = Array.make bins 0; total = 0 }
-
-  let add t x =
-    let bins = Array.length t.counts in
-    let raw =
-      int_of_float (Float.floor ((x -. t.lo) /. (t.hi -. t.lo) *. float_of_int bins))
-    in
-    let i = if raw < 0 then 0 else if raw >= bins then bins - 1 else raw in
-    t.counts.(i) <- t.counts.(i) + 1;
-    t.total <- t.total + 1
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-end

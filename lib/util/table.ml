@@ -40,11 +40,4 @@ let fsec s =
   else if Float.abs s >= 1e-6 then Printf.sprintf "%.1f us" (s *. 1e6)
   else Printf.sprintf "%.1f ns" (s *. 1e9)
 
-let fbytes b =
-  let abs = Float.abs b in
-  if abs >= 1e9 then Printf.sprintf "%.2f GB" (b /. 1e9)
-  else if abs >= 1e6 then Printf.sprintf "%.2f MB" (b /. 1e6)
-  else if abs >= 1e3 then Printf.sprintf "%.2f KB" (b /. 1e3)
-  else Printf.sprintf "%.0f B" b
-
 let ffactor r = Printf.sprintf "%.1fx" r

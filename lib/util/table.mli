@@ -1,20 +1,13 @@
 (** Aligned plain-text tables, used by the benchmark harness to print
     paper-shaped rows. *)
 
-val render : header:string list -> string list list -> string
-(** [render ~header rows] returns a text table with columns padded to
-    the widest cell. Rows shorter than the header are padded with empty
-    cells. *)
-
 val print : header:string list -> string list list -> unit
-(** [render] followed by [print_string]. *)
+(** Print a text table with columns padded to the widest cell.  Rows
+    shorter than the header are padded with empty cells. *)
 
 val fsec : float -> string
 (** Format seconds with engineering-friendly precision (e.g. "0.0123 s",
     "85.1 us"). *)
-
-val fbytes : float -> string
-(** Format a byte count ("1.5 KB", "8 B", "2.0 MB"). *)
 
 val ffactor : float -> string
 (** Format a ratio like "5.2x". *)

@@ -129,69 +129,10 @@ type group = {
   g_bytes : float;
 }
 
-type gen = {
-  gen_fabric : Fabric.t;
-  gen_rng : Rng.t;
-  gen_scale : int;
-  gen_bytes : float;
-  gen_mean : float;
-  gen_hold : float;
-  gen_fragmentation : float;
-  mutable gen_next_id : int;
-  mutable gen_clock : float;
-}
-
-let group_gen fabric rng ~scale ~bytes ~load ~hold ?(fragmentation = 0.0)
-    ?(first_id = 0) () =
-  if hold <= 0.0 || not (Float.is_finite hold) then
-    invalid_arg "Spec.group_gen: hold must be positive";
-  {
-    gen_fabric = fabric;
-    gen_rng = rng;
-    gen_scale = scale;
-    gen_bytes = bytes;
-    gen_mean = mean_interarrival fabric ~scale ~bytes ~load;
-    gen_hold = hold;
-    gen_fragmentation = fragmentation;
-    gen_next_id = first_id;
-    gen_clock = 0.0;
-  }
-
-let gen_rng g = g.gen_rng
-let gen_clock g = g.gen_clock
-
-let next_group gen =
-  let rng = gen.gen_rng in
-  let arrival = gen.gen_clock +. Rng.exponential rng ~mean:gen.gen_mean in
-  let members =
-    place gen.gen_fabric rng ~scale:gen.gen_scale
-      ~fragmentation:gen.gen_fragmentation ()
-  in
-  let marr = Array.of_list members in
-  let source = marr.(Rng.int rng (Array.length marr)) in
-  let dests = List.filter (fun m -> m <> source) members in
-  (* Group state outlives the message by an exponential hold — the
-     multicast group stays registered at the controller until it
-     departs and frees its switch entries. *)
-  let life = max 1e-9 (Rng.exponential rng ~mean:gen.gen_hold) in
-  let id = gen.gen_next_id in
-  gen.gen_next_id <- id + 1;
-  gen.gen_clock <- arrival;
-  {
-    g_id = id;
-    g_arrival = arrival;
-    g_departure = arrival +. life;
-    g_source = source;
-    g_dests = dests;
-    g_members = members;
-    g_bytes = gen.gen_bytes;
-  }
-
 (* Draw order matters for seed compatibility: all broadcast draws come
    first, then one hold draw per group — the order E17 and the refine
    experiments have always consumed, so same-seed batch workloads are
-   unchanged.  The open-loop event stream uses [next_group], which
-   interleaves the hold draw per group instead. *)
+   unchanged. *)
 let poisson_groups fabric rng ~n ~scale ~bytes ~load ~hold
     ?(fragmentation = 0.0) () =
   if n < 1 then invalid_arg "Spec.poisson_groups: n must be >= 1";

@@ -37,7 +37,9 @@ val single : Fabric.t -> Peel_util.Rng.t -> scale:int -> bytes:float -> collecti
 val mean_interarrival :
   Fabric.t -> scale:int -> bytes:float -> load:float -> float
 (** Interarrival time such that delivered bytes ([bytes * scale] per
-    collective) average [load] of the aggregate endpoint NIC capacity. *)
+    collective) average [load] of the aggregate endpoint NIC capacity.
+    Test oracle: the workload tests compare drawn interarrivals
+    against it. *)
 
 val poisson_broadcasts :
   Fabric.t ->
@@ -71,42 +73,6 @@ type group = {
   g_bytes : float;
 }
 
-type gen
-(** A streaming group generator: mutable RNG + clock state producing
-    one group per {!next_group} call.  All draws for one group
-    (interarrival, placement, source, hold) are consumed consecutively
-    from the single caller-supplied {!Peel_util.Rng.t}, so generators
-    and any other sampling can share one deterministic stream — the
-    contract the open-loop {!Peel_ctrl.Service} event generator and
-    the E17 batch callers both build on. *)
-
-val group_gen :
-  Fabric.t ->
-  Peel_util.Rng.t ->
-  scale:int ->
-  bytes:float ->
-  load:float ->
-  hold:float ->
-  ?fragmentation:float ->
-  ?first_id:int ->
-  unit ->
-  gen
-(** Make a generator; group ids count up from [first_id] (default 0)
-    and the clock starts at 0.  Raises [Invalid_argument] if
-    [hold <= 0]. *)
-
-val next_group : gen -> group
-(** Draw the next group: arrival at [clock + Exp(mean_interarrival)],
-    fresh placement, uniform member source, departure at
-    [arrival + Exp(hold)].  Advances the generator's clock and id. *)
-
-val gen_rng : gen -> Peel_util.Rng.t
-(** The generator's RNG state — shared, not copied, so interleaved
-    draws stay on one deterministic stream. *)
-
-val gen_clock : gen -> float
-(** Arrival time of the most recently generated group (0 initially). *)
-
 val poisson_groups :
   Fabric.t ->
   Peel_util.Rng.t ->
@@ -120,10 +86,9 @@ val poisson_groups :
   group list
 (** Like {!poisson_broadcasts}, plus a departure at
     [arrival + Exp(hold)] per group.  All broadcast draws are consumed
-    before any hold draw — the historical order, so same-seed batch
-    workloads (E17, refine) are unchanged by the introduction of
-    {!group_gen}, whose {!next_group} interleaves the hold draw per
-    group instead.  Raises [Invalid_argument] if [n < 1] or
+    before any hold draw, so a same-seed caller of
+    {!poisson_broadcasts} sees the identical schedule (E17 and refine
+    rely on it).  Raises [Invalid_argument] if [n < 1] or
     [hold <= 0]. *)
 
 val collective_of_group : group -> collective

@@ -262,4 +262,3 @@ let rec next s =
     emit s ~time:now (Send { gid = id; bytes = t.bytes })
   end
 
-let take s n = List.init n (fun _ -> next s)

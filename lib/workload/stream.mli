@@ -1,5 +1,5 @@
 (** Open-loop multicast-group event streams: the "multicast as a
-    service" workload (Elmo's cloud framing, ROADMAP item 2).
+    service" workload (Elmo's cloud framing).
 
     Where {!Spec.poisson_groups} draws a fixed batch of groups up
     front, this module generates an {e unbounded, time-ordered} stream
@@ -74,19 +74,21 @@ val next : t -> event
     Raises [Invalid_argument] if the stream is exhausted (only
     possible when every tenant rate is 0 — prevented by {!create}). *)
 
-val take : t -> int -> event list
-(** The next [n] events. *)
-
 val live_groups : t -> int list
 (** Currently registered group ids, ascending — O(gids issued), since
     live state is indexed by gid; use {!live_count} when only the
-    population size is needed. *)
+    population size is needed.
+    Test oracle: the stream's own live set, which the stream pins
+    read. *)
 
 val live_count : t -> int
 (** Number of currently live groups — O(1), safe to poll every event
-    at million-group scale. *)
+    at million-group scale.
+    Test oracle: the stream's own count, which the stream pins read.
+    *)
 
 val live_members : t -> gid:int -> int list option
 (** The stream's own view of a live group's membership (ascending;
     [None] after departure) — the ground truth consumers reconcile
-    against in tests. *)
+    against in tests.
+    Test oracle: the stream's ground truth for a group's members. *)

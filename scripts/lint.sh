@@ -20,9 +20,10 @@
 # suite carries the parallel-sweep determinism gate: it re-runs the
 # fig5 sweep under 1 and 4 worker domains and fails unless the rows
 # are bit-identical. The documentation gate lives in scripts/docs.sh
-# (its own ci.sh stage). Two grep steps come first: the code reads no
-# ambient configuration, and planning and checking code never writes
-# link state.
+# (its own ci.sh stage). Three static steps come first: the code reads
+# no ambient configuration, planning and checking code never writes
+# link state, and every value lib/ exports has a caller outside its
+# module or an allowlisted reason (scripts/dead_exports.sh).
 # Exits non-zero on the first violated invariant.
 set -eu
 cd "$(dirname "$0")/.."
@@ -30,7 +31,7 @@ cd "$(dirname "$0")/.."
 # Flags and config records are the only way to configure a run.  Two
 # environment reads are allowed in lib/ and bin/: the host's worker
 # count (PEEL_JOBS, lib/util/pool.ml) and the debug-assertion switch
-# (PEEL_CHECK, Peel_check.env_var in lib/check/peel_check.ml).
+# (PEEL_CHECK, [env_var] in lib/check/peel_check.ml).
 env_reads=$(grep -rn --include='*.ml' 'Sys\.getenv' lib bin \
   | grep -v '^lib/util/pool\.ml:[0-9]*: *match Sys\.getenv_opt "PEEL_JOBS" with$' \
   | grep -v '^lib/check/peel_check\.ml:[0-9]*: *match Sys\.getenv_opt env_var with$' \
@@ -56,6 +57,10 @@ if [ -n "$link_writes" ]; then
   echo "$link_writes" >&2
   exit 1
 fi
+
+# Every export of lib/ has a caller outside its own module, or a reason
+# in scripts/exports.allow that its .mli repeats.
+sh scripts/dead_exports.sh
 
 dune build @check-lint
 dune build @trace-smoke

@@ -11,6 +11,9 @@ module Check_compile = Peel_compile.Check_compile
 module Cover = Peel_prefix.Cover
 module Plan = Peel.Plan
 module Rng = Peel_util.Rng
+
+(* A uniform element of a non-empty array. *)
+let rng_pick rng a = a.(Rng.int rng (Array.length a))
 module Json = Peel_util.Json
 
 let ft8 () = Fabric.fat_tree ~k:8 ~hosts_per_tor:2 ~gpus_per_host:2 ()
@@ -23,7 +26,7 @@ let batch_for fabric rng ~n ~scale =
       in
       let source = List.hd members in
       let dests = List.filter (fun m -> m <> source) members in
-      (gid, Peel.plan fabric ~source ~dests))
+      (gid, Peel.Plan.build fabric ~source ~dests))
 
 let member_racks fabric (plan : Plan.t) =
   List.sort_uniq compare
@@ -377,10 +380,10 @@ let prop_footprint_keyed_by_racks =
             | some -> some)
           racks
       in
-      let src_a = Rng.pick rng eps in
+      let src_a = rng_pick rng eps in
       let src_b = ref src_a in
       while !src_b = src_a do
-        src_b := Rng.pick rng eps
+        src_b := rng_pick rng eps
       done;
       let footprint gid source =
         Compile.plan_footprint fabric ~group:gid

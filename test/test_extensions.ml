@@ -155,7 +155,7 @@ let test_scheme_string_roundtrip () =
         (Scheme.to_string s ^ " roundtrips")
         true
         (Scheme.of_string (Scheme.to_string s) = Some s))
-    Scheme.extended
+    (Scheme.all @ [ Scheme.Dbtree; Scheme.Peel_multitree 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)

@@ -16,6 +16,11 @@ let endpoints_range fabric lo n =
 (* Plan construction                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A ToR's position in a fat-tree's [tors]. *)
+let tor_index (ft : Peel_topology.Fat_tree.t) tor =
+  let rec go i = if ft.Peel_topology.Fat_tree.tors.(i) = tor then i else go (i + 1) in
+  go 0
+
 let test_plan_single_full_pod () =
   (* One whole pod (128 GPUs in an 8-ary tree with 8 gpus/host): the
      pod's 4 ToRs collapse to one prefix, one packet. *)
@@ -61,7 +66,7 @@ let test_plan_paper_prefix_example () =
   let tors = Fabric.tors_of_pod f 0 in
   let hosts_of tor =
     match f with
-    | Fabric.Ft ft -> ft.Fat_tree.hosts_of_tor.(Peel_topology.Fat_tree.tor_index ft tor)
+    | Fabric.Ft ft -> ft.Fat_tree.hosts_of_tor.(tor_index ft tor)
     | Fabric.Ls _ | Fabric.Rl _ | Fabric.Zo _ -> assert false
   in
   let dests = List.concat_map (fun i -> Array.to_list (hosts_of tors.(i))) [ 2; 3; 4; 5; 6; 7 ] in
@@ -92,7 +97,7 @@ let test_plan_budget_overcovers () =
   let tors = Fabric.tors_of_pod f 0 in
   let hosts_of tor =
     match f with
-    | Fabric.Ft ft -> ft.Fat_tree.hosts_of_tor.(Peel_topology.Fat_tree.tor_index ft tor)
+    | Fabric.Ft ft -> ft.Fat_tree.hosts_of_tor.(tor_index ft tor)
     | Fabric.Ls _ | Fabric.Rl _ | Fabric.Zo _ -> assert false
   in
   let dests = List.concat_map (fun i -> Array.to_list (hosts_of tors.(i))) [ 0; 2; 4; 6 ] in
@@ -235,7 +240,7 @@ let test_dataplane_budgeted_plan () =
   let tors = Fabric.tors_of_pod f 0 in
   let hosts_of tor =
     match f with
-    | Fabric.Ft ft -> ft.Fat_tree.hosts_of_tor.(Peel_topology.Fat_tree.tor_index ft tor)
+    | Fabric.Ft ft -> ft.Fat_tree.hosts_of_tor.(tor_index ft tor)
     | Fabric.Ls _ | Fabric.Rl _ | Fabric.Zo _ -> assert false
   in
   let dests = List.concat_map (fun i -> Array.to_list (hosts_of tors.(i))) [ 0; 2; 4; 6 ] in

@@ -88,8 +88,8 @@ let test_self_loop_rejected () =
       ignore (Graph.Builder.add_duplex b ~bandwidth:1.0 s s))
 
 (* NaN, infinite or negative link parameters fail where they enter,
-   naming the parameter, and every fabric builder inherits the check;
-   zero bandwidth stays constructible (SIM001 reports it). *)
+   naming the parameter; zero bandwidth stays constructible (SIM001
+   reports it). *)
 let test_link_parameters_rejected () =
   let b = Graph.Builder.create () in
   let s = Graph.Builder.add_node b Graph.Host ~pod:0 ~idx:0 in
@@ -108,13 +108,7 @@ let test_link_parameters_rejected () =
         (Invalid_argument lat_msg) (fun () ->
           ignore (Graph.Builder.add_duplex b ~latency ~bandwidth:1.0 s c)))
     [ Float.nan; -1e-9; Float.infinity ];
-  ignore (Graph.Builder.add_duplex b ~latency:0.0 ~bandwidth:0.0 s c);
-  Alcotest.check_raises "fat_tree link_bw nan" (Invalid_argument bw_msg) (fun () ->
-      ignore (Fabric.fat_tree ~k:4 ~link_bw:Float.nan ()));
-  Alcotest.check_raises "fat_tree link_bw -1" (Invalid_argument bw_msg) (fun () ->
-      ignore (Fabric.fat_tree ~k:4 ~link_bw:(-1.0) ()));
-  Alcotest.check_raises "fat_tree link_latency nan" (Invalid_argument lat_msg)
-    (fun () -> ignore (Fabric.fat_tree ~k:4 ~link_latency:Float.nan ()))
+  ignore (Graph.Builder.add_duplex b ~latency:0.0 ~bandwidth:0.0 s c)
 
 let test_fail_random_rejects_nan () =
   let f = Fabric.fat_tree ~k:4 () in
@@ -304,10 +298,7 @@ let test_rail_fabric_facade () =
   Alcotest.(check int) "endpoints" 32 (Array.length (Fabric.endpoints f));
   let gpu0 = (Fabric.gpus f).(0) in
   let tor = Fabric.attach_tor f gpu0 in
-  Alcotest.(check int) "gpu0 on rail tor 0" (Fabric.tors f).(0) tor;
-  Alcotest.(check bool) "tor_of_host rejected" true
-    (try ignore (Fabric.tor_of_host f (Fabric.hosts f).(0)); false
-     with Invalid_argument _ -> true)
+  Alcotest.(check int) "gpu0 on rail tor 0" (Fabric.tors f).(0) tor
 
 let test_rail_gpu_rail_mapping () =
   let f = Fabric.rail ~rails:4 ~groups:2 ~servers_per_group:4 ~spines:2 () in
@@ -340,8 +331,10 @@ let test_fabric_attach_tor () =
   let ft = Fabric.fat_tree ~k:4 ~gpus_per_host:2 () in
   let gpu0 = (Fabric.gpus ft).(0) in
   let host0 = Fabric.host_of_gpu ft gpu0 in
-  Alcotest.(check int) "gpu -> host -> tor" (Fabric.tor_of_host ft host0)
-    (Fabric.attach_tor ft gpu0)
+  let tor_of_host0 =
+    match ft with Fabric.Ft t -> t.Fat_tree.tor_of_host.(host0) | _ -> assert false
+  in
+  Alcotest.(check int) "gpu -> host -> tor" tor_of_host0 (Fabric.attach_tor ft gpu0)
 
 let test_fabric_pods () =
   let ft = Fabric.fat_tree ~k:8 () in
@@ -398,7 +391,11 @@ let test_fail_recover_round_trip () =
           Array.to_list (Graph.out_links g v)) )
   in
   let before = snapshot () in
-  let victim = (Array.to_list (Fabric.failure_domain ls `All)) |> List.hd in
+  let victim =
+    match ls with
+    | Fabric.Ls t -> (Leaf_spine.spine_leaf_duplex_links t).(0)
+    | _ -> assert false
+  in
   Graph.fail_link g victim;
   Alcotest.(check bool) "down" false (Graph.link_up g victim);
   Alcotest.(check bool) "peer down" false

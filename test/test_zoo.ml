@@ -55,8 +55,7 @@ let prop_generators_validate =
         (fun cls ->
           let z = build cls ~seed in
           Zoo.layering_violations z = []
-          && Zoo.invariant_violations z = []
-          && Zoo.validate z = Ok ())
+          && Zoo.invariant_violations z = [])
         Zoo.all_classes)
 
 let test_degree_invariants () =
@@ -68,7 +67,7 @@ let test_degree_invariants () =
       Alcotest.(check int) "jellyfish degree" 5 (Graph.degree g sw))
     z.Zoo.tors;
   let x = Zoo.xpander ~net_degree:3 ~lift:5 ~seed:3 () in
-  Alcotest.(check int) "xpander switches" 20 (Zoo.num_switches x);
+  Alcotest.(check int) "xpander switches" 20 (Array.length x.Zoo.tors);
   Array.iter
     (fun sw -> Alcotest.(check int) "xpander degree" 4 (Graph.degree x.Zoo.graph sw))
     x.Zoo.tors;
@@ -89,15 +88,8 @@ let test_rejection () =
   raises (fun () -> Zoo.jellyfish ~switches:5 ~net_degree:3 ~seed:1 ());
   raises (fun () -> Zoo.jellyfish ~switches:4 ~net_degree:4 ~seed:1 ());
   raises (fun () -> Zoo.xpander ~net_degree:1 ~lift:4 ~seed:1 ());
-  Alcotest.(check bool) "abfattree_opt none" true
-    (Zoo.abfattree_opt ~k:5 () = None);
-  Alcotest.(check bool) "vl2_opt none" true (Zoo.vl2_opt ~da:3 ~di:4 () = None);
-  Alcotest.(check bool) "jellyfish_opt none" true
-    (Zoo.jellyfish_opt ~switches:5 ~net_degree:3 ~seed:1 () = None);
-  Alcotest.(check bool) "xpander_opt none" true
-    (Zoo.xpander_opt ~net_degree:1 ~lift:4 ~seed:1 () = None);
-  Alcotest.(check bool) "jellyfish_opt some" true
-    (Zoo.jellyfish_opt ~switches:12 ~net_degree:3 ~seed:1 () <> None)
+  Alcotest.(check int) "jellyfish accepted" 12
+    (Array.length (Zoo.jellyfish ~switches:12 ~net_degree:3 ~seed:1 ()).Zoo.tors)
 
 (* ------------------------------------------------------------------ *)
 (* Fabric introspection                                                *)
@@ -109,16 +101,16 @@ let test_introspection () =
   Alcotest.(check int) "fat-tree endpoints" 16 (Fabric.num_endpoints ft);
   Alcotest.(check int) "tors at layer 1" 8
     (Array.length (Fabric.switches_at_layer ft 1));
-  Array.iter
-    (fun t -> Alcotest.(check int) "tor layer" 1 (Fabric.layer_of ft t))
-    (Fabric.tors ft);
+  Alcotest.(check (list int)) "tors are layer 1"
+    (List.sort compare (Array.to_list (Fabric.tors ft)))
+    (List.sort compare (Array.to_list (Fabric.switches_at_layer ft 1)));
   let z = build Zoo.Vl2 ~seed:0 in
   let f = Fabric.of_zoo z in
   Alcotest.(check int) "vl2 layers" 4 (Fabric.num_layers f);
   Array.iter
-    (fun t -> Alcotest.(check int) "zoo tor layer" 1 (Fabric.layer_of f t))
+    (fun t -> Alcotest.(check int) "zoo tor layer" 1 (Zoo.layer_of z t))
     (Fabric.tors f);
-  Alcotest.(check int) "zoo endpoints" (Zoo.num_hosts z)
+  Alcotest.(check int) "zoo endpoints" (Array.length z.Zoo.hosts)
     (Fabric.num_endpoints f)
 
 (* ------------------------------------------------------------------ *)
@@ -251,15 +243,18 @@ let codes ds = List.map (fun d -> d.Peel_check.Diagnostic.code) ds
 let has_error ds code =
   List.mem code (codes (Peel_check.Diagnostic.errors ds))
 
+(* The zoo battery over one six-member group on [z]. *)
+let battery z ~seed =
+  let source, dests = group_on (Fabric.of_zoo z) ~seed ~size:6 in
+  Peel_check.Check_topology.check_scenario z ~source ~dests
+
 let test_topo001_layering_corruption () =
   List.iter
     (fun cls ->
       let z = build cls ~seed:11 in
-      Alcotest.(check bool) "clean" false
-        (has_error (Peel_check.Check_topology.check_layering z) "TOPO001");
+      Alcotest.(check bool) "clean" false (has_error (battery z ~seed:11) "TOPO001");
       let z, _ = Peel_check.Check_topology.corrupt `Topo001 z in
-      Alcotest.(check bool) "caught" true
-        (has_error (Peel_check.Check_topology.check_layering z) "TOPO001"))
+      Alcotest.(check bool) "caught" true (has_error (battery z ~seed:11) "TOPO001"))
     Zoo.all_classes
 
 let test_topo002_invariant_corruption () =
@@ -267,18 +262,14 @@ let test_topo002_invariant_corruption () =
     (fun cls ->
       let z = build cls ~seed:11 in
       let z', _ = Peel_check.Check_topology.corrupt `Topo002 z in
-      Alcotest.(check bool) "clean" false
-        (has_error (Peel_check.Check_topology.check_invariants z) "TOPO002");
-      Alcotest.(check bool) "caught" true
-        (has_error (Peel_check.Check_topology.check_invariants z') "TOPO002"))
+      Alcotest.(check bool) "clean" false (has_error (battery z ~seed:11) "TOPO002");
+      Alcotest.(check bool) "caught" true (has_error (battery z' ~seed:11) "TOPO002"))
     Zoo.all_classes
 
 let test_topo003_tree_corruption () =
   let z = build Zoo.Jellyfish ~seed:7 in
-  let g = z.Zoo.graph in
   let source, dests = group_on (Fabric.of_zoo z) ~seed:7 ~size:6 in
-  let tree = Option.get (Layer_peel.peel_general g ~source ~dests) in
-  let clean = Peel_check.Check_topology.check_general_tree g tree ~source ~dests in
+  let clean = Peel_check.Check_topology.check_scenario z ~source ~dests in
   Alcotest.(check (list string)) "clean tree" [] (codes (Peel_check.Diagnostic.errors clean));
   (* The seeded tree gains a node through a non-descending up link:
      valid by every TREE check, caught only by TOPO003. *)
@@ -359,7 +350,7 @@ let test_end_to_end_all_classes () =
       let f = Fabric.of_zoo z in
       let source, dests = group_on f ~seed:29 ~size:6 in
       (* Plan and rule compile. *)
-      let plan = Peel.plan f ~source ~dests in
+      let plan = Peel.Plan.build f ~source ~dests in
       Alcotest.(check bool) "plan has packets" true
         (Peel.Plan.num_packets plan > 0);
       let t = Peel_compile.Compile.compile f [ (0, plan) ] in
