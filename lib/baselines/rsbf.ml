@@ -18,7 +18,7 @@ let header_bytes ~k ~fpr =
   let n = float_of_int (broadcast_tree_elements ~k ()) in
   n *. bits_per_element ~fpr /. 8.0
 
-let exceeds_mtu ~k ~fpr ?(mtu = 1500) () = header_bytes ~k ~fpr > float_of_int mtu
+let exceeds_mtu ~k ~fpr () = header_bytes ~k ~fpr > 1500.0
 
 let bandwidth_overhead ~k ~fpr ~payload =
   if payload <= 0 then invalid_arg "Rsbf.bandwidth_overhead: payload > 0";

@@ -26,15 +26,12 @@ let tree_loads g tree =
 
 let nvlink_threshold = 100e9
 
-let total g ?(fabric_only = true) loads =
+let total g loads =
   let sum = ref 0 in
   Array.iteri
     (fun lid c ->
-      if c > 0 then begin
-        let l = Graph.link g lid in
-        if (not fabric_only) || l.Graph.bandwidth <= nvlink_threshold then
-          sum := !sum + c
-      end)
+      if c > 0 && (Graph.link g lid).Graph.bandwidth <= nvlink_threshold then
+        sum := !sum + c)
     loads;
   !sum
 

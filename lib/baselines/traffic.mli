@@ -14,10 +14,10 @@ val link_loads : Graph.t -> (int * int) list -> int array
 val tree_loads : Graph.t -> Peel_steiner.Tree.t -> int array
 (** Each tree link is traversed exactly once per message. *)
 
-val total : Graph.t -> ?fabric_only:bool -> int array -> int
-(** Sum of traversals; with [fabric_only] (default true) NVLink-class
-    links (bandwidth above [100e9] B/s) are excluded, since intra-server
-    bandwidth is not the contended resource. *)
+val total : Graph.t -> int array -> int
+(** Sum of traversals over fabric links: NVLink-class links (bandwidth
+    above [100e9] B/s) are excluded, since intra-server bandwidth is
+    not the contended resource. *)
 
 val core_load : Graph.t -> int array -> int
 (** Traversals of links touching a Core or Spine switch only. *)

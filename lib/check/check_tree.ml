@@ -104,8 +104,8 @@ let check ?fabric g tree ~source ~dests =
   in
   root_ds @ check_edges g tree @ check_shape tree @ span_ds @ cost_ds
 
-let check_splice ?fabric g ~prev ~tree ~source ~dests =
-  let ds = check ?fabric g tree ~source ~dests in
+let check_splice g ~prev ~tree ~source ~dests =
+  let ds = check g tree ~source ~dests in
   (* The surviving prefix of [prev]: bindings still connected to the
      root over up links.  A replan may prune a survivor that no longer
      feeds any destination, but if it keeps the member it must keep the

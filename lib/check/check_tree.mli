@@ -33,14 +33,14 @@ val check :
     writes it. *)
 
 val check_splice :
-  ?fabric:Fabric.t ->
   Graph.t ->
   prev:Peel_steiner.Tree.t ->
   tree:Peel_steiner.Tree.t ->
   source:int ->
   dests:int list ->
   Diagnostic.t list
-(** Everything {!check} verifies on the post-failure graph, plus the
+(** The structural checks of {!check} (no cost bound) on the
+    post-failure graph, plus the
     splice invariant ([TREE006]): every member of [prev]'s surviving
     prefix (reachable from the root over up links) that [tree] keeps
     must keep its exact parent edge.  Pruning a survivor that no longer

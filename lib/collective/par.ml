@@ -299,11 +299,11 @@ let flatten fabric paths ~chunks scheme specs =
   Array.of_list
     (List.map (fun spec -> flatten_spec fabric paths scheme spec ~chunks) specs)
 
-let run ?(chunks = 8) ?(ecmp = true) ?jobs ?(audit = false) fabric scheme specs =
+let run ?(chunks = 8) ?jobs ?(audit = false) fabric scheme specs =
   let jobs =
     match jobs with Some j -> j | None -> Peel_util.Pool.default_jobs ()
   in
-  let paths = Paths.create ~ecmp fabric in
+  let paths = Paths.create ~ecmp:true fabric in
   let flows = flatten fabric paths ~chunks scheme specs in
   let links = Soa.links_of_graph (Fabric.graph fabric) in
   let min_bytes =

@@ -87,15 +87,16 @@ val flatten :
 
 val run :
   ?chunks:int ->
-  ?ecmp:bool ->
   ?jobs:int ->
   ?audit:bool ->
   Fabric.t ->
   Scheme.t ->
   Spec.collective list ->
   Peel_sim.Shard.result
-(** Flatten and execute on [min jobs (pods fabric)] shards ([jobs]
-    defaults to {!Peel_util.Pool.default_jobs}; [chunks] defaults to 8
-    and [ecmp] to [true], matching {!Runner.run}).  [audit] collects
+(** Flatten over ECMP paths, as {!Runner.run} does, and execute on
+    [min jobs (pods fabric)] shards ([jobs] defaults to
+    {!Peel_util.Pool.default_jobs}; [chunks] to 8).  Corpus knob:
+    [chunks] is swept by the pinned sharded-engine differential sweep
+    in the tests.  [audit] collects
     per-window causality evidence for SIM008.  The result is
     bit-identical for every [jobs] value. *)

@@ -5,9 +5,9 @@ module Rng = Peel_util.Rng
 type cost_row = {
   failure_pct : int;
   trials : int;
-  mean_ratio : float;
+  mean_ratio : float;  (** greedy cost / exact optimum *)
   max_ratio : float;
-  optimal_rate : float;
+  optimal_rate : float;  (** fraction of trials where greedy = optimum *)
 }
 
 let compute_cost mode =

@@ -6,12 +6,12 @@ module Json = Peel_util.Json
 
 type row = {
   scheme : string;
-  fail_at : float;
-  reaction : float;
-  clean : float;
-  failed : float;
-  degradation : float;
-  replans : int;
+  fail_at : float;  (** failure instant, fraction of the clean CCT *)
+  reaction : float;  (** controller reaction delay, seconds *)
+  clean : float;  (** failure-free CCT, seconds *)
+  failed : float;  (** CCT with the mid-run failure, seconds *)
+  degradation : float;  (** failed / clean *)
+  replans : int;  (** controller replans traced during the run *)
 }
 
 let fabric () =

@@ -9,7 +9,7 @@ type row = {
   p99 : float;
 }
 
-let compute ?(scales = 512) ?(load = 0.3) mode sizes_mb =
+let compute ?(scales = 512) mode sizes_mb =
   let fabric = Common.fig5_fabric () in
   let n = Common.trials mode ~full:60 in
   (* One cell per (size, scheme): each regenerates its workload from a
@@ -21,7 +21,7 @@ let compute ?(scales = 512) ?(load = 0.3) mode sizes_mb =
   |> Common.par_trials (fun (size_mb, scheme) ->
          let cs =
            Spec.poisson_broadcasts fabric (Rng.create 100) ~n ~scale:scales
-             ~bytes:(Common.mb size_mb) ~load ()
+             ~bytes:(Common.mb size_mb) ~load:0.3 ()
          in
          let s = Common.summarize_run fabric scheme cs in
          { size_mb; scheme; mean = s.Peel_util.Stats.mean; p99 = s.Peel_util.Stats.p99 })

@@ -14,8 +14,7 @@ type row = {
   p99 : float;
 }
 
-val compute :
-  ?scales:int -> ?load:float -> Common.mode -> float list -> row list
-(** [compute mode sizes_mb]; [scales] defaults to 512. *)
+val compute : ?scales:int -> Common.mode -> float list -> row list
+(** [compute mode sizes_mb] at 30% load; [scales] defaults to 512. *)
 
 val run : Common.mode -> unit

@@ -5,7 +5,7 @@ type row = {
   fragmentation : float;
   mean_packets_exact : float;
   mean_packets_budget : float;
-  mean_waste_budget : float;
+  mean_waste_budget : float;  (** over-covered racks per collective *)
   peel_mean_cct : float;
   optimal_mean_cct : float;
 }

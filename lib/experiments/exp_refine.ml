@@ -10,11 +10,11 @@ type row = {
   rpc : float;       (* nan = not applicable (static never installs) *)
   capacity : int;    (* 0 = not applicable *)
   mean_cct : float;
-  total_bytes : float;
-  overcover_bytes : float;
+  total_bytes : float;  (** all link-bytes reserved *)
+  overcover_bytes : float;  (** bytes landed on memberless racks *)
   installs : int;
   evictions : int;
-  refined_frac : float;
+  refined_frac : float;  (** chunks released on exact rules *)
 }
 
 let chunks = 16

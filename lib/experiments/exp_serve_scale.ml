@@ -7,7 +7,7 @@ module Json = Peel_util.Json
 type row = {
   events : int;
   creates : int;
-  groups_held : int;
+  groups_held : int;  (** live groups when the stream stopped *)
   cache_hits : int;
   cache_misses : int;
   installs : int;
@@ -15,8 +15,8 @@ type row = {
   batches : int;
   compiled_entries : int;
   max_backlog : int;
-  fingerprint : string;
-  fingerprint_nocache : string;
+  fingerprint : string;  (** caches on *)
+  fingerprint_nocache : string;  (** must equal [fingerprint] *)
 }
 
 type slo_row = {
@@ -24,10 +24,12 @@ type slo_row = {
   s_events_per_sec : float;
   s_wall_s : float;
   s_live_heap_mwords : float;
+      (** live words after a full major GC, with the cached run's state
+          held *)
   s_cache_hit_rate : float;
   s_ref_events_per_sec : float;
   s_ref_wall_s : float;
-  s_speedup : float;
+  s_speedup : float;  (** events/sec over the reference's *)
   s_ref_fingerprint_matches : bool;
 }
 

@@ -6,12 +6,12 @@ module Json = Peel_util.Json
 
 type row = {
   capacity : int;
-  admission : string;
+  admission : string;  (** ["evict"] / ["deny"] *)
   events : int;
   creates : int;
   membership_deltas : int;   (* joins + leaves *)
-  delta_repeels : int;
-  full_repeels : int;
+  delta_repeels : int;  (** deltas absorbed by splicing *)
+  full_repeels : int;  (** creations + splice fallbacks *)
   splice_fallbacks : int;
   batches : int;
   installs : int;
@@ -23,7 +23,7 @@ type row = {
   multicast_link_bytes : float;
   unicast_link_bytes : float;
   max_backlog : int;
-  fingerprint : string;
+  fingerprint : string;  (** SVC005 replay witness *)
 }
 
 type slo_row = {

@@ -20,20 +20,20 @@ module Rng = Peel_util.Rng
 module Json = Peel_util.Json
 
 type ratio_row = {
-  cls : string;
+  cls : string;  (** topology class, or ["clos-control"] *)
   failure_pct : int;
-  group : int;
+  group : int;  (** destination count |D| *)
   trials : int;
-  measured : int;
+  measured : int;  (** trials the oracle could afford *)
   mean_ratio : float;
   max_ratio : float;
-  optimal_rate : float;
+  optimal_rate : float;  (** fraction of measured trials at ratio 1.0 *)
 }
 
 type rules_row = {
   r_cls : string;
   r_trees : int;
-  r_switches : int;
+  r_switches : int;  (** switches holding at least one replication rule *)
   r_total_rules : int;
   r_max_rules : int;
 }
@@ -41,7 +41,7 @@ type rules_row = {
 type reconfig_row = {
   c_cls : string;
   c_epochs : int;
-  c_swaps : int;
+  c_swaps : int;  (** individual fail/recover events applied *)
   c_clean : float;
   c_reconf : float;
   c_degradation : float;

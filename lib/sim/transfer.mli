@@ -31,9 +31,9 @@ type loss = {
   mutable retransmissions : int;
 }
 
-val loss_model : seed:int -> prob:float -> ?rto:float -> unit -> loss
-(** Default [rto] is 100 us.  Raises [Invalid_argument] unless
-    [0 <= prob < 1] and [rto > 0]; NaN fails both. *)
+val loss_model : seed:int -> prob:float -> unit -> loss
+(** A 100 us retransmission timeout.  Raises [Invalid_argument] unless
+    [0 <= prob < 1]; NaN fails. *)
 
 val dag :
   Engine.t ->

@@ -68,7 +68,8 @@ val peel_general :
     [None] when a destination is unreachable (excluded).  Any
     monotone relabeling of the BFS layers yields the same tree.
     Checking a custom layering costs O(nodes); the peel itself only
-    reads the labels of members and their neighbours. *)
+    reads the labels of members and their neighbours.  Corpus knob:
+    the pinned tree-digest corpus in the tests sweeps [layers]. *)
 
 val port_set_rules : Graph.t -> Tree.t list -> (int * int) list
 (** [(switch, rules)] per switch appearing in any tree: the number of
@@ -88,7 +89,8 @@ val repeel :
     and peeling only attaches the receivers the failure cut off.
     Survivors that no longer feed any destination are pruned.  [None]
     when some destination is now unreachable.  Raises
-    [Invalid_argument] if [prev] is not rooted at [source]. *)
+    [Invalid_argument] if [prev] is not rooted at [source].  Corpus
+    knob: the pinned tree-digest corpus in the tests sweeps [salt]. *)
 
 (** {1 Membership deltas}
 

@@ -329,16 +329,11 @@ let prop_unicast_idle_path_closed_form =
 let test_loss_model_validation () =
   Alcotest.(check bool) "bad prob" true
     (try ignore (Transfer.loss_model ~seed:1 ~prob:1.0 ()); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "bad rto" true
-    (try ignore (Transfer.loss_model ~seed:1 ~prob:0.1 ~rto:0.0 ()); false
      with Invalid_argument _ -> true)
 
 let test_loss_model_nan_rejected () =
   check_invalid "nan prob" (fun () ->
-      Transfer.loss_model ~seed:1 ~prob:nan ());
-  check_invalid "nan rto" (fun () ->
-      Transfer.loss_model ~seed:1 ~prob:0.1 ~rto:nan ())
+      Transfer.loss_model ~seed:1 ~prob:nan ())
 
 let test_unicast_lossless_prob_zero () =
   let g, _, _, nc, l1, l2 = line_fabric () in
@@ -358,7 +353,7 @@ let test_unicast_recovers_from_loss () =
   let e = Engine.create () in
   let ls = Link_state.create g in
   (* 30% loss: over 50 chunks some will drop, all must still arrive. *)
-  let loss = Transfer.loss_model ~seed:5 ~prob:0.3 ~rto:10e-6 () in
+  let loss = Transfer.loss_model ~seed:5 ~prob:0.3 () in
   let count = ref 0 in
   for _ = 1 to 50 do
     walk e ls (Par.of_path ~deliver:nc [ l1; l2 ]) ~bytes:1e4 ~start:0.0 ~loss
@@ -407,7 +402,7 @@ let test_multicast_loss_repaired_hop_locally () =
   let g, tree, _, s, a, _, _ = chain_tree () in
   let e = Engine.create () in
   let ls = Link_state.create g in
-  let loss = Transfer.loss_model ~seed:5 ~prob:0.3 ~rto:10e-6 () in
+  let loss = Transfer.loss_model ~seed:5 ~prob:0.3 () in
   let lost = ref 0 and delivered = ref 0 in
   for _ = 1 to 25 do
     walk e ls (Par.of_trees ~dests:[ s; a ] [ tree ]) ~bytes:1e4 ~start:0.0 ~loss
